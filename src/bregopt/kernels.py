@@ -5,6 +5,12 @@ Bregman divergence D_h(x, y) = h(x) - h(y) - <grad h(y), x - y>, and the
 inverse gradient map where h is of Legendre type. Instances are immutable
 and every method is a pure function of its inputs, so kernels can be
 shared freely across threads.
+
+The public methods check that their points lie in the domain. The solvers
+check each point once, when it is created, and then call the unchecked
+`_bregman` and `_gradient` on it. A subclass only has to define `value`,
+`gradient` and `in_interior_domain`; the unchecked methods default to the
+checked ones or to the defining formula.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from .errors import DomainError, NumericalError
 # Negative values of D_h up to this size are rounding noise and clamped to
 # zero; anything more negative is a bug and is surfaced.
 _NEGATIVE_SLACK = 1e-12
+_EPS = float(np.finfo(float).eps)
 
 
 def _as_vector(x) -> np.ndarray:
@@ -63,8 +70,16 @@ class Kernel:
         """D_h(x, y), clamped to zero against tiny negative rounding noise."""
         x = self.require_interior(x, "x")
         y = self.require_interior(y, "y")
+        return self._bregman(x, y)
+
+    def _bregman(self, x: np.ndarray, y: np.ndarray) -> float:
+        """`bregman` for float vectors already known to be interior."""
         d = self.value(x) - self.value(y) - float(np.dot(self.gradient(y), x - y))
         return _clamp_nonnegative(d)
+
+    def _gradient(self, x: np.ndarray) -> np.ndarray:
+        """`gradient` for a float vector already known to be interior."""
+        return self.gradient(x)
 
 
 def _clamp_nonnegative(d: float) -> float:
@@ -84,14 +99,12 @@ class EuclideanKernel(Kernel):
         return np.array(x, dtype=float)
 
     def in_interior_domain(self, x):
-        return bool(np.all(np.isfinite(x)))
+        return bool(np.isfinite(x).all())
 
     def inverse_gradient(self, z):
         return np.array(z, dtype=float)
 
-    def bregman(self, x, y):
-        x = self.require_interior(x, "x")
-        y = self.require_interior(y, "y")
+    def _bregman(self, x, y):
         r = x - y
         return 0.5 * float(np.dot(r, r))
 
@@ -104,12 +117,14 @@ class BurgKernel(Kernel):
         return -float(np.sum(np.log(x)))
 
     def gradient(self, x):
-        x = self.require_interior(x)
+        return self._gradient(self.require_interior(x))
+
+    def _gradient(self, x):
         return -1.0 / x
 
     def in_interior_domain(self, x):
         x = np.asarray(x, dtype=float)
-        return bool(np.all(np.isfinite(x)) and np.all(x > 0.0))
+        return bool(np.isfinite(x).all() and (x > 0.0).all())
 
     def inverse_gradient(self, z):
         z = _as_vector(z)
@@ -117,11 +132,9 @@ class BurgKernel(Kernel):
             raise DomainError("Burg inverse gradient needs every component < 0")
         return -1.0 / z
 
-    def bregman(self, x, y):
-        x = self.require_interior(x, "x")
-        y = self.require_interior(y, "y")
+    def _bregman(self, x, y):
         t = x / y
-        return _clamp_nonnegative(float(np.sum(t - np.log(t) - 1.0)))
+        return _clamp_nonnegative(float((t - np.log(t) - 1.0).sum()))
 
 
 class QuarticKernel(Kernel):
@@ -137,7 +150,7 @@ class QuarticKernel(Kernel):
         return (float(np.dot(x, x)) + 1.0) * x
 
     def in_interior_domain(self, x):
-        return bool(np.all(np.isfinite(x)))
+        return bool(np.isfinite(x).all())
 
     def inverse_gradient(self, z):
         z = _as_vector(z)
@@ -161,7 +174,7 @@ def cubic_root_scale(norm_v: float) -> float:
         return 0.0
     lo, hi = 0.0, max(1.0, norm_v)
     r = min(norm_v, norm_v ** (1.0 / 3.0))
-    tol = max(1e-12, 8.0 * np.finfo(float).eps * (1.0 + norm_v))
+    tol = max(1e-12, 8.0 * _EPS * (1.0 + norm_v))
     for _ in range(200):
         f = r * r * r + r - norm_v
         if abs(f) <= tol:

@@ -70,7 +70,7 @@ def generate_plip(m: int, d: int, seed: int,
 
 def _require_positive(x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    if not np.all(x > 0.0):
+    if not (x > 0.0).all():
         raise DomainError("point must be strictly positive")
     return x
 
@@ -95,10 +95,14 @@ def plip_prox(inst: PlipInstance, y, grad, lam: float) -> np.ndarray:
     a nonpositive denominator signals an inadmissible step size or
     inconsistent inputs.
     """
-    y = _require_positive(y)
-    grad = np.asarray(grad, dtype=float)
+    return _mirror_step(_require_positive(y), np.asarray(grad, dtype=float),
+                        lam)
+
+
+def _mirror_step(y: np.ndarray, grad: np.ndarray, lam: float) -> np.ndarray:
+    """`plip_prox` for a float vector y already known to be positive."""
     denom = 1.0 + lam * y * grad
-    if not np.all(denom > 0.0):
+    if not (denom > 0.0).all():
         raise NumericalError("nonpositive denominator in the Burg mirror step")
     return y / denom
 
@@ -115,18 +119,30 @@ class PlipSmooth(SmoothTerm):
     def gradient(self, x):
         return kl_gradient(self.inst, x)
 
+    def value_and_gradient(self, x):
+        """kl_value and kl_gradient from one forward product A x."""
+        inst = self.inst
+        Ax = inst.A @ x
+        ratio = inst.b / Ax
+        value = float((inst.b * np.log(ratio) + Ax - inst.b).sum())
+        return value, inst.A.T @ (1.0 - ratio)
+
     def smad_constant(self):
         return self.inst.smad_bound
 
 
 class _PlipProxTerm(ZeroTerm):
-    """g = 0 specialized to the closed-form Burg mirror step."""
+    """g = 0 specialized to the closed-form Burg mirror step.
+
+    The solvers only pass points they have checked, so y is not checked
+    again here.
+    """
 
     def __init__(self, inst: PlipInstance):
         self.inst = inst
 
     def prox(self, kernel, y, grad_f_y, lam):
-        return plip_prox(self.inst, y, grad_f_y, lam)
+        return _mirror_step(y, grad_f_y, lam)
 
 
 def make_objective(inst: PlipInstance) -> CompositeObjective:

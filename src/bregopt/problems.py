@@ -31,6 +31,15 @@ class SmoothTerm:
     def gradient(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def value_and_gradient(self, x: np.ndarray):
+        """(f(x), grad f(x)) at a point x already checked to be interior.
+
+        The solvers call this once per iterate. Override it to share work
+        between the two, such as a forward product. The shipped overrides
+        return the separate calls' results bit for bit.
+        """
+        return self.value(x), self.gradient(x)
+
     def smad_constant(self) -> float:
         """Constant L such that L*h - f and L*h + f are convex."""
         raise NotImplementedError
@@ -84,7 +93,7 @@ class L1Term(NonsmoothTerm):
         self.weight = float(weight)
 
     def value(self, x):
-        return self.weight * float(np.sum(np.abs(x)))
+        return self.weight * float(np.abs(x).sum())
 
     def prox(self, kernel, y, grad_f_y, lam):
         c = kernel.gradient(y) - lam * np.asarray(grad_f_y, dtype=float)

@@ -115,6 +115,12 @@ class QipSmooth(SmoothTerm):
     def gradient(self, x):
         return qip_gradient(self.inst, x)
 
+    def value_and_gradient(self, x):
+        """value and qip_gradient from one forward product a x."""
+        ax = self.inst.a @ x
+        r = ax * ax - self.inst.b
+        return 0.25 * float(np.dot(r, r)), self.inst.a.T @ (r * ax)
+
     def smad_constant(self):
         return self.inst.smad_bound
 

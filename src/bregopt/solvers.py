@@ -13,6 +13,7 @@ stationarity residual, wall time).
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import List, Optional
@@ -67,12 +68,14 @@ class SolverConfig:
     keep_iterates: bool = False
 
     def __post_init__(self):
-        if self.lam <= 0.0:
-            raise ValidationError("step size lam must be positive")
-        if self.tol <= 0.0:
-            raise ValidationError("tol must be positive")
-        if self.k_max < 1:
+        if not (math.isfinite(self.lam) and self.lam > 0.0):
+            raise ValidationError("step size lam must be positive and finite")
+        if not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise ValidationError("tol must be positive and finite")
+        if not self.k_max >= 1:
             raise ValidationError("k_max must be positive")
+        if self.lyapunov_M is not None and not math.isfinite(self.lyapunov_M):
+            raise ValidationError("lyapunov_M must be finite")
         if self.exit_mode not in EXIT_MODES:
             raise ValidationError(
                 "exit_mode must be one of %s" % (EXIT_MODES,)
@@ -112,7 +115,8 @@ class SolveResult:
 
 
 def line_search_beta(kernel: Kernel, x_prev: np.ndarray, x_curr: np.ndarray,
-                     cfg: LineSearchConfig, C_k: float):
+                     cfg: LineSearchConfig, C_k: float,
+                     dh_prev: Optional[float] = None):
     """First beta in {beta0, eta*beta0, ...} whose trial point is admissible.
 
     Admissible means the trial x_curr + beta*(x_curr - x_prev) lies in the
@@ -120,12 +124,16 @@ def line_search_beta(kernel: Kernel, x_prev: np.ndarray, x_curr: np.ndarray,
     D_h(x_curr, trial) <= rho * C_k * D_h(x_prev, x_curr). A trial outside
     the domain counts as a failed test and keeps shrinking. Falls back to
     beta = 0 after max_shrinks, which always satisfies the condition.
+    dh_prev is D_h(x_prev, x_curr) when the caller has it already, for
+    points it has checked; without it the bound is computed here.
     Returns (beta, shrinks).
     """
     direction = x_curr - x_prev
-    if not np.any(direction):
+    if not direction.any():
         return cfg.beta0, 0
-    bound = cfg.rho * C_k * kernel.bregman(x_prev, x_curr)
+    if dh_prev is None:
+        dh_prev = kernel.bregman(x_prev, x_curr)
+    bound = cfg.rho * C_k * dh_prev
     beta = cfg.beta0
     for shrinks in range(cfg.max_shrinks + 1):
         if beta == 0.0:
@@ -133,7 +141,7 @@ def line_search_beta(kernel: Kernel, x_prev: np.ndarray, x_curr: np.ndarray,
         trial = x_curr + beta * direction
         if kernel.in_interior_domain(trial):
             try:
-                if kernel.bregman(x_curr, trial) <= bound:
+                if kernel._bregman(x_curr, trial) <= bound:
                     return beta, shrinks
             except NumericalError:
                 pass
@@ -143,47 +151,61 @@ def line_search_beta(kernel: Kernel, x_prev: np.ndarray, x_curr: np.ndarray,
 
 def bpge_solve(obj: CompositeObjective, x0: np.ndarray,
                cfg: SolverConfig, _extrapolate: bool = True) -> SolveResult:
-    """Run the extrapolated Bregman proximal gradient iteration from x0."""
+    """Run the extrapolated Bregman proximal gradient iteration from x0.
+
+    Each new point is checked against the kernel domain once: x0 here,
+    each line-search trial in `line_search_beta` and each prox output
+    below. f and grad f are evaluated together once per iterate, and
+    grad f, grad h and D_h are carried over to the next iteration where
+    it needs them at the same point.
+    """
     kernel = obj.kernel
+    smooth, nonsmooth = obj.smooth, obj.nonsmooth
     x0 = kernel.require_interior(np.asarray(x0, dtype=float), "x0")
-    L = obj.smooth.smad_constant()
+    L = smooth.smad_constant()
     if cfg.lam > (1.0 / L) * (1.0 + 1e-12):
         raise ValidationError(
             "step size %g exceeds 1/L = %g" % (cfg.lam, 1.0 / L)
         )
     inv_lam = 1.0 / cfg.lam
     M = cfg.lyapunov_effective_M
-    mu = obj.smooth.weak_convexity_constant()
+    mu = smooth.weak_convexity_constant()
     C_k = inv_lam / (inv_lam + mu)
 
     x_prev = x0.copy()
     x_curr = x0.copy()
-    psi_curr = obj.value(x_curr)
+    f_curr, grad_curr = smooth.value_and_gradient(x_curr)
+    psi_curr = f_curr + nonsmooth.value(x_curr)
+    hgrad_curr = kernel._gradient(x_curr)
+    dh = 0.0  # D_h(x_prev, x_curr)
     trace = [IterationRecord(0, psi_curr, 0.0, psi_curr, 0.0, 0, np.nan, 0.0)]
     iterates = [x0.copy()] if cfg.keep_iterates else None
     exit_reason = EXIT_MAX_ITERATIONS
     start = time.perf_counter()
 
     for k in range(cfg.k_max):
-        if _extrapolate:
-            beta, shrinks = line_search_beta(kernel, x_prev, x_curr,
-                                             cfg.line_search, C_k)
-        else:
-            beta, shrinks = 0.0, 0
-        y = x_curr + beta * (x_curr - x_prev) if beta != 0.0 else x_curr
         try:
-            grad_y = obj.smooth.gradient(y)
-            x_next = obj.nonsmooth.prox(kernel, y, grad_y, cfg.lam)
-            if not (np.all(np.isfinite(x_next))
-                    and kernel.in_interior_domain(x_next)):
+            if _extrapolate:
+                beta, shrinks = line_search_beta(kernel, x_prev, x_curr,
+                                                 cfg.line_search, C_k, dh)
+            else:
+                beta, shrinks = 0.0, 0
+            if beta != 0.0:
+                y = x_curr + beta * (x_curr - x_prev)
+                grad_y = smooth.gradient(y)
+                hgrad_y = kernel._gradient(y)
+            else:
+                y, grad_y, hgrad_y = x_curr, grad_curr, hgrad_curr
+            x_next = nonsmooth.prox(kernel, y, grad_y, cfg.lam)
+            if not kernel.in_interior_domain(x_next):
                 raise NumericalError("prox left the kernel domain")
-            psi_next = obj.value(x_next)
-            dh = kernel.bregman(x_curr, x_next)
-            residual = float(np.linalg.norm(
-                obj.smooth.gradient(x_next) - grad_y
-                - inv_lam * (kernel.gradient(x_next) - kernel.gradient(y))
-            ))
-            if not np.isfinite(psi_next) or not np.isfinite(dh):
+            f_next, grad_curr = smooth.value_and_gradient(x_next)
+            psi_next = f_next + nonsmooth.value(x_next)
+            dh = kernel._bregman(x_curr, x_next)
+            hgrad_curr = kernel._gradient(x_next)
+            r = grad_curr - grad_y - inv_lam * (hgrad_curr - hgrad_y)
+            residual = math.sqrt(float(np.dot(r, r)))
+            if not (math.isfinite(psi_next) and math.isfinite(dh)):
                 raise NumericalError("non-finite objective or Bregman step")
         except (DomainError, NumericalError):
             exit_reason = EXIT_NUMERICAL_FAILURE
@@ -195,7 +217,9 @@ def bpge_solve(obj: CompositeObjective, x0: np.ndarray,
         if iterates is not None:
             iterates.append(x_next.copy())
         if cfg.exit_mode == "iterate_relative":
-            gap = np.linalg.norm(x_next - x_curr) / max(1.0, np.linalg.norm(x_next))
+            step = x_next - x_curr
+            gap = (math.sqrt(float(np.dot(step, step)))
+                   / max(1.0, math.sqrt(float(np.dot(x_next, x_next)))))
         else:
             gap = abs(psi_next - psi_curr) / max(1.0, abs(psi_next))
         x_prev, x_curr, psi_curr = x_curr, x_next, psi_next

@@ -1,3 +1,6 @@
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,7 @@ from bregopt import (
     EuclideanKernel,
     L1Term,
     LineSearchConfig,
+    NumericalError,
     SolverConfig,
     ValidationError,
     bpg_solve,
@@ -18,7 +22,8 @@ from bregopt import (
     sublinear_rate_check,
 )
 from bregopt import plip, qip
-from bregopt.problems import SmoothTerm
+from bregopt.kernels import Kernel
+from bregopt.problems import NonsmoothTerm, SmoothTerm
 
 
 class QuadraticSmooth(SmoothTerm):
@@ -98,6 +103,15 @@ class TestLineSearch:
                                          np.array([1.0]), cfg, 1.0)
         assert shrinks >= 1
         assert 1.0 + beta * (1.0 - 5.0) > 0
+
+
+    def test_known_bound_matches_computed_bound(self):
+        kernel = BurgKernel(3)
+        cfg = LineSearchConfig()
+        x_prev, x_curr = np.array([1.0, 2.0, 0.5]), np.array([1.2, 1.7, 0.6])
+        dh = kernel.bregman(x_prev, x_curr)
+        assert (line_search_beta(kernel, x_prev, x_curr, cfg, 0.9, dh)
+                == line_search_beta(kernel, x_prev, x_curr, cfg, 0.9))
 
 
 class TestReductions:
@@ -298,6 +312,18 @@ class TestConfigValidation:
         with pytest.raises(ValidationError):
             SolverConfig(lam=0.1, exit_mode="bogus")
 
+    def test_rejects_nan_step(self):
+        with pytest.raises(ValidationError):
+            SolverConfig(lam=float("nan"))
+
+    def test_rejects_nan_tol(self):
+        with pytest.raises(ValidationError):
+            SolverConfig(lam=0.1, tol=float("nan"))
+
+    def test_rejects_nan_lyapunov_constant(self):
+        with pytest.raises(ValidationError):
+            SolverConfig(lam=0.1, lyapunov_M=float("nan"))
+
 
 class TestExitModes:
     def test_objective_relative_exit(self):
@@ -320,3 +346,165 @@ class TestExitModes:
         assert np.array_equal(r1.x_final, r2.x_final)
         assert [(rec.psi, rec.dh_step, rec.beta_accepted) for rec in r1.trace] \
             == [(rec.psi, rec.dh_step, rec.beta_accepted) for rec in r2.trace]
+
+
+class CountingSmooth(SmoothTerm):
+    """Delegates to a shipped term and counts evaluations of f and grad f."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.f_evals = self.grad_evals = 0
+
+    def value(self, x):
+        self.f_evals += 1
+        return self.inner.value(x)
+
+    def gradient(self, x):
+        self.grad_evals += 1
+        return self.inner.gradient(x)
+
+    def value_and_gradient(self, x):
+        self.f_evals += 1
+        self.grad_evals += 1
+        return self.inner.value_and_gradient(x)
+
+    def smad_constant(self):
+        return self.inner.smad_constant()
+
+    def weak_convexity_constant(self):
+        return self.inner.weak_convexity_constant()
+
+
+class TwoMethodSmooth(SmoothTerm):
+    """Defines value and gradient only, so the default value_and_gradient
+    runs."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def value(self, x):
+        return self.inner.value(x)
+
+    def gradient(self, x):
+        return self.inner.gradient(x)
+
+    def smad_constant(self):
+        return self.inner.smad_constant()
+
+    def weak_convexity_constant(self):
+        return self.inner.weak_convexity_constant()
+
+
+class WeightedEuclideanKernel(Kernel):
+    """h(x) = sum_j w_j x_j^2 / 2; defines only the three required methods."""
+
+    def __init__(self, w):
+        super().__init__(w.size)
+        self.w = w
+
+    def value(self, x):
+        return 0.5 * float(np.dot(self.w * x, x))
+
+    def gradient(self, x):
+        return self.w * x
+
+    def in_interior_domain(self, x):
+        return bool(np.all(np.isfinite(x)))
+
+
+class WeightedMirrorStep(NonsmoothTerm):
+    """g = 0 under WeightedEuclideanKernel: u = y - lam * grad / w."""
+
+    def value(self, x):
+        return 0.0
+
+    def prox(self, kernel, y, grad_f_y, lam):
+        return y - lam * grad_f_y / kernel.w
+
+
+def _shipped(problem, m, d, seed):
+    mod = {"plip": plip, "qip": qip}[problem]
+    inst = getattr(mod, "generate_" + problem)(m, d, seed=seed)
+    return mod.make_objective(inst), mod.default_x0(inst)
+
+
+def _timeless(trace):
+    return [dataclasses.replace(rec, wall_time=0.0) for rec in trace]
+
+
+class TestFusedIteration:
+    @pytest.mark.parametrize("problem,m,d", [("plip", 100, 10),
+                                             ("qip", 200, 10)])
+    def test_bpg_evaluates_f_and_grad_once_per_iteration(self, problem, m, d):
+        obj, x0 = _shipped(problem, m, d, seed=21)
+        counting = CountingSmooth(obj.smooth)
+        obj = dataclasses.replace(obj, smooth=counting)
+        cfg = SolverConfig(lam=1.0 / counting.smad_constant(), k_max=300)
+        result = bpg_solve(obj, x0, cfg)
+        assert result.exit_reason != "numerical_failure"
+        assert result.iterations > 10
+        # One evaluation per iterate, x0 included.
+        assert counting.f_evals == result.iterations + 1
+        assert counting.grad_evals == result.iterations + 1
+
+    @pytest.mark.parametrize("problem,m,d", [("plip", 100, 10),
+                                             ("qip", 200, 10)])
+    @pytest.mark.parametrize("solve", [bpge_solve, bpg_solve],
+                             ids=["bpge", "bpg"])
+    def test_default_value_and_gradient_gives_identical_trace(
+            self, problem, m, d, solve):
+        obj, x0 = _shipped(problem, m, d, seed=22)
+        cfg = SolverConfig(lam=1.0 / obj.smooth.smad_constant(), k_max=400)
+        shipped = solve(obj, x0, cfg)
+        plain = solve(dataclasses.replace(obj, smooth=TwoMethodSmooth(
+            obj.smooth)), x0, cfg)
+        assert _timeless(plain.trace) == _timeless(shipped.trace)
+        assert np.array_equal(plain.x_final, shipped.x_final)
+        assert plain.exit_reason == shipped.exit_reason
+
+    def test_kernel_with_only_required_methods_runs(self):
+        rng = np.random.default_rng(23)
+        B = rng.standard_normal((12, 5))
+        smooth = QuadraticSmooth(B, rng.standard_normal(12))
+        kernel = WeightedEuclideanKernel(rng.uniform(1.0, 2.0, 5))
+        obj = CompositeObjective(smooth, WeightedMirrorStep(), kernel)
+        cfg = SolverConfig(lam=1.0 / smooth.smad_constant(), tol=1e-8,
+                           keep_iterates=True)
+        result = bpge_solve(obj, rng.standard_normal(5), cfg)
+        assert result.exit_reason == "tolerance"
+        assert any(rec.beta_accepted > 0.0 for rec in result.trace[2:])
+        lyap = [rec.lyapunov for rec in result.trace[1:]]
+        assert all(b <= a + 1e-12 for a, b in zip(lyap, lyap[1:]))
+        xs = result.iterates
+        for k in range(1, len(xs)):
+            assert result.trace[k].dh_step == kernel.bregman(xs[k - 1], xs[k])
+
+
+class _LineSearchFailureKernel(BurgKernel):
+    """Burg kernel whose n-th domain test raises NumericalError."""
+
+    def __init__(self, dim, fail_at):
+        super().__init__(dim)
+        self.calls, self.fail_at, self.failed_in = 0, fail_at, None
+
+    def in_interior_domain(self, x):
+        self.calls += 1
+        if self.calls == self.fail_at:
+            self.failed_in = inspect.stack()[1].function
+            raise NumericalError("boom")
+        return super().in_interior_domain(x)
+
+
+class TestFailureContainment:
+    def test_line_search_failure_is_recorded_not_raised(self):
+        obj, x0 = _shipped("plip", 40, 4, seed=24)
+        cfg = SolverConfig(lam=1.0 / obj.smooth.smad_constant())
+        reference = bpge_solve(obj, x0, cfg)
+        # Domain tests run on x0, on the first prox output, then on the
+        # first line-search trial of iteration 2.
+        kernel = _LineSearchFailureKernel(obj.dim, fail_at=3)
+        result = bpge_solve(dataclasses.replace(obj, kernel=kernel), x0, cfg)
+        assert kernel.failed_in == "line_search_beta"
+        assert result.exit_reason == "numerical_failure"
+        assert result.iterations == 1
+        assert _timeless(result.trace) == _timeless(reference.trace[:2])
