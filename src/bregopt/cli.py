@@ -77,7 +77,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="execute an experiment spec")
     p_sweep.add_argument("--spec", required=True, help="experiment JSON file")
     p_sweep.add_argument("--out", default=".", help="output directory")
-    p_sweep.add_argument("--jobs", type=int, default=1)
+    p_sweep.add_argument("--jobs", type=int, default=1,
+                         help="accepted (>= 1) but unused: sweeps run serially")
 
     p_check = sub.add_parser("check", help="run the invariant suite")
     _add_instance_flags(p_check)
@@ -100,11 +101,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    if args.solver in ("pg", "pge"):
-        raise ValidationError(
-            "%s cannot be applied to %s: the smooth part has no globally "
-            "Lipschitz gradient" % (args.solver, args.problem)
-        )
+    harness.require_bregman_solver(args.solver, args.problem)
     inst = harness.generate_instance(args.problem, args.m, args.d, args.seed,
                                      theta=args.theta)
     obj, x0 = harness.problem_bundle(args.problem, inst)
@@ -143,6 +140,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise ValidationError("--jobs must be >= 1")
     try:
         doc = json.loads(Path(args.spec).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
@@ -151,7 +150,7 @@ def _cmd_sweep(args) -> int:
             % (args.spec, exc.lineno, exc.colno, exc.msg)
         ) from exc
     spec = harness.ExperimentSpec.from_dict(doc)
-    rows = harness.run_comparison(spec, out_dir=args.out, jobs=args.jobs)
+    rows = harness.run_comparison(spec, out_dir=args.out)
     failures = sum(
         1 for r in rows
         if EXIT_NUMERICAL_FAILURE in (r.exit_bpge, r.exit_bpg)

@@ -9,7 +9,7 @@ class DomainError(BregoptError):
     """A point lies outside the (interior of the) kernel domain."""
 
 
-class ValidationError(BregoptError):
+class ValidationError(BregoptError, ValueError):
     """Invalid configuration, flag combination, or spec document."""
 
 

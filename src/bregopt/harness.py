@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Sequence, Tuple
@@ -38,6 +37,15 @@ TRACE_HEADER = ("iter", "psi", "psi_gap", "dh_step", "lyapunov", "beta",
                 "shrinks", "residual", "cum_time_s")
 # Columns excluded from determinism comparisons.
 TIMING_COLUMNS = ("cum_time_s", "T_bpge", "T_bpg", "T_ratio")
+
+
+def require_bregman_solver(solver: str, problem: str) -> None:
+    """Reject pg/pge: neither shipped problem has a Lipschitz gradient."""
+    if solver in ("pg", "pge"):
+        raise ValidationError(
+            "%s cannot be applied to %s: the smooth part has no globally "
+            "Lipschitz gradient" % (solver, problem)
+        )
 
 
 @dataclass(frozen=True)
@@ -76,11 +84,12 @@ class ExperimentSpec:
         for solver in self.solvers:
             if solver not in SOLVERS:
                 raise ValidationError("unknown solver %r" % (solver,))
-            if solver in ("pg", "pge"):
-                raise ValidationError(
-                    "%s cannot be applied to %s: the smooth part has no "
-                    "globally Lipschitz gradient" % (solver, self.problem)
-                )
+            require_bregman_solver(solver, self.problem)
+        for name in ("seed", "repetitions", "k_max"):
+            value = getattr(self, name)
+            if (isinstance(value, bool)
+                    or not isinstance(value, (int, np.integer))):
+                raise ValidationError("%s must be an integer" % name)
         if self.repetitions < 1:
             raise ValidationError("repetitions must be positive")
         if self.exit_mode not in EXIT_MODES:
@@ -224,9 +233,8 @@ def _run_cell(spec: ExperimentSpec, m: int, d: int, li: int, ri: int,
     return row, results
 
 
-def run_comparison(spec: ExperimentSpec, out_dir=None,
-                   jobs: int = 1) -> List[ComparisonRow]:
-    """Run every (size x lambda x rho x rep) cell of the sweep.
+def run_comparison(spec: ExperimentSpec, out_dir=None) -> List[ComparisonRow]:
+    """Run every (size x lambda x rho x rep) cell of the sweep, in order.
 
     Writes one trace CSV per run plus an aggregate comparison table when
     out_dir is given. A numerical failure inside a run is recorded in its
@@ -239,13 +247,7 @@ def run_comparison(spec: ExperimentSpec, out_dir=None,
         for ri in range(len(spec.rhos))
         for rep in range(spec.repetitions)
     ]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(
-                lambda c: _run_cell(spec, *c), cells
-            ))
-    else:
-        outcomes = [_run_cell(spec, *c) for c in cells]
+    outcomes = [_run_cell(spec, *c) for c in cells]
 
     rows = [row for row, _ in outcomes]
     if out_dir is not None:

@@ -128,7 +128,7 @@ class BurgKernel(Kernel):
 
     def inverse_gradient(self, z):
         z = _as_vector(z)
-        if not np.all(z < 0.0):
+        if not (z < 0.0).all():
             raise DomainError("Burg inverse gradient needs every component < 0")
         return -1.0 / z
 

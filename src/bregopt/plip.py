@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericalError
+from .errors import DomainError, NumericalError, ValidationError
 from .kernels import BurgKernel
 from .problems import CompositeObjective, SmoothTerm, ZeroTerm
 
@@ -51,7 +51,7 @@ def generate_plip(m: int, d: int, seed: int,
     (floored away from zero, since the KL fit needs b > 0).
     """
     if m < 1 or d < 1:
-        raise ValueError("m and d must be >= 1")
+        raise ValidationError("m and d must be >= 1")
     rng = np.random.default_rng([seed, 0])
     A = 1.0 - rng.random((m, d))
     while True:
@@ -93,15 +93,11 @@ def plip_prox(inst: PlipInstance, y, grad, lam: float) -> np.ndarray:
 
     Valid for lam <= 1 / ||b||_1, which keeps every denominator positive;
     a nonpositive denominator signals an inadmissible step size or
-    inconsistent inputs.
+    inconsistent inputs. The solvers take the same step through
+    `ZeroTerm.prox` as -1 / (-1/y - lam * grad), which agrees to a few ulps.
     """
-    return _mirror_step(_require_positive(y), np.asarray(grad, dtype=float),
-                        lam)
-
-
-def _mirror_step(y: np.ndarray, grad: np.ndarray, lam: float) -> np.ndarray:
-    """`plip_prox` for a float vector y already known to be positive."""
-    denom = 1.0 + lam * y * grad
+    y = _require_positive(y)
+    denom = 1.0 + lam * y * np.asarray(grad, dtype=float)
     if not (denom > 0.0).all():
         raise NumericalError("nonpositive denominator in the Burg mirror step")
     return y / denom
@@ -131,24 +127,10 @@ class PlipSmooth(SmoothTerm):
         return self.inst.smad_bound
 
 
-class _PlipProxTerm(ZeroTerm):
-    """g = 0 specialized to the closed-form Burg mirror step.
-
-    The solvers only pass points they have checked, so y is not checked
-    again here.
-    """
-
-    def __init__(self, inst: PlipInstance):
-        self.inst = inst
-
-    def prox(self, kernel, y, grad_f_y, lam):
-        return _mirror_step(y, grad_f_y, lam)
-
-
 def make_objective(inst: PlipInstance) -> CompositeObjective:
     return CompositeObjective(
         smooth=PlipSmooth(inst),
-        nonsmooth=_PlipProxTerm(inst),
+        nonsmooth=ZeroTerm(),
         kernel=BurgKernel(inst.d),
     )
 

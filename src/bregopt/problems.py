@@ -13,13 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .kernels import (
-    BurgKernel,
-    EuclideanKernel,
-    Kernel,
-    QuarticKernel,
-    cubic_root_scale,
-)
+from .kernels import BurgKernel, Kernel
 
 
 class SmoothTerm:
@@ -69,22 +63,13 @@ def soft_threshold(z: np.ndarray, tau: float) -> np.ndarray:
     return np.sign(z) * np.maximum(np.abs(z) - tau, 0.0)
 
 
-class ZeroTerm(NonsmoothTerm):
-    """g identically zero; the prox is a pure mirror step."""
-
-    def value(self, x):
-        return 0.0
-
-    def prox(self, kernel, y, grad_f_y, lam):
-        return kernel.inverse_gradient(kernel.gradient(y) - lam * grad_f_y)
-
-
 class L1Term(NonsmoothTerm):
-    """g(x) = weight * ||x||_1 with closed-form proxes per kernel.
+    """g(x) = weight * ||x||_1, with the one Bregman proximal rule.
 
-    For both supported kernels the first-order condition reduces to a
-    soft-threshold of c = grad h(y) - lam * grad f(y); the quartic kernel
-    additionally rescales by the root of the scalar cubic r^3 + r = ||v||.
+    prox = grad h^{-1}(shrink(grad h(y) - lam * grad f(y), lam * weight)),
+    exact when grad h(u) is a positive multiple of u (Euclidean, quartic);
+    the Burg kernel takes weight 0 only. y must be interior: the solvers
+    check it, and `CompositeObjective.prox_step` is the checked entry.
     """
 
     def __init__(self, weight: float):
@@ -96,16 +81,22 @@ class L1Term(NonsmoothTerm):
         return self.weight * float(np.abs(x).sum())
 
     def prox(self, kernel, y, grad_f_y, lam):
-        c = kernel.gradient(y) - lam * np.asarray(grad_f_y, dtype=float)
-        v = soft_threshold(c, lam * self.weight)
-        if isinstance(kernel, EuclideanKernel):
-            return v
-        if isinstance(kernel, QuarticKernel):
-            r = cubic_root_scale(float(np.linalg.norm(v)))
-            return v / (r * r + 1.0)
-        raise ValidationError(
-            "no closed-form l1 prox for kernel %s" % type(kernel).__name__
-        )
+        z = kernel._gradient(y) - lam * grad_f_y
+        if self.weight > 0.0:
+            if isinstance(kernel, BurgKernel):
+                raise ValidationError("no closed-form l1 prox for BurgKernel")
+            z = soft_threshold(z, lam * self.weight)
+        return kernel.inverse_gradient(z)
+
+
+class ZeroTerm(L1Term):
+    """g identically zero: the weight-0 L1Term, whose prox is a mirror step."""
+
+    def __init__(self):
+        super().__init__(0.0)
+
+    def value(self, x):
+        return 0.0
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ValidationError
 from .kernels import QuarticKernel, cubic_root_scale  # noqa: F401  (re-export)
 from .problems import (
     CompositeObjective,
@@ -63,7 +64,7 @@ def generate_qip(m: int, d: int, seed: int, theta: float = 1.0,
     Gaussian noise to b (off by default).
     """
     if m < 1 or d < 1:
-        raise ValueError("m and d must be >= 1")
+        raise ValidationError("m and d must be >= 1")
     rng = np.random.default_rng([seed, 0])
     a = rng.standard_normal((m, d))
     nnz = math.ceil(0.05 * d)
@@ -79,9 +80,7 @@ def generate_qip(m: int, d: int, seed: int, theta: float = 1.0,
 
 def qip_value(inst: QipInstance, x) -> float:
     """(1/4) sum_i (<a_i, x>^2 - b_i)^2 + theta * ||x||_1."""
-    x = np.asarray(x, dtype=float)
-    r = (inst.a @ x) ** 2 - inst.b
-    return 0.25 * float(np.dot(r, r)) + inst.theta * float(np.sum(np.abs(x)))
+    return QipSmooth(inst).value(x) + L1Term(inst.theta).value(x)
 
 
 def qip_gradient(inst: QipInstance, x) -> np.ndarray:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from bregopt import cli, plip, qip
+from bregopt import cli, harness, plip, qip
 
 
 class TestGenerate:
@@ -50,6 +50,14 @@ class TestSolve:
             assert code == 1
             assert "Lipschitz" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--m", "--d"])
+    def test_zero_size_is_rejected(self, flag, tmp_path, capsys):
+        argv = ["solve", "--problem", "plip", "--m", "10", "--d", "3",
+                "--out", str(tmp_path)]
+        argv[argv.index(flag) + 1] = "0"
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_objective_exit_mode_and_lambda_rule(self, tmp_path):
         code = cli.main(["solve", "--problem", "plip", "--m", "40", "--d", "4",
                          "--solver", "bpg", "--lambda-rule", "1/2L",
@@ -92,6 +100,40 @@ class TestSweep:
         assert cli.main(["sweep", "--spec", str(spec_path),
                          "--out", str(tmp_path)]) == 1
         assert "stepsize" in capsys.readouterr().err
+
+    def run_spec(self, tmp_path, doc, *flags, out="runs"):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(doc), encoding="utf-8")
+        return cli.main(["sweep", "--spec", str(spec_path),
+                         "--out", str(tmp_path / out), *flags])
+
+    @pytest.mark.parametrize("field", ["repetitions", "seed", "k_max"])
+    def test_non_integer_field_rejected(self, field, tmp_path, capsys):
+        doc = self.spec_doc()
+        doc[field] = "5"
+        assert self.run_spec(tmp_path, doc) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_nonpositive_jobs_rejected(self, jobs, tmp_path, capsys):
+        assert self.run_spec(tmp_path, self.spec_doc(), "--jobs", jobs) == 1
+        assert "--jobs" in capsys.readouterr().err
+
+    def test_jobs_does_not_change_output(self, tmp_path, capsys):
+        doc = dict(self.spec_doc(), sizes=[[20, 3], [30, 4]])
+        for jobs in ("1", "2"):
+            assert self.run_spec(tmp_path, doc, "--jobs", jobs,
+                                 out="jobs" + jobs) == 0
+        capsys.readouterr()
+        names = sorted(p.name for p in (tmp_path / "jobs1").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "jobs2").iterdir())
+        assert len(names) == 5
+        for name in names:
+            a, b = ((tmp_path / ("jobs" + j) / name).read_text(encoding="utf-8")
+                    for j in ("1", "2"))
+            assert (harness.strip_timing_columns(a)
+                    == harness.strip_timing_columns(b))
 
 
 class TestCheck:

@@ -101,15 +101,6 @@ class TestRunComparison:
         assert [(r.N_bpge, r.rep) for r in rows] == \
             [(r.N_bpge, r.rep) for r in rows2]
 
-    def test_parallel_matches_serial(self, tmp_path):
-        spec = tiny_spec(sizes=((20, 3), (30, 4)), solvers=("bpge",))
-        serial = harness.run_comparison(spec, out_dir=tmp_path / "s", jobs=1)
-        parallel = harness.run_comparison(spec, out_dir=tmp_path / "p", jobs=2)
-        assert [r.N_bpge for r in serial] == [r.N_bpge for r in parallel]
-        a = (tmp_path / "s" / "trace_plip_m20_d3_lam0_rho0_rep0_bpge.csv").read_text()
-        b = (tmp_path / "p" / "trace_plip_m20_d3_lam0_rho0_rep0_bpge.csv").read_text()
-        assert harness.strip_timing_columns(a) == harness.strip_timing_columns(b)
-
 
 @pytest.fixture(scope="module")
 def run_dir(tmp_path_factory):

@@ -114,6 +114,23 @@ class TestProx:
                                     lo=1e-3, hi=4.0)
             assert np.linalg.norm(x - x_star) < 1e-5
 
+    def test_objective_prox_matches_closed_form(self):
+        # The solvers' prox is -1/(-1/y - lam*grad); plip_prox is
+        # y/(1 + lam*y*grad). They agree to a few ulps.
+        inst = plip.generate_plip(40, 6, seed=13)
+        obj = plip.make_objective(inst)
+        lam = 1.0 / inst.smad_bound
+        rng = np.random.default_rng(4)
+        for _ in range(100):
+            y = rng.uniform(0.05, 3.0, 6)
+            grad = plip.kl_gradient(inst, y)
+            ref = plip.plip_prox(inst, y, grad, lam)
+            np.testing.assert_allclose(
+                obj.nonsmooth.prox(obj.kernel, y, grad, lam), ref,
+                rtol=1e-14, atol=0.0)
+            np.testing.assert_allclose(obj.prox_step(y, lam), ref,
+                                       rtol=1e-14, atol=0.0)
+
     def test_nonpositive_denominator_raises(self):
         inst = plip.PlipInstance(A=np.array([[1.0]]), b=np.array([1.0]),
                                  seed=0, x_true=np.array([1.0]))

@@ -9,6 +9,7 @@ from bregopt import (
     ValidationError,
     ZeroTerm,
     check_smad,
+    cubic_root_scale,
     objective_value,
     soft_threshold,
 )
@@ -144,6 +145,34 @@ class TestProxFirstOrder:
     def test_l1_rejects_burg_kernel(self):
         with pytest.raises(ValidationError):
             L1Term(1.0).prox(BurgKernel(2), np.ones(2), np.zeros(2), 0.1)
+
+    def test_l1_quartic_is_hand_formula(self):
+        kernel = QuarticKernel(6)
+        rng = np.random.default_rng(7)
+        for weight in (0.3, 1.0, 5.0):
+            for _ in range(50):
+                y = rng.standard_normal(6)
+                grad = rng.standard_normal(6)
+                lam = rng.uniform(0.05, 0.5)
+                c = (float(np.dot(y, y)) + 1.0) * y - lam * grad
+                v = soft_threshold(c, lam * weight)
+                r = cubic_root_scale(float(np.linalg.norm(v)))
+                got = L1Term(weight).prox(kernel, y, grad, lam)
+                assert np.array_equal(got, v / (r * r + 1.0))
+
+    @pytest.mark.parametrize("kernel", [EuclideanKernel(5), BurgKernel(5),
+                                        QuarticKernel(5)],
+                             ids=lambda k: type(k).__name__)
+    def test_zero_term_is_weight_zero_l1(self, kernel):
+        rng = np.random.default_rng(8)
+        for _ in range(50):
+            y = rng.uniform(0.3, 2.0, 5)
+            grad = rng.uniform(-0.2, 0.5, 5)
+            lam = rng.uniform(0.05, 0.5)
+            a = ZeroTerm().prox(kernel, y, grad, lam)
+            b = L1Term(0.0).prox(kernel, y, grad, lam)
+            assert a.tobytes() == b.tobytes()
+        assert ZeroTerm().value(y) == 0.0
 
 
 class TestProxOracle:
