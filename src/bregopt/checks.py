@@ -59,23 +59,18 @@ def _check_prox(obj, rng, calls: int = 20) -> CheckOutcome:
     sampler = default_sampler(obj.kernel)
     lam = 1.0 / obj.smooth.smad_constant()
     kernel = obj.kernel
-    theta = getattr(obj.nonsmooth, "weight", None)
+    tau = lam * obj.nonsmooth.weight
     worst = 0.0
     for _ in range(calls):
         y = sampler(rng)
-        grad = obj.smooth.gradient(y)
-        u = obj.nonsmooth.prox(kernel, y, grad, lam)
-        c = kernel.gradient(y) - lam * grad
+        c = kernel.gradient(y) - lam * obj.smooth.gradient(y)
+        u = obj.nonsmooth.prox(kernel, c, lam)
         gu = kernel.gradient(u)
-        if theta is None:
-            worst = max(worst, float(np.linalg.norm(gu - c)))
-        else:
-            tau = lam * theta
-            for j in range(u.size):
-                if u[j] != 0.0:
-                    worst = max(worst, abs(gu[j] + tau * np.sign(u[j]) - c[j]))
-                else:
-                    worst = max(worst, abs(c[j]) - tau)
+        for j in range(u.size):
+            if u[j] != 0.0:
+                worst = max(worst, abs(gu[j] + tau * np.sign(u[j]) - c[j]))
+            else:
+                worst = max(worst, abs(c[j]) - tau)
     return CheckOutcome("prox_first_order", worst < 1e-8,
                         "max residual %.3e" % worst)
 

@@ -184,8 +184,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    except SystemExit as exc:  # usage error, or --help
+        return 1 if exc.code else 0
     try:
         return _COMMANDS[args.command](args)
     except ValidationError as exc:

@@ -48,6 +48,35 @@ def require_bregman_solver(solver: str, problem: str) -> None:
         )
 
 
+def _is_integer(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return _is_integer(v) or isinstance(v, (float, np.floating))
+
+
+def _is_size(v) -> bool:
+    return (isinstance(v, (list, tuple)) and len(v) == 2
+            and all(map(_is_integer, v)))
+
+
+def _list_of(test):
+    return lambda v: isinstance(v, (list, tuple)) and all(map(test, v))
+
+
+# Spec field types, checked before any range check so that a value of the
+# wrong type never reaches a comparison.
+_FIELD_TYPES = (
+    (("seed", "repetitions", "k_max"), _is_integer, "an integer"),
+    (("tol", "beta0", "eta", "theta"), _is_number, "a number"),
+    (("rhos",), _list_of(_is_number), "a list of numbers"),
+    (("lambdas", "solvers"), _list_of(lambda v: isinstance(v, str)),
+     "a list of strings"),
+    (("sizes",), _list_of(_is_size), "a list of [m, d] integer pairs"),
+)
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     problem: str
@@ -67,10 +96,14 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.problem not in PROBLEMS:
             raise ValidationError("problem must be one of %s" % (PROBLEMS,))
+        for names, test, what in _FIELD_TYPES:
+            for name in names:
+                if not test(getattr(self, name)):
+                    raise ValidationError("%s must be %s" % (name, what))
         if not self.sizes:
             raise ValidationError("sizes must be nonempty")
-        for pair in self.sizes:
-            if len(pair) != 2 or pair[0] < 1 or pair[1] < 1:
+        for m, d in self.sizes:
+            if m < 1 or d < 1:
                 raise ValidationError("each size must be a positive (m, d) pair")
         for rule in self.lambdas:
             if rule not in LAMBDA_RULES:
@@ -85,11 +118,6 @@ class ExperimentSpec:
             if solver not in SOLVERS:
                 raise ValidationError("unknown solver %r" % (solver,))
             require_bregman_solver(solver, self.problem)
-        for name in ("seed", "repetitions", "k_max"):
-            value = getattr(self, name)
-            if (isinstance(value, bool)
-                    or not isinstance(value, (int, np.integer))):
-                raise ValidationError("%s must be an integer" % name)
         if self.repetitions < 1:
             raise ValidationError("repetitions must be positive")
         if self.exit_mode not in EXIT_MODES:
@@ -104,10 +132,10 @@ class ExperimentSpec:
         if "problem" not in doc or "sizes" not in doc:
             raise ValidationError("spec needs at least 'problem' and 'sizes'")
         doc = dict(doc)
-        doc["sizes"] = tuple((int(m), int(d)) for m, d in doc["sizes"])
-        for key in ("lambdas", "rhos", "solvers"):
-            if key in doc:
-                doc[key] = tuple(doc[key])
+        for key in ("sizes", "lambdas", "rhos", "solvers"):
+            if isinstance(doc.get(key), list):
+                doc[key] = tuple(tuple(v) if isinstance(v, list) else v
+                                 for v in doc[key])
         return ExperimentSpec(**doc)
 
 
@@ -251,15 +279,13 @@ def run_comparison(spec: ExperimentSpec, out_dir=None) -> List[ComparisonRow]:
 
     rows = [row for row, _ in outcomes]
     if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for (m, d, li, ri, rep), (_, results) in zip(cells, outcomes):
-            for solver, result in results.items():
-                name = "%s_m%d_d%d_lam%d_rho%d_rep%d_%s" % (
-                    spec.problem, m, d, li, ri, rep, solver,
-                )
-                write_trace_csv(result, out_dir / ("trace_%s.csv" % name))
-        write_comparison_csv(rows, out_dir / "comparison.csv")
+        emit_convergence_curves({
+            "%s_m%d_d%d_lam%d_rho%d_rep%d_%s" % (
+                spec.problem, m, d, li, ri, rep, solver): result
+            for (m, d, li, ri, rep), (_, results) in zip(cells, outcomes)
+            for solver, result in results.items()
+        }, out_dir)
+        write_comparison_csv(rows, Path(out_dir) / "comparison.csv")
     return rows
 
 

@@ -8,6 +8,7 @@ immutable and all operations are pure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,9 +50,12 @@ class NonsmoothTerm:
     def value(self, x: np.ndarray) -> float:
         raise NotImplementedError
 
-    def prox(self, kernel: Kernel, y: np.ndarray, grad_f_y: np.ndarray,
-             lam: float) -> np.ndarray:
-        """Minimize g(u) + <grad_f_y, u - y> + D_h(u, y) / lam over u."""
+    def prox(self, kernel: Kernel, z: np.ndarray, lam: float) -> np.ndarray:
+        """Minimize g(u) + (h(u) - <z, u>) / lam over u.
+
+        With the mirror point z = grad h(y) - lam * grad f(y) of a step from
+        y this is g(u) + <grad f(y), u - y> + D_h(u, y) / lam up to a constant.
+        """
         raise NotImplementedError
 
 
@@ -66,22 +70,20 @@ def soft_threshold(z: np.ndarray, tau: float) -> np.ndarray:
 class L1Term(NonsmoothTerm):
     """g(x) = weight * ||x||_1, with the one Bregman proximal rule.
 
-    prox = grad h^{-1}(shrink(grad h(y) - lam * grad f(y), lam * weight)),
-    exact when grad h(u) is a positive multiple of u (Euclidean, quartic);
-    the Burg kernel takes weight 0 only. y must be interior: the solvers
-    check it, and `CompositeObjective.prox_step` is the checked entry.
+    prox = grad h^{-1}(shrink(z, lam * weight)), exact when grad h(u) is a
+    positive multiple of u (Euclidean, quartic); the Burg kernel takes
+    weight 0 only.
     """
 
     def __init__(self, weight: float):
-        if weight < 0.0:
-            raise ValueError("l1 weight must be nonnegative")
+        if not (math.isfinite(weight) and weight >= 0.0):
+            raise ValidationError("l1 weight must be nonnegative and finite")
         self.weight = float(weight)
 
     def value(self, x):
         return self.weight * float(np.abs(x).sum())
 
-    def prox(self, kernel, y, grad_f_y, lam):
-        z = kernel._gradient(y) - lam * grad_f_y
+    def prox(self, kernel, z, lam):
         if self.weight > 0.0:
             if isinstance(kernel, BurgKernel):
                 raise ValidationError("no closed-form l1 prox for BurgKernel")
@@ -120,8 +122,10 @@ class CompositeObjective:
         return self.smooth.gradient(x)
 
     def prox_step(self, y: np.ndarray, lam: float) -> np.ndarray:
+        """The prox step from y: checks y, then forms the mirror point."""
         y = self.kernel.require_interior(y, "y")
-        return self.nonsmooth.prox(self.kernel, y, self.smooth.gradient(y), lam)
+        z = self.kernel.gradient(y) - lam * self.smooth.gradient(y)
+        return self.nonsmooth.prox(self.kernel, z, lam)
 
 
 def objective_value(obj: CompositeObjective, x) -> float:

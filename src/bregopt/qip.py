@@ -15,13 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .kernels import QuarticKernel, cubic_root_scale  # noqa: F401  (re-export)
-from .problems import (
-    CompositeObjective,
-    L1Term,
-    SmoothTerm,
-    soft_threshold,  # noqa: F401  (re-export)
-)
+from .kernels import QuarticKernel, cubic_root_scale
+from .problems import CompositeObjective, L1Term, SmoothTerm, soft_threshold
 
 
 @dataclass(frozen=True)
@@ -96,9 +91,11 @@ def qip_prox(inst: QipInstance, y, grad, lam: float) -> np.ndarray:
     c = grad h(y) - lam * grad, v = soft_threshold(c, lam * theta), and the
     result is v / (r^2 + 1) with r the nonnegative root of r^3 + r = ||v||.
     """
-    kernel = QuarticKernel(inst.d)
-    return L1Term(inst.theta).prox(kernel, np.asarray(y, dtype=float),
-                                   np.asarray(grad, dtype=float), lam)
+    y = np.asarray(y, dtype=float)
+    c = (float(np.dot(y, y)) + 1.0) * y - lam * np.asarray(grad, dtype=float)
+    v = soft_threshold(c, lam * inst.theta)
+    r = cubic_root_scale(float(np.linalg.norm(v)))
+    return v / (r * r + 1.0)
 
 
 class QipSmooth(SmoothTerm):

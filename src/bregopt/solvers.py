@@ -155,9 +155,9 @@ def bpge_solve(obj: CompositeObjective, x0: np.ndarray,
 
     Each new point is checked against the kernel domain once: x0 here,
     each line-search trial in `line_search_beta` and each prox output
-    below. f and grad f are evaluated together once per iterate, and
-    grad f, grad h and D_h are carried over to the next iteration where
-    it needs them at the same point.
+    below. f and grad f are evaluated together once per iterate, grad h
+    once per new point, and grad f, grad h and D_h are carried over to
+    the next iteration where it needs them at the same point.
     """
     kernel = obj.kernel
     smooth, nonsmooth = obj.smooth, obj.nonsmooth
@@ -196,7 +196,8 @@ def bpge_solve(obj: CompositeObjective, x0: np.ndarray,
                 hgrad_y = kernel._gradient(y)
             else:
                 y, grad_y, hgrad_y = x_curr, grad_curr, hgrad_curr
-            x_next = nonsmooth.prox(kernel, y, grad_y, cfg.lam)
+            x_next = nonsmooth.prox(kernel, hgrad_y - cfg.lam * grad_y,
+                                    cfg.lam)
             if not kernel.in_interior_domain(x_next):
                 raise NumericalError("prox left the kernel domain")
             f_next, grad_curr = smooth.value_and_gradient(x_next)

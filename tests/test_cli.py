@@ -58,6 +58,13 @@ class TestSolve:
         assert cli.main(argv) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("theta", ["-1", "nan"])
+    def test_bad_theta_is_rejected(self, theta, tmp_path, capsys):
+        code = cli.main(["solve", "--problem", "qip", "--m", "10", "--d", "3",
+                         "--theta", theta, "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_objective_exit_mode_and_lambda_rule(self, tmp_path):
         code = cli.main(["solve", "--problem", "plip", "--m", "40", "--d", "4",
                          "--solver", "bpg", "--lambda-rule", "1/2L",
@@ -115,6 +122,21 @@ class TestSweep:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and field in err
 
+    @pytest.mark.parametrize("field,value", [
+        ("tol", "1e-6"),
+        ("rhos", ["0.9"]),
+        ("sizes", [[20.5, 3]]),
+        ("sizes", [["20", 3]]),
+        ("sizes", [[20, 3, 1]]),
+        ("sizes", 20),
+        ("lambdas", [["1/L"]]),
+    ])
+    def test_mistyped_field_rejected(self, field, value, tmp_path, capsys):
+        doc = dict(self.spec_doc(), **{field: value})
+        assert self.run_spec(tmp_path, doc) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
+
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_nonpositive_jobs_rejected(self, jobs, tmp_path, capsys):
         assert self.run_spec(tmp_path, self.spec_doc(), "--jobs", jobs) == 1
@@ -145,6 +167,14 @@ class TestCheck:
         assert code == 0
         assert "PASS" in out and "FAIL" not in out
 
+    def test_nan_theta_is_rejected(self, capsys):
+        code = cli.main(["check", "--problem", "qip", "--m", "30",
+                         "--d", "5", "--theta", "nan"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error: ")
+        assert "PASS" not in captured.out
+
 
 class TestParser:
     def test_missing_subcommand_exits_nonzero(self, capsys):
@@ -155,3 +185,17 @@ class TestParser:
         assert cli.main(["solve", "--problem", "lasso", "--m", "5",
                          "--d", "2"]) != 0
         capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--problem", "foo", "--m", "5", "--d", "2"],
+        ["solve", "--problem", "plip", "--m", "abc", "--d", "2"],
+        ["solve", "--problem", "plip", "--m", "5"],
+    ], ids=["bad-choice", "bad-int", "missing-flag"])
+    def test_usage_error_exits_1(self, argv, capsys):
+        # Exit 2 is reserved for numerical failure.
+        assert cli.main(argv) == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_help_exits_0(self, capsys):
+        assert cli.main(["solve", "--help"]) == 0
+        assert "usage:" in capsys.readouterr().out

@@ -126,7 +126,8 @@ class TestProx:
             grad = plip.kl_gradient(inst, y)
             ref = plip.plip_prox(inst, y, grad, lam)
             np.testing.assert_allclose(
-                obj.nonsmooth.prox(obj.kernel, y, grad, lam), ref,
+                obj.nonsmooth.prox(
+                    obj.kernel, obj.kernel.gradient(y) - lam * grad, lam), ref,
                 rtol=1e-14, atol=0.0)
             np.testing.assert_allclose(obj.prox_step(y, lam), ref,
                                        rtol=1e-14, atol=0.0)

@@ -118,7 +118,7 @@ class TestProxFirstOrder:
             y = rng.uniform(0.3, 2.0, 4)
             grad = rng.uniform(-0.2, 0.5, 4)
             lam = rng.uniform(0.05, 0.5)
-            u = term.prox(kernel, y, grad, lam)
+            u = term.prox(kernel, kernel.gradient(y) - lam * grad, lam)
             resid = np.linalg.norm(kernel.gradient(u) - kernel.gradient(y)
                                    + lam * grad)
             assert resid < 1e-8
@@ -132,8 +132,8 @@ class TestProxFirstOrder:
             y = rng.standard_normal(5)
             grad = rng.standard_normal(5)
             lam = rng.uniform(0.05, 0.5)
-            u = term.prox(kernel, y, grad, lam)
             c = kernel.gradient(y) - lam * grad
+            u = term.prox(kernel, c, lam)
             gu = kernel.gradient(u)
             tau = lam * weight
             for j in range(5):
@@ -144,7 +144,12 @@ class TestProxFirstOrder:
 
     def test_l1_rejects_burg_kernel(self):
         with pytest.raises(ValidationError):
-            L1Term(1.0).prox(BurgKernel(2), np.ones(2), np.zeros(2), 0.1)
+            L1Term(1.0).prox(BurgKernel(2), -np.ones(2), 0.1)
+
+    @pytest.mark.parametrize("weight", [-1.0, np.nan, np.inf])
+    def test_l1_rejects_bad_weight(self, weight):
+        with pytest.raises(ValidationError):
+            L1Term(weight)
 
     def test_l1_quartic_is_hand_formula(self):
         kernel = QuarticKernel(6)
@@ -157,7 +162,8 @@ class TestProxFirstOrder:
                 c = (float(np.dot(y, y)) + 1.0) * y - lam * grad
                 v = soft_threshold(c, lam * weight)
                 r = cubic_root_scale(float(np.linalg.norm(v)))
-                got = L1Term(weight).prox(kernel, y, grad, lam)
+                got = L1Term(weight).prox(
+                    kernel, kernel.gradient(y) - lam * grad, lam)
                 assert np.array_equal(got, v / (r * r + 1.0))
 
     @pytest.mark.parametrize("kernel", [EuclideanKernel(5), BurgKernel(5),
@@ -169,8 +175,9 @@ class TestProxFirstOrder:
             y = rng.uniform(0.3, 2.0, 5)
             grad = rng.uniform(-0.2, 0.5, 5)
             lam = rng.uniform(0.05, 0.5)
-            a = ZeroTerm().prox(kernel, y, grad, lam)
-            b = L1Term(0.0).prox(kernel, y, grad, lam)
+            z = kernel.gradient(y) - lam * grad
+            a = ZeroTerm().prox(kernel, z, lam)
+            b = L1Term(0.0).prox(kernel, z, lam)
             assert a.tobytes() == b.tobytes()
         assert ZeroTerm().value(y) == 0.0
 
@@ -184,7 +191,7 @@ class TestProxOracle:
             y = rng.uniform(0.4, 1.5, 2)
             grad = rng.uniform(-0.3, 0.8, 2)
             lam = rng.uniform(0.1, 0.4)
-            u = term.prox(kernel, y, grad, lam)
+            u = term.prox(kernel, kernel.gradient(y) - lam * grad, lam)
             u_star, v_star = prox_oracle(kernel, lambda x: 0.0, y, grad, lam,
                                          lo=1e-3, hi=4.0)
             assert np.linalg.norm(u - u_star) < 1e-5
@@ -204,7 +211,7 @@ class TestProxOracle:
             def g_value(x):
                 return weight * float(np.sum(np.abs(x)))
 
-            u = term.prox(kernel, y, grad, lam)
+            u = term.prox(kernel, kernel.gradient(y) - lam * grad, lam)
             u_star, v_star = prox_oracle(kernel, g_value, y, grad, lam,
                                          lo=-3.0, hi=3.0)
             assert np.linalg.norm(u - u_star) < 1e-5

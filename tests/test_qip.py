@@ -130,6 +130,17 @@ class TestProx:
                 else:
                     assert abs(c[j]) <= tau + 1e-9
 
+    def test_objective_prox_matches_closed_form(self):
+        inst = qip.generate_qip(40, 6, seed=20, theta=0.5)
+        obj = qip.make_objective(inst)
+        lam = 1.0 / inst.smad_bound
+        rng = np.random.default_rng(4)
+        for _ in range(100):
+            y = rng.standard_normal(6)
+            ref = qip.qip_prox(inst, y, qip.qip_gradient(inst, y), lam)
+            np.testing.assert_allclose(obj.prox_step(y, lam), ref,
+                                       rtol=1e-14, atol=0.0)
+
     def test_matches_grid_oracle(self):
         inst = qip.generate_qip(8, 2, seed=18)
         kernel = QuarticKernel(2)

@@ -413,13 +413,26 @@ class WeightedEuclideanKernel(Kernel):
 
 
 class WeightedMirrorStep(NonsmoothTerm):
-    """g = 0 under WeightedEuclideanKernel: u = y - lam * grad / w."""
+    """g = 0 under WeightedEuclideanKernel: u = z / w."""
 
     def value(self, x):
         return 0.0
 
-    def prox(self, kernel, y, grad_f_y, lam):
-        return y - lam * grad_f_y / kernel.w
+    def prox(self, kernel, z, lam):
+        return z / kernel.w
+
+
+def _counting_gradient(base):
+    """Subclass of the kernel class `base` that counts `_gradient` calls."""
+
+    class Counting(base):
+        calls = 0
+
+        def _gradient(self, x):
+            self.calls += 1
+            return super()._gradient(x)
+
+    return Counting
 
 
 def _shipped(problem, m, d, seed):
@@ -446,6 +459,23 @@ class TestFusedIteration:
         # One evaluation per iterate, x0 included.
         assert counting.f_evals == result.iterations + 1
         assert counting.grad_evals == result.iterations + 1
+
+    @pytest.mark.parametrize("problem,m,d", [("plip", 100, 10),
+                                             ("qip", 200, 10)])
+    @pytest.mark.parametrize("solve", [bpge_solve, bpg_solve],
+                             ids=["bpge", "bpg"])
+    def test_kernel_gradient_once_per_new_point(self, problem, m, d, solve):
+        obj, x0 = _shipped(problem, m, d, seed=21)
+        kernel = _counting_gradient(type(obj.kernel))(obj.dim)
+        obj = dataclasses.replace(obj, kernel=kernel)
+        cfg = SolverConfig(lam=1.0 / obj.smooth.smad_constant(), k_max=300)
+        result = solve(obj, x0, cfg)
+        assert result.exit_reason != "numerical_failure"
+        extrapolated = sum(rec.beta_accepted != 0.0 for rec in result.trace)
+        assert (extrapolated > 0) == (solve is bpge_solve)
+        # x0, each prox output and each extrapolated y: the prox reuses
+        # grad h(y) through its mirror point.
+        assert kernel.calls == result.iterations + 1 + extrapolated
 
     @pytest.mark.parametrize("problem,m,d", [("plip", 100, 10),
                                              ("qip", 200, 10)])
