@@ -54,23 +54,23 @@ def _check_smad(obj, seed: int) -> CheckOutcome:
     return CheckOutcome("smad_envelopes", not report.failed, detail)
 
 
+def _prox_residual(obj, y, lam: float) -> float:
+    """Largest violation at the prox output u of grad h(u) + tau sign(u) = c
+    (u != 0), |c| <= tau (u = 0); c the mirror point of y, tau = lam w."""
+    kernel = obj.kernel
+    tau = lam * obj.nonsmooth.weight
+    c = kernel.gradient(y) - lam * obj.smooth.gradient(y)
+    u = obj.nonsmooth.prox(kernel, c, lam)
+    r = np.where(u != 0.0, np.abs(kernel.gradient(u) + tau * np.sign(u) - c),
+                 np.abs(c) - tau)
+    return float(np.max(r, initial=0.0))
+
+
 def _check_prox(obj, rng, calls: int = 20) -> CheckOutcome:
     """First-order condition of the prox output at random interior points."""
     sampler = default_sampler(obj.kernel)
     lam = 1.0 / obj.smooth.smad_constant()
-    kernel = obj.kernel
-    tau = lam * obj.nonsmooth.weight
-    worst = 0.0
-    for _ in range(calls):
-        y = sampler(rng)
-        c = kernel.gradient(y) - lam * obj.smooth.gradient(y)
-        u = obj.nonsmooth.prox(kernel, c, lam)
-        gu = kernel.gradient(u)
-        for j in range(u.size):
-            if u[j] != 0.0:
-                worst = max(worst, abs(gu[j] + tau * np.sign(u[j]) - c[j]))
-            else:
-                worst = max(worst, abs(c[j]) - tau)
+    worst = max(_prox_residual(obj, sampler(rng), lam) for _ in range(calls))
     return CheckOutcome("prox_first_order", worst < 1e-8,
                         "max residual %.3e" % worst)
 

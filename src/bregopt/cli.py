@@ -14,15 +14,9 @@ import os
 import sys
 from pathlib import Path
 
-from . import checks, harness, plip, qip
+from . import checks, harness
 from .errors import NumericalError, ValidationError
-from .solvers import (
-    EXIT_NUMERICAL_FAILURE,
-    LineSearchConfig,
-    SolverConfig,
-    bpg_solve,
-    bpge_solve,
-)
+from .solvers import EXIT_NUMERICAL_FAILURE, bpg_solve, bpge_solve
 
 log = logging.getLogger("bregopt")
 
@@ -89,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_generate(args) -> int:
     inst = harness.generate_instance(args.problem, args.m, args.d, args.seed,
                                      theta=args.theta)
-    text = plip.to_json(inst) if args.problem == "plip" else qip.to_json(inst)
+    text = harness.problem_module(args.problem).to_json(inst)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / ("%s_m%d_d%d_seed%d.json"
@@ -101,20 +95,16 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    harness.require_bregman_solver(args.solver, args.problem)
+    spec = harness.ExperimentSpec(  # checks the flags as a sweep's fields
+        problem=args.problem, sizes=((args.m, args.d),), seed=args.seed,
+        lambdas=(args.lambda_rule,), rhos=(args.rho,), solvers=(args.solver,),
+        tol=args.tol, k_max=args.kmax, beta0=args.beta0, eta=args.eta,
+        exit_mode=_EXIT_MODE_FLAG[args.exit_mode], theta=args.theta)
     inst = harness.generate_instance(args.problem, args.m, args.d, args.seed,
                                      theta=args.theta)
     obj, x0 = harness.problem_bundle(args.problem, inst)
-    lam = 1.0 / (harness.LAMBDA_RULES[args.lambda_rule]
-                 * obj.smooth.smad_constant())
-    cfg = SolverConfig(
-        lam=lam,
-        line_search=LineSearchConfig(beta0=args.beta0, eta=args.eta,
-                                     rho=args.rho),
-        tol=args.tol,
-        k_max=args.kmax,
-        exit_mode=_EXIT_MODE_FLAG[args.exit_mode],
-    )
+    cfg = spec.solver_config(obj.smooth.smad_constant(), args.lambda_rule,
+                             args.rho)
     run = bpge_solve if args.solver == "bpge" else bpg_solve
     result = run(obj, x0, cfg)
 

@@ -21,7 +21,6 @@ import numpy as np
 from . import plip, qip
 from .errors import ValidationError
 from .solvers import (
-    EXIT_MODES,
     LineSearchConfig,
     SolveResult,
     SolverConfig,
@@ -29,7 +28,8 @@ from .solvers import (
     bpge_solve,
 )
 
-PROBLEMS = ("plip", "qip")
+PROBLEM_MODULES = {"plip": plip, "qip": qip}
+PROBLEMS = tuple(PROBLEM_MODULES)
 LAMBDA_RULES = {"1/L": 1.0, "1/2L": 2.0, "1/3L": 3.0}
 SOLVERS = ("bpg", "bpge", "pg", "pge")
 
@@ -37,15 +37,6 @@ TRACE_HEADER = ("iter", "psi", "psi_gap", "dh_step", "lyapunov", "beta",
                 "shrinks", "residual", "cum_time_s")
 # Columns excluded from determinism comparisons.
 TIMING_COLUMNS = ("cum_time_s", "T_bpge", "T_bpg", "T_ratio")
-
-
-def require_bregman_solver(solver: str, problem: str) -> None:
-    """Reject pg/pge: neither shipped problem has a Lipschitz gradient."""
-    if solver in ("pg", "pge"):
-        raise ValidationError(
-            "%s cannot be applied to %s: the smooth part has no globally "
-            "Lipschitz gradient" % (solver, problem)
-        )
 
 
 def _is_integer(v) -> bool:
@@ -100,8 +91,9 @@ class ExperimentSpec:
             for name in names:
                 if not test(getattr(self, name)):
                     raise ValidationError("%s must be %s" % (name, what))
-        if not self.sizes:
-            raise ValidationError("sizes must be nonempty")
+        for name in ("sizes", "lambdas", "rhos", "solvers"):
+            if not getattr(self, name):
+                raise ValidationError("%s must be nonempty" % name)
         for m, d in self.sizes:
             if m < 1 or d < 1:
                 raise ValidationError("each size must be a positive (m, d) pair")
@@ -111,20 +103,33 @@ class ExperimentSpec:
                     "unknown lambda rule %r (expected one of %s)"
                     % (rule, sorted(LAMBDA_RULES))
                 )
-        for rho in self.rhos:
-            if not 0.0 < rho < 1.0:
-                raise ValidationError("rho must be in (0, 1)")
+        for rho in self.rhos:  # beta0, eta, rho, tol, k_max and exit_mode
+            self.solver_config(1.0, "1/L", rho)
         for solver in self.solvers:
             if solver not in SOLVERS:
                 raise ValidationError("unknown solver %r" % (solver,))
-            require_bregman_solver(solver, self.problem)
+            if solver in ("pg", "pge"):
+                raise ValidationError(
+                    "%s cannot be applied to %s: the smooth part has no "
+                    "globally Lipschitz gradient" % (solver, self.problem))
         if self.repetitions < 1:
             raise ValidationError("repetitions must be positive")
-        if self.exit_mode not in EXIT_MODES:
-            raise ValidationError("exit_mode must be one of %s" % (EXIT_MODES,))
+
+    def solver_config(self, L: float, rule: str, rho: float) -> SolverConfig:
+        """One cell's configuration; lam = 1 / (c L) for lambda rule 1/cL."""
+        return SolverConfig(
+            lam=1.0 / (LAMBDA_RULES[rule] * L),
+            line_search=LineSearchConfig(beta0=self.beta0, eta=self.eta,
+                                         rho=rho),
+            tol=self.tol,
+            k_max=self.k_max,
+            exit_mode=self.exit_mode,
+        )
 
     @staticmethod
     def from_dict(doc: dict) -> "ExperimentSpec":
+        if not isinstance(doc, dict):
+            raise ValidationError("a spec must be a JSON object")
         known = {f for f in ExperimentSpec.__dataclass_fields__}
         unknown = set(doc) - known
         if unknown:
@@ -162,22 +167,21 @@ def derive_seed(master_seed: int, *parts) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
+def problem_module(problem: str):
+    if problem not in PROBLEM_MODULES:
+        raise ValidationError("unknown problem %r" % (problem,))
+    return PROBLEM_MODULES[problem]
+
+
 def generate_instance(problem: str, m: int, d: int, seed: int,
                       theta: float = 1.0):
-    if problem == "plip":
-        return plip.generate_plip(m, d, seed)
-    if problem == "qip":
-        return qip.generate_qip(m, d, seed, theta=theta)
-    raise ValidationError("unknown problem %r" % (problem,))
+    return problem_module(problem).generate(m, d, seed, theta=theta)
 
 
 def problem_bundle(problem: str, inst):
     """(objective, x0) for a generated instance."""
-    if problem == "plip":
-        return plip.make_objective(inst), plip.default_x0(inst)
-    if problem == "qip":
-        return qip.make_objective(inst), qip.default_x0(inst)
-    raise ValidationError("unknown problem %r" % (problem,))
+    module = problem_module(problem)
+    return module.make_objective(inst), module.default_x0(inst)
 
 
 def _fmt(v) -> str:
@@ -226,14 +230,7 @@ def _run_cell(spec: ExperimentSpec, m: int, d: int, li: int, ri: int,
     cell_seed = derive_seed(spec.seed, m, d, li, ri, rep)
     inst = generate_instance(spec.problem, m, d, cell_seed, theta=spec.theta)
     obj, x0 = problem_bundle(spec.problem, inst)
-    lam = 1.0 / (LAMBDA_RULES[rule] * obj.smooth.smad_constant())
-    cfg = SolverConfig(
-        lam=lam,
-        line_search=LineSearchConfig(beta0=spec.beta0, eta=spec.eta, rho=rho),
-        tol=spec.tol,
-        k_max=spec.k_max,
-        exit_mode=spec.exit_mode,
-    )
+    cfg = spec.solver_config(obj.smooth.smad_constant(), rule, rho)
     results = {}
     times = {}
     for solver in spec.solvers:

@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError, NumericalError
+from .errors import DomainError, NumericalError, ValidationError
 
-# Negative values of D_h up to this size are rounding noise and clamped to
-# zero; anything more negative is a bug and is surfaced.
+# Negative values of D_h up to this size times that of its terms (at least 1)
+# are rounding noise and clamped to zero; anything more negative is a bug.
 _NEGATIVE_SLACK = 1e-12
 _EPS = float(np.finfo(float).eps)
 
@@ -28,7 +28,8 @@ _EPS = float(np.finfo(float).eps)
 def _as_vector(x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
-        raise ValueError("expected a 1-D vector, got shape %s" % (x.shape,))
+        raise ValidationError("expected a 1-D vector, got shape %s"
+                              % (x.shape,))
     return x
 
 
@@ -37,7 +38,7 @@ class Kernel:
 
     def __init__(self, dim: int):
         if dim < 1:
-            raise ValueError("kernel dimension must be >= 1")
+            raise ValidationError("kernel dimension must be >= 1")
         self.dim = int(dim)
 
     def value(self, x: np.ndarray) -> float:
@@ -57,7 +58,7 @@ class Kernel:
     def require_interior(self, x: np.ndarray, name: str = "x") -> np.ndarray:
         x = _as_vector(x)
         if x.size != self.dim:
-            raise ValueError(
+            raise ValidationError(
                 "%s has size %d, kernel dimension is %d" % (name, x.size, self.dim)
             )
         if not self.in_interior_domain(x):
@@ -74,16 +75,18 @@ class Kernel:
 
     def _bregman(self, x: np.ndarray, y: np.ndarray) -> float:
         """`bregman` for float vectors already known to be interior."""
-        d = self.value(x) - self.value(y) - float(np.dot(self.gradient(y), x - y))
-        return _clamp_nonnegative(d)
+        hx, hy = self.value(x), self.value(y)
+        inner = float(np.dot(self.gradient(y), x - y))
+        return _clamp_nonnegative(hx - hy - inner,
+                                  abs(hx) + abs(hy) + abs(inner))
 
     def _gradient(self, x: np.ndarray) -> np.ndarray:
         """`gradient` for a float vector already known to be interior."""
         return self.gradient(x)
 
 
-def _clamp_nonnegative(d: float) -> float:
-    if d < -_NEGATIVE_SLACK:
+def _clamp_nonnegative(d: float, scale: float = 1.0) -> float:
+    if d < -_NEGATIVE_SLACK * max(1.0, scale):
         raise NumericalError("Bregman distance is negative beyond rounding: %g" % d)
     return max(d, 0.0)
 

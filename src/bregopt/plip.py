@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DomainError, NumericalError, ValidationError
 from .kernels import BurgKernel
-from .problems import CompositeObjective, SmoothTerm, ZeroTerm
+from .problems import CompositeObjective, SmoothTerm, ZeroTerm, check_shapes
 
 
 @dataclass(frozen=True)
@@ -26,6 +26,11 @@ class PlipInstance:
     b: np.ndarray
     seed: int
     x_true: np.ndarray
+
+    def __post_init__(self):
+        check_shapes("A", self.A, self.b, self.x_true)
+        if not (np.isfinite(self.b).all() and (self.b > 0.0).all()):
+            raise ValidationError("b must be finite and positive")
 
     @property
     def m(self) -> int:
@@ -68,6 +73,13 @@ def generate_plip(m: int, d: int, seed: int,
     return PlipInstance(A=A, b=b, seed=int(seed), x_true=x_true)
 
 
+def generate(m: int, d: int, seed: int, theta: float = 1.0) -> PlipInstance:
+    """`generate_plip` for the problem table; theta is checked, then unused."""
+    if not (np.isfinite(theta) and theta >= 0.0):
+        raise ValidationError("theta must be finite and >= 0")
+    return generate_plip(m, d, seed)
+
+
 def _require_positive(x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if not (x > 0.0).all():
@@ -75,17 +87,22 @@ def _require_positive(x) -> np.ndarray:
     return x
 
 
+def _kl(inst: PlipInstance, x, value=True, gradient=True):
+    """KL value and gradient A^T (1 - b/Ax) from one A x; None if not asked."""
+    Ax = inst.A @ x
+    ratio = inst.b / Ax
+    return (float((inst.b * np.log(ratio) + Ax - inst.b).sum())
+            if value else None,
+            inst.A.T @ (1.0 - ratio) if gradient else None)
+
+
 def kl_value(inst: PlipInstance, x) -> float:
     """sum_i { b_i log(b_i / (Ax)_i) + (Ax)_i - b_i }, nonnegative."""
-    x = _require_positive(x)
-    Ax = inst.A @ x
-    return float(np.sum(inst.b * np.log(inst.b / Ax) + Ax - inst.b))
+    return _kl(inst, _require_positive(x), gradient=False)[0]
 
 
 def kl_gradient(inst: PlipInstance, x) -> np.ndarray:
-    x = _require_positive(x)
-    Ax = inst.A @ x
-    return inst.A.T @ (1.0 - inst.b / Ax)
+    return _kl(inst, _require_positive(x), value=False)[1]
 
 
 def plip_prox(inst: PlipInstance, y, grad, lam: float) -> np.ndarray:
@@ -117,11 +134,7 @@ class PlipSmooth(SmoothTerm):
 
     def value_and_gradient(self, x):
         """kl_value and kl_gradient from one forward product A x."""
-        inst = self.inst
-        Ax = inst.A @ x
-        ratio = inst.b / Ax
-        value = float((inst.b * np.log(ratio) + Ax - inst.b).sum())
-        return value, inst.A.T @ (1.0 - ratio)
+        return _kl(self.inst, x)
 
     def smad_constant(self):
         return self.inst.smad_bound
@@ -156,7 +169,9 @@ def to_json(inst: PlipInstance) -> str:
 def from_json(text: str) -> PlipInstance:
     doc = json.loads(text)
     m, d = int(doc["m"]), int(doc["d"])
-    A = np.asarray(doc["A"], dtype=float).reshape(m, d)
+    A = np.asarray(doc["A"], dtype=float)
+    if m >= 1 and A.size == m * d:  # else the shape check rejects flat A
+        A = A.reshape(m, d)
     return PlipInstance(
         A=A,
         b=np.asarray(doc["b"], dtype=float),

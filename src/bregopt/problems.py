@@ -17,6 +17,16 @@ from .errors import ValidationError
 from .kernels import BurgKernel, Kernel
 
 
+def check_shapes(name: str, A, b, x_true) -> None:
+    """Raise ValidationError unless A is a nonempty m x d matrix with len(b)
+    = m and len(x_true) = d. Reads shapes only, never the entries of A."""
+    if np.ndim(A) != 2 or 0 in np.shape(A):
+        raise ValidationError("%s must be a nonempty m x d matrix" % name)
+    m, d = np.shape(A)
+    if np.shape(b) != (m,) or np.shape(x_true) != (d,):
+        raise ValidationError("b needs %d entries and x_true %d" % (m, d))
+
+
 class SmoothTerm:
     """Differentiable term f with its certified constants."""
 

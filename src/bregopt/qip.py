@@ -11,12 +11,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ValidationError
 from .kernels import QuarticKernel, cubic_root_scale
-from .problems import CompositeObjective, L1Term, SmoothTerm, soft_threshold
+from .problems import (CompositeObjective, L1Term, SmoothTerm, check_shapes,
+                       soft_threshold)
 
 
 @dataclass(frozen=True)
@@ -29,6 +31,13 @@ class QipInstance:
     seed: int
     x_true: np.ndarray
 
+    def __post_init__(self):
+        check_shapes("a", self.a, self.b, self.x_true)
+        if not np.isfinite(self.b).all():
+            raise ValidationError("b must be finite")
+        if not (math.isfinite(self.theta) and self.theta >= 0.0):
+            raise ValidationError("theta must be finite and >= 0")
+
     @property
     def m(self) -> int:
         return self.a.shape[0]
@@ -37,17 +46,22 @@ class QipInstance:
     def d(self) -> int:
         return self.a.shape[1]
 
+    @cached_property
+    def _bounds(self) -> tuple:
+        """Both bounds from one row-norm pass; caching n2 raised peak RSS."""
+        n2 = np.sum(self.a * self.a, axis=1)
+        return (float(np.sum(3.0 * n2 * n2 + n2 * np.abs(self.b))),
+                float(np.sum(n2 * np.abs(self.b))))
+
     @property
     def smad_bound(self) -> float:
         """sum_i (3 ||A_i||^2 + ||A_i|| |b_i|) with ||A_i|| = ||a_i||^2."""
-        n2 = np.sum(self.a * self.a, axis=1)
-        return float(np.sum(3.0 * n2 * n2 + n2 * np.abs(self.b)))
+        return self._bounds[0]
 
     @property
     def weak_convexity_bound(self) -> float:
         """sum_i ||A_i|| |b_i|; always <= the envelope constant above."""
-        n2 = np.sum(self.a * self.a, axis=1)
-        return float(np.sum(n2 * np.abs(self.b)))
+        return self._bounds[1]
 
 
 def generate_qip(m: int, d: int, seed: int, theta: float = 1.0,
@@ -73,16 +87,20 @@ def generate_qip(m: int, d: int, seed: int, theta: float = 1.0,
                        x_true=x_true)
 
 
-def qip_value(inst: QipInstance, x) -> float:
-    """(1/4) sum_i (<a_i, x>^2 - b_i)^2 + theta * ||x||_1."""
-    return QipSmooth(inst).value(x) + L1Term(inst.theta).value(x)
+generate = generate_qip
+
+
+def _quartic(inst: QipInstance, x, value=True, gradient=True):
+    """(1/4)||(ax)^2 - b||^2 and its gradient from one a x; None if not asked."""
+    ax = inst.a @ np.asarray(x, dtype=float)
+    r = ax * ax - inst.b
+    return (0.25 * float(np.dot(r, r)) if value else None,
+            inst.a.T @ (r * ax) if gradient else None)
 
 
 def qip_gradient(inst: QipInstance, x) -> np.ndarray:
     """Gradient of the smooth part: sum_i (<a_i,x>^2 - b_i) <a_i,x> a_i."""
-    x = np.asarray(x, dtype=float)
-    ax = inst.a @ x
-    return inst.a.T @ ((ax * ax - inst.b) * ax)
+    return _quartic(inst, x, value=False)[1]
 
 
 def qip_prox(inst: QipInstance, y, grad, lam: float) -> np.ndarray:
@@ -105,17 +123,14 @@ class QipSmooth(SmoothTerm):
         self.inst = inst
 
     def value(self, x):
-        r = (self.inst.a @ np.asarray(x, dtype=float)) ** 2 - self.inst.b
-        return 0.25 * float(np.dot(r, r))
+        return _quartic(self.inst, x, gradient=False)[0]
 
     def gradient(self, x):
         return qip_gradient(self.inst, x)
 
     def value_and_gradient(self, x):
         """value and qip_gradient from one forward product a x."""
-        ax = self.inst.a @ x
-        r = ax * ax - self.inst.b
-        return 0.25 * float(np.dot(r, r)), self.inst.a.T @ (r * ax)
+        return _quartic(self.inst, x)
 
     def smad_constant(self):
         return self.inst.smad_bound
@@ -154,8 +169,11 @@ def to_json(inst: QipInstance) -> str:
 
 def from_json(text: str) -> QipInstance:
     doc = json.loads(text)
+    a = np.asarray(doc["a"], dtype=float)
+    if a.shape != (int(doc["m"]), int(doc["d"])):
+        raise ValidationError("a is not the m x d matrix the document states")
     return QipInstance(
-        a=np.asarray(doc["a"], dtype=float),
+        a=a,
         b=np.asarray(doc["b"], dtype=float),
         theta=float(doc["theta"]),
         seed=int(doc["seed"]),

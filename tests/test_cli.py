@@ -26,6 +26,15 @@ class TestGenerate:
             (tmp_path / "qip_m15_d5_seed2.json").read_text(encoding="utf-8"))
         assert inst.theta == 0.5
 
+    @pytest.mark.parametrize("theta", ["nan", "-1"])
+    @pytest.mark.parametrize("problem", ["qip", "plip"])
+    def test_bad_theta_writes_nothing(self, problem, theta, tmp_path, capsys):
+        code = cli.main(["generate", "--problem", problem, "--m", "15",
+                         "--d", "5", "--theta", theta, "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestSolve:
     def test_writes_trace_and_summary(self, tmp_path, capsys):
@@ -64,6 +73,13 @@ class TestSolve:
                          "--theta", theta, "--out", str(tmp_path)])
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_plip_nan_theta_is_rejected(self, tmp_path, capsys):
+        code = cli.main(["solve", "--problem", "plip", "--m", "10", "--d", "3",
+                         "--theta", "nan", "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == []
 
     def test_objective_exit_mode_and_lambda_rule(self, tmp_path):
         code = cli.main(["solve", "--problem", "plip", "--m", "40", "--d", "4",

@@ -7,6 +7,7 @@ from bregopt import (
     EuclideanKernel,
     Kernel,
     QuarticKernel,
+    ValidationError,
     cubic_root_scale,
     three_point_identity_residual,
 )
@@ -172,3 +173,18 @@ class TestCubicRootScale:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             cubic_root_scale(-1.0)
+
+
+class TestValidation:
+    def test_dimension_below_one(self):
+        for cls in (EuclideanKernel, BurgKernel, QuarticKernel):
+            with pytest.raises(ValidationError):
+                cls(0)
+
+    def test_size_mismatch(self):
+        with pytest.raises(ValidationError):
+            QuarticKernel(3).require_interior(np.ones(2))
+
+    def test_not_a_vector(self):
+        with pytest.raises(ValidationError):
+            QuarticKernel(4).value(np.ones((2, 2)))

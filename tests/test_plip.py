@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
-from bregopt import BurgKernel, DomainError, NumericalError, SolverConfig, bpge_solve
+from bregopt import (BurgKernel, DomainError, NumericalError, SolverConfig,
+                     ValidationError, bpge_solve)
 from bregopt import plip
 
 from helpers import fd_gradient, prox_oracle
@@ -163,3 +166,31 @@ def test_json_round_trip():
     assert np.array_equal(inst.b, back.b)
     assert np.array_equal(inst.x_true, back.x_true)
     assert inst.seed == back.seed
+
+
+class TestValidation:
+    def doc(self, **changes):
+        doc = json.loads(plip.to_json(plip.generate_plip(6, 3, seed=15)))
+        doc.update(changes)
+        return json.dumps(doc)
+
+    @pytest.mark.parametrize("b", [[1.0] * 5, [1.0] * 5 + [0.0],
+                                   [1.0] * 5 + [-2.0], [1.0] * 5 + [np.nan]],
+                             ids=["short", "zero", "negative", "nan"])
+    def test_from_json_rejects_bad_b(self, b):
+        with pytest.raises(ValidationError):
+            plip.from_json(self.doc(b=b))
+
+    def test_from_json_rejects_short_A(self):
+        with pytest.raises(ValidationError):
+            plip.from_json(self.doc(A=[1.0] * 17))
+
+    @pytest.mark.parametrize("A,b,x_true", [
+        (np.ones((2, 3)), np.ones(3), np.ones(3)),
+        (np.ones((2, 3)), np.ones(2), np.ones(2)),
+        (np.ones(3), np.ones(3), np.ones(1)),
+        (np.ones((0, 3)), np.ones(0), np.ones(3)),
+    ], ids=["b-length", "x-length", "flat-A", "empty-A"])
+    def test_construction_rejects_shape_mismatch(self, A, b, x_true):
+        with pytest.raises(ValidationError):
+            plip.PlipInstance(A=A, b=b, seed=0, x_true=x_true)

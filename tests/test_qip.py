@@ -1,9 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from bregopt import QuarticKernel, SolverConfig, bpge_solve, cubic_root_scale
+from bregopt import (QuarticKernel, SolverConfig, ValidationError, bpge_solve,
+                     cubic_root_scale)
 from bregopt import qip
 
 from helpers import bisect_cubic, fd_gradient, prox_oracle
@@ -43,16 +45,18 @@ class TestGeneration:
 class TestValueAndGradient:
     def test_zero_at_ground_truth_without_regularizer(self):
         inst = qip.generate_qip(30, 8, seed=11, theta=0.0)
-        assert qip.qip_value(inst, inst.x_true) == pytest.approx(0.0, abs=1e-12)
+        psi = qip.make_objective(inst).value(inst.x_true)
+        assert psi == pytest.approx(0.0, abs=1e-12)
 
     def test_value_at_zero(self):
         inst = qip.generate_qip(20, 5, seed=12)
-        assert qip.qip_value(inst, np.zeros(5)) == pytest.approx(
+        assert qip.make_objective(inst).value(np.zeros(5)) == pytest.approx(
             0.25 * np.sum(inst.b ** 2))
 
     def test_scalar_hand_values(self):
         inst = scalar_instance()
-        assert qip.qip_value(inst, np.array([2.0])) == pytest.approx(4.25)
+        psi = qip.make_objective(inst).value(np.array([2.0]))
+        assert psi == pytest.approx(4.25)
         assert qip.qip_gradient(inst, np.array([2.0])) == pytest.approx([6.0])
 
     def test_gradient_zero_at_origin(self):
@@ -193,3 +197,46 @@ def test_noise_flag_perturbs_measurements():
     noisy = qip.generate_qip(20, 5, seed=22, noise_std=0.1)
     assert not np.array_equal(clean.b, noisy.b)
     assert np.array_equal(clean.a, noisy.a)
+
+
+class TestValidation:
+    def doc(self, **changes):
+        doc = json.loads(qip.to_json(qip.generate_qip(6, 3, seed=23)))
+        doc.update(changes)
+        return json.dumps(doc)
+
+    @pytest.mark.parametrize("changes", [
+        {"b": [1.0] * 5}, {"b": [1.0] * 5 + [np.inf]},
+        {"theta": -2.0}, {"theta": np.nan},
+    ], ids=["short-b", "inf-b", "negative-theta", "nan-theta"])
+    def test_from_json_rejects(self, changes):
+        with pytest.raises(ValidationError):
+            qip.from_json(self.doc(**changes))
+
+    def test_from_json_rejects_shape_unlike_header(self):
+        with pytest.raises(ValidationError):
+            qip.from_json(self.doc(m=50, d=9))
+
+    def test_negative_b_is_allowed(self):
+        # Noisy measurements may be negative; only finiteness is required.
+        inst = qip.from_json(self.doc(b=[-1.0] * 6))
+        assert (inst.b == -1.0).all()
+
+    @pytest.mark.parametrize("a,b,x_true", [
+        (np.ones((2, 3)), np.ones(3), np.ones(3)),
+        (np.ones((2, 3)), np.ones(2), np.ones(4)),
+        (np.ones(3), np.ones(3), np.ones(1)),
+    ], ids=["b-length", "x-length", "flat-a"])
+    def test_construction_rejects_shape_mismatch(self, a, b, x_true):
+        with pytest.raises(ValidationError):
+            qip.QipInstance(a=a, b=b, theta=1.0, seed=0, x_true=x_true)
+
+    def test_generate_rejects_bad_theta(self):
+        for theta in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValidationError):
+                qip.generate_qip(10, 3, seed=0, theta=theta)
+
+    def test_bounds_are_computed_once(self):
+        inst = qip.generate_qip(25, 6, seed=10)
+        assert inst.smad_bound is inst.smad_bound
+        assert inst.weak_convexity_bound is inst.weak_convexity_bound
