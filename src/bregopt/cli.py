@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import checks, harness
 from .errors import NumericalError, ValidationError
-from .solvers import EXIT_NUMERICAL_FAILURE, bpg_solve, bpge_solve
+from .solvers import EXIT_NUMERICAL_FAILURE
 
 log = logging.getLogger("bregopt")
 
@@ -31,23 +31,26 @@ def _configure_logging():
                         format="%(levelname)s %(name)s: %(message)s")
 
 
+_SPEC = harness.ExperimentSpec  # its field defaults are the flag defaults
+
+
 def _add_instance_flags(p):
     p.add_argument("--problem", required=True, choices=harness.PROBLEMS)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--theta", type=float, default=1.0)
+    p.add_argument("--seed", type=int, default=_SPEC.seed)
+    p.add_argument("--theta", type=float, default=_SPEC.theta)
 
 
 def _add_solver_flags(p):
     p.add_argument("--solver", default="bpge", choices=harness.SOLVERS)
-    p.add_argument("--lambda-rule", default="1/L",
+    p.add_argument("--lambda-rule", default=_SPEC.lambdas[0],
                    choices=sorted(harness.LAMBDA_RULES))
-    p.add_argument("--rho", type=float, default=0.99)
-    p.add_argument("--beta0", type=float, default=0.99)
-    p.add_argument("--eta", type=float, default=0.5)
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--kmax", type=int, default=5000)
+    p.add_argument("--rho", type=float, default=_SPEC.rhos[0])
+    p.add_argument("--beta0", type=float, default=_SPEC.beta0)
+    p.add_argument("--eta", type=float, default=_SPEC.eta)
+    p.add_argument("--tol", type=float, default=_SPEC.tol)
+    p.add_argument("--kmax", type=int, default=_SPEC.k_max)
     p.add_argument("--exit-mode", default="iterate",
                    choices=sorted(_EXIT_MODE_FLAG))
 
@@ -95,18 +98,15 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    spec = harness.ExperimentSpec(  # checks the flags as a sweep's fields
+    """One sweep cell, with --seed as the instance seed."""
+    spec = _SPEC(  # checks the flags as a sweep's fields
         problem=args.problem, sizes=((args.m, args.d),), seed=args.seed,
         lambdas=(args.lambda_rule,), rhos=(args.rho,), solvers=(args.solver,),
         tol=args.tol, k_max=args.kmax, beta0=args.beta0, eta=args.eta,
         exit_mode=_EXIT_MODE_FLAG[args.exit_mode], theta=args.theta)
-    inst = harness.generate_instance(args.problem, args.m, args.d, args.seed,
-                                     theta=args.theta)
-    obj, x0 = harness.problem_bundle(args.problem, inst)
-    cfg = spec.solver_config(obj.smooth.smad_constant(), args.lambda_rule,
-                             args.rho)
-    run = bpge_solve if args.solver == "bpge" else bpg_solve
-    result = run(obj, x0, cfg)
+    _, results = harness.run_cell(spec, args.m, args.d, args.lambda_rule,
+                                  args.rho, args.seed)
+    result = results[args.solver]
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

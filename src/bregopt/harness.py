@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import List, Sequence, Tuple
 
@@ -73,15 +74,15 @@ class ExperimentSpec:
     problem: str
     sizes: Sequence[Tuple[int, int]]
     lambdas: Sequence[str] = ("1/L",)
-    rhos: Sequence[float] = (0.99,)
+    rhos: Sequence[float] = (LineSearchConfig.rho,)
     solvers: Sequence[str] = ("bpge", "bpg")
     seed: int = 0
     repetitions: int = 1
-    tol: float = 1e-6
-    k_max: int = 5000
-    exit_mode: str = "iterate_relative"
-    beta0: float = 0.99
-    eta: float = 0.5
+    tol: float = SolverConfig.tol
+    k_max: int = SolverConfig.k_max
+    exit_mode: str = SolverConfig.exit_mode
+    beta0: float = LineSearchConfig.beta0
+    eta: float = LineSearchConfig.eta
     theta: float = 1.0
 
     def __post_init__(self):
@@ -146,19 +147,22 @@ class ExperimentSpec:
 
 @dataclass(frozen=True)
 class ComparisonRow:
+    """One sweep cell; the fields are comparison.csv's columns, in order.
+    A solver the spec does not run keeps its defaults."""
+
     m: int
     d: int
     lambda_rule: str
     rho: float
     rep: int
-    T_bpge: float
-    T_ratio: float
-    N_bpge: int
-    N_ratio: float
-    exit_bpge: str
-    exit_bpg: str
+    T_bpge: float = np.nan
     T_bpg: float = np.nan
+    T_ratio: float = np.nan
+    N_bpge: int = 0
     N_bpg: int = 0
+    N_ratio: float = np.nan
+    exit_bpge: str = ""
+    exit_bpg: str = ""
 
 
 def derive_seed(master_seed: int, *parts) -> int:
@@ -223,38 +227,25 @@ def emit_convergence_curves(results: dict, out_dir) -> List[Path]:
     return paths
 
 
-def _run_cell(spec: ExperimentSpec, m: int, d: int, li: int, ri: int,
-              rep: int):
-    rule = spec.lambdas[li]
-    rho = spec.rhos[ri]
-    cell_seed = derive_seed(spec.seed, m, d, li, ri, rep)
-    inst = generate_instance(spec.problem, m, d, cell_seed, theta=spec.theta)
+def run_cell(spec: ExperimentSpec, m: int, d: int, rule: str, rho: float,
+             seed: int, rep: int = 0):
+    """Every solver of the spec on the instance generated from seed, from
+    one start point. Returns (ComparisonRow, {solver: SolveResult})."""
+    inst = generate_instance(spec.problem, m, d, seed, theta=spec.theta)
     obj, x0 = problem_bundle(spec.problem, inst)
     cfg = spec.solver_config(obj.smooth.smad_constant(), rule, rho)
-    results = {}
-    times = {}
+    results, cols = {}, {}
     for solver in spec.solvers:
         run = bpge_solve if solver == "bpge" else bpg_solve
         start = time.perf_counter()
-        results[solver] = run(obj, x0, cfg)
-        times[solver] = time.perf_counter() - start
-    bpge_res = results.get("bpge")
-    bpg_res = results.get("bpg")
-    n_bpge = bpge_res.iterations if bpge_res else 0
-    n_bpg = bpg_res.iterations if bpg_res else 0
-    t_bpge = times.get("bpge", np.nan)
-    t_bpg = times.get("bpg", np.nan)
-    row = ComparisonRow(
-        m=m, d=d, lambda_rule=rule, rho=rho, rep=rep,
-        T_bpge=t_bpge,
-        T_ratio=t_bpge / t_bpg if bpg_res else np.nan,
-        N_bpge=n_bpge,
-        N_ratio=n_bpge / n_bpg if (bpg_res and n_bpg) else np.nan,
-        exit_bpge=bpge_res.exit_reason if bpge_res else "",
-        exit_bpg=bpg_res.exit_reason if bpg_res else "",
-        T_bpg=t_bpg,
-        N_bpg=n_bpg,
-    )
+        result = results[solver] = run(obj, x0, cfg)
+        cols["T_" + solver] = time.perf_counter() - start
+        cols["N_" + solver] = result.iterations
+        cols["exit_" + solver] = result.exit_reason
+    row = ComparisonRow(m, d, rule, rho, rep, **cols)
+    if "bpg" in results:
+        row = replace(row, T_ratio=row.T_bpge / row.T_bpg,
+                      N_ratio=row.N_bpge / row.N_bpg if row.N_bpg else np.nan)
     return row, results
 
 
@@ -265,21 +256,19 @@ def run_comparison(spec: ExperimentSpec, out_dir=None) -> List[ComparisonRow]:
     out_dir is given. A numerical failure inside a run is recorded in its
     row, not fatal to the sweep.
     """
-    cells = [
-        (m, d, li, ri, rep)
-        for (m, d) in spec.sizes
-        for li in range(len(spec.lambdas))
-        for ri in range(len(spec.rhos))
-        for rep in range(spec.repetitions)
-    ]
-    outcomes = [_run_cell(spec, *c) for c in cells]
+    cells = list(itertools.product(spec.sizes, range(len(spec.lambdas)),
+                                   range(len(spec.rhos)),
+                                   range(spec.repetitions)))
+    outcomes = [run_cell(spec, m, d, spec.lambdas[li], spec.rhos[ri],
+                         derive_seed(spec.seed, m, d, li, ri, rep), rep)
+                for (m, d), li, ri, rep in cells]
 
     rows = [row for row, _ in outcomes]
     if out_dir is not None:
         emit_convergence_curves({
             "%s_m%d_d%d_lam%d_rho%d_rep%d_%s" % (
                 spec.problem, m, d, li, ri, rep, solver): result
-            for (m, d, li, ri, rep), (_, results) in zip(cells, outcomes)
+            for ((m, d), li, ri, rep), (_, results) in zip(cells, outcomes)
             for solver, result in results.items()
         }, out_dir)
         write_comparison_csv(rows, Path(out_dir) / "comparison.csv")
@@ -287,20 +276,12 @@ def run_comparison(spec: ExperimentSpec, out_dir=None) -> List[ComparisonRow]:
 
 
 def write_comparison_csv(rows: Sequence[ComparisonRow], path) -> None:
-    header = ("m", "d", "lambda_rule", "rho", "rep",
-              "T_bpge", "T_bpg", "T_ratio",
-              "N_bpge", "N_bpg", "N_ratio",
-              "exit_bpge", "exit_bpg")
+    header = [f.name for f in fields(ComparisonRow)]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for r in rows:
-            writer.writerow([
-                r.m, r.d, r.lambda_rule, _fmt(r.rho), r.rep,
-                _fmt(r.T_bpge), _fmt(r.T_bpg), _fmt(r.T_ratio),
-                r.N_bpge, r.N_bpg, _fmt(r.N_ratio),
-                r.exit_bpge, r.exit_bpg,
-            ])
+            writer.writerow([_fmt(getattr(r, name)) for name in header])
 
 
 def strip_timing_columns(csv_text: str) -> str:

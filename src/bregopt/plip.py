@@ -15,7 +15,8 @@ import numpy as np
 
 from .errors import DomainError, NumericalError, ValidationError
 from .kernels import BurgKernel
-from .problems import CompositeObjective, SmoothTerm, ZeroTerm, check_shapes
+from .problems import (CompositeObjective, SmoothTerm, ZeroTerm, check_seed,
+                       check_shapes)
 
 
 @dataclass(frozen=True)
@@ -28,6 +29,7 @@ class PlipInstance:
     x_true: np.ndarray
 
     def __post_init__(self):
+        check_seed(self.seed)
         check_shapes("A", self.A, self.b, self.x_true)
         if not (np.isfinite(self.b).all() and (self.b > 0.0).all()):
             raise ValidationError("b must be finite and positive")
@@ -57,6 +59,7 @@ def generate_plip(m: int, d: int, seed: int,
     """
     if m < 1 or d < 1:
         raise ValidationError("m and d must be >= 1")
+    check_seed(seed)
     rng = np.random.default_rng([seed, 0])
     A = 1.0 - rng.random((m, d))
     while True:

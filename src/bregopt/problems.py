@@ -17,6 +17,12 @@ from .errors import ValidationError
 from .kernels import BurgKernel, Kernel
 
 
+def check_seed(seed) -> None:
+    """Instance seeds feed numpy's generators, which need them >= 0."""
+    if seed < 0:
+        raise ValidationError("seed must be >= 0, got %s" % seed)
+
+
 def check_shapes(name: str, A, b, x_true) -> None:
     """Raise ValidationError unless A is a nonempty m x d matrix with len(b)
     = m and len(x_true) = d. Reads shapes only, never the entries of A."""
@@ -126,10 +132,6 @@ class CompositeObjective:
     def value(self, x: np.ndarray) -> float:
         x = self.kernel.require_interior(x, "x")
         return self.smooth.value(x) + self.nonsmooth.value(x)
-
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        x = self.kernel.require_interior(x, "x")
-        return self.smooth.gradient(x)
 
     def prox_step(self, y: np.ndarray, lam: float) -> np.ndarray:
         """The prox step from y: checks y, then forms the mirror point."""

@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .kernels import QuarticKernel, cubic_root_scale
-from .problems import (CompositeObjective, L1Term, SmoothTerm, check_shapes,
-                       soft_threshold)
+from .problems import (CompositeObjective, L1Term, SmoothTerm, check_seed,
+                       check_shapes, soft_threshold)
 
 
 @dataclass(frozen=True)
@@ -32,6 +32,7 @@ class QipInstance:
     x_true: np.ndarray
 
     def __post_init__(self):
+        check_seed(self.seed)
         check_shapes("a", self.a, self.b, self.x_true)
         if not np.isfinite(self.b).all():
             raise ValidationError("b must be finite")
@@ -74,6 +75,7 @@ def generate_qip(m: int, d: int, seed: int, theta: float = 1.0,
     """
     if m < 1 or d < 1:
         raise ValidationError("m and d must be >= 1")
+    check_seed(seed)
     rng = np.random.default_rng([seed, 0])
     a = rng.standard_normal((m, d))
     nnz = math.ceil(0.05 * d)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import ClassVar, List, Optional
 
 import numpy as np
 
@@ -38,7 +38,7 @@ class LineSearchConfig:
     beta0: float = 0.99
     eta: float = 0.5
     rho: float = 0.99
-    max_shrinks: int = 60
+    max_shrinks: ClassVar[int] = 60
 
     def __post_init__(self):
         if not 0.0 <= self.beta0 < 1.0:
@@ -47,8 +47,6 @@ class LineSearchConfig:
             raise ValidationError("eta must be in (0, 1)")
         if not 0.0 < self.rho < 1.0:
             raise ValidationError("rho must be in (0, 1)")
-        if self.max_shrinks < 1:
-            raise ValidationError("max_shrinks must be positive")
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
+import csv
 import json
 
 import numpy as np
 import pytest
 
-from bregopt import cli, harness, plip, qip
+from bregopt import cli, harness, plip, qip, solvers
 
 
 class TestGenerate:
@@ -50,6 +51,23 @@ class TestSolve:
         assert len(doc["x_final"]) == 5
         out = capsys.readouterr().out
         assert "bpge" in out and "iterations" in out
+
+    def test_trace_is_the_cell_run(self, tmp_path, capsys):
+        # solve is one sweep cell: the spec's config, --seed as instance seed.
+        assert cli.main(["solve", "--problem", "qip", "--m", "30", "--d", "5",
+                         "--seed", "4", "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        spec = harness.ExperimentSpec(problem="qip", sizes=((30, 5),))
+        obj, x0 = harness.problem_bundle(
+            "qip", harness.generate_instance("qip", 30, 5, 4))
+        cfg = spec.solver_config(obj.smooth.smad_constant(), "1/L",
+                                 spec.rhos[0])
+        harness.write_trace_csv(solvers.bpge_solve(obj, x0, cfg),
+                                tmp_path / "ref.csv")
+        got, ref = ((tmp_path / name).read_text(encoding="utf-8") for name in
+                    ("trace_qip_m30_d5_seed4_bpge.csv", "ref.csv"))
+        assert (harness.strip_timing_columns(got)
+                == harness.strip_timing_columns(ref))
 
     def test_pg_on_either_problem_is_rejected(self, tmp_path, capsys):
         for problem in ("plip", "qip"):
@@ -158,6 +176,22 @@ class TestSweep:
         assert self.run_spec(tmp_path, self.spec_doc(), "--jobs", jobs) == 1
         assert "--jobs" in capsys.readouterr().err
 
+    def test_comparison_columns_of_a_bpge_only_sweep(self, tmp_path, capsys):
+        assert self.run_spec(tmp_path, dict(self.spec_doc(),
+                                            solvers=["bpge"])) == 0
+        capsys.readouterr()
+        with open(tmp_path / "runs" / "comparison.csv", newline="",
+                  encoding="utf-8") as fh:
+            (row,) = csv.DictReader(fh)
+        assert list(row) == ["m", "d", "lambda_rule", "rho", "rep",
+                             "T_bpge", "T_bpg", "T_ratio",
+                             "N_bpge", "N_bpg", "N_ratio",
+                             "exit_bpge", "exit_bpg"]
+        assert row["N_bpg"] == "0" and row["exit_bpg"] == ""
+        assert int(row["N_bpge"]) > 0 and row["exit_bpge"]
+        for name in ("T_bpg", "T_ratio", "N_ratio"):
+            assert row[name] == "nan"
+
     def test_jobs_does_not_change_output(self, tmp_path, capsys):
         doc = dict(self.spec_doc(), sizes=[[20, 3], [30, 4]])
         for jobs in ("1", "2"):
@@ -172,6 +206,29 @@ class TestSweep:
                     for j in ("1", "2"))
             assert (harness.strip_timing_columns(a)
                     == harness.strip_timing_columns(b))
+
+
+class TestNegativeSeed:
+    @pytest.mark.parametrize("command", ["generate", "solve", "check"])
+    def test_instance_seed_is_rejected(self, command, tmp_path, capsys):
+        argv = [command, "--problem", "plip", "--m", "10", "--d", "3",
+                "--seed", "-1"]
+        if command != "check":
+            argv += ["--out", str(tmp_path)]
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "seed" in captured.err
+        assert "PASS" not in captured.out
+        assert list(tmp_path.iterdir()) == []
+
+    def test_sweep_master_seed_may_be_negative(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(
+            {"problem": "plip", "sizes": [[20, 3]], "seed": -5,
+             "k_max": 50}), encoding="utf-8")
+        assert cli.main(["sweep", "--spec", str(spec_path),
+                         "--out", str(tmp_path / "runs")]) == 0
+        assert "1 rows" in capsys.readouterr().out
 
 
 class TestCheck:

@@ -163,3 +163,30 @@ def test_emit_convergence_curves(tmp_path):
     rows = read_csv(paths[0])
     assert rows[0] == list(harness.TRACE_HEADER)
     assert len(rows) - 2 == result.iterations
+
+
+def test_sweep_calls_the_patchable_module_globals(tmp_path, monkeypatch):
+    # A tracer that swaps these four attributes must see every call: the
+    # sweep may not hold its own references captured at import.
+    from bregopt import solvers
+    calls = {}
+
+    def count(owner, name):
+        original = getattr(owner, name)
+        key = "%s.%s" % (owner.__name__.rsplit(".", 1)[-1], name)
+        calls[key] = 0
+
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for owner, name in ((harness, "bpge_solve"), (solvers, "bpge_solve"),
+                        (harness, "generate_instance"),
+                        (harness, "write_trace_csv")):
+        count(owner, name)
+    harness.run_comparison(tiny_spec(k_max=50), out_dir=tmp_path)
+    # bpg_solve reaches solvers.bpge_solve; the harness calls bpge directly.
+    assert calls == {"harness.bpge_solve": 1, "solvers.bpge_solve": 1,
+                     "harness.generate_instance": 1,
+                     "harness.write_trace_csv": 2}

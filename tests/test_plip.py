@@ -185,6 +185,14 @@ class TestValidation:
         with pytest.raises(ValidationError):
             plip.from_json(self.doc(A=[1.0] * 17))
 
+    def test_from_json_rejects_negative_seed(self):
+        with pytest.raises(ValidationError, match="seed"):
+            plip.from_json(self.doc(seed=-1))
+
+    def test_generate_rejects_negative_seed(self):
+        with pytest.raises(ValidationError, match="seed"):
+            plip.generate_plip(6, 3, seed=-1)
+
     @pytest.mark.parametrize("A,b,x_true", [
         (np.ones((2, 3)), np.ones(3), np.ones(3)),
         (np.ones((2, 3)), np.ones(2), np.ones(2)),

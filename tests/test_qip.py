@@ -207,11 +207,16 @@ class TestValidation:
 
     @pytest.mark.parametrize("changes", [
         {"b": [1.0] * 5}, {"b": [1.0] * 5 + [np.inf]},
-        {"theta": -2.0}, {"theta": np.nan},
-    ], ids=["short-b", "inf-b", "negative-theta", "nan-theta"])
+        {"theta": -2.0}, {"theta": np.nan}, {"seed": -1},
+    ], ids=["short-b", "inf-b", "negative-theta", "nan-theta",
+            "negative-seed"])
     def test_from_json_rejects(self, changes):
         with pytest.raises(ValidationError):
             qip.from_json(self.doc(**changes))
+
+    def test_generate_rejects_negative_seed(self):
+        with pytest.raises(ValidationError, match="seed"):
+            qip.generate_qip(6, 3, seed=-1)
 
     def test_from_json_rejects_shape_unlike_header(self):
         with pytest.raises(ValidationError):
