@@ -18,7 +18,6 @@ from .problems import (
     SmoothTerm,
     ZeroTerm,
     check_smad,
-    objective_value,
     soft_threshold,
 )
 from .solvers import (
@@ -44,7 +43,7 @@ __all__ = [
     "Kernel", "EuclideanKernel", "BurgKernel", "QuarticKernel",
     "cubic_root_scale", "three_point_identity_residual",
     "CompositeObjective", "SmoothTerm", "NonsmoothTerm", "ZeroTerm",
-    "L1Term", "soft_threshold", "check_smad", "objective_value",
+    "L1Term", "soft_threshold", "check_smad",
     "EXIT_TOLERANCE", "EXIT_MAX_ITERATIONS", "EXIT_NUMERICAL_FAILURE",
     "EXIT_MODES", "RateReport",
     "LineSearchConfig", "SolverConfig", "IterationRecord", "SolveResult",

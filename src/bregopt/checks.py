@@ -15,7 +15,7 @@ import numpy as np
 
 from . import harness
 from .problems import check_smad, default_sampler
-from .solvers import LineSearchConfig, SolverConfig, bpge_solve
+from .solvers import SolverConfig, bpge_solve
 
 
 @dataclass(frozen=True)
@@ -76,11 +76,7 @@ def _check_prox(obj, rng, calls: int = 20) -> CheckOutcome:
 
 
 def _check_lyapunov(obj, x0) -> CheckOutcome:
-    cfg = SolverConfig(
-        lam=1.0 / obj.smooth.smad_constant(),
-        line_search=LineSearchConfig(),
-        k_max=200,
-    )
+    cfg = SolverConfig(lam=1.0 / obj.smooth.smad_constant(), k_max=200)
     result = bpge_solve(obj, x0, cfg)
     worst = 0.0
     for prev, curr in zip(result.trace, result.trace[1:]):

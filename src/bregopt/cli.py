@@ -2,7 +2,7 @@
 and the invariant check suite.
 
 Every behavior here is a thin shell over the library API. Exit status is
-0 on success, 1 on validation errors, 2 on numerical failure.
+0 on success, 1 on validation and file errors, 2 on numerical failure.
 """
 
 from __future__ import annotations
@@ -139,6 +139,9 @@ def _cmd_sweep(args) -> int:
             "malformed spec %s: line %d column %d: %s"
             % (args.spec, exc.lineno, exc.colno, exc.msg)
         ) from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError("spec %s is not UTF-8: %s"
+                              % (args.spec, exc)) from exc
     spec = harness.ExperimentSpec.from_dict(doc)
     rows = harness.run_comparison(spec, out_dir=args.out)
     failures = sum(
@@ -178,7 +181,7 @@ def main(argv=None) -> int:
         return 1 if exc.code else 0
     try:
         return _COMMANDS[args.command](args)
-    except ValidationError as exc:
+    except (ValidationError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     except NumericalError as exc:

@@ -165,9 +165,16 @@ class ComparisonRow:
     exit_bpg: str = ""
 
 
+def _plain(v):
+    """A numpy scalar as the Python value it holds, so that it hashes and
+    prints like that value; anything else unchanged."""
+    return v.item() if isinstance(v, np.generic) else v
+
+
 def derive_seed(master_seed: int, *parts) -> int:
     """Stable per-cell seed from the master seed and cell coordinates."""
-    digest = hashlib.sha256(repr((master_seed,) + parts).encode()).digest()
+    key = tuple(map(_plain, (master_seed,) + parts))
+    digest = hashlib.sha256(repr(key).encode()).digest()
     return int.from_bytes(digest[:8], "little")
 
 
@@ -189,6 +196,7 @@ def problem_bundle(problem: str, inst):
 
 
 def _fmt(v) -> str:
+    v = _plain(v)
     if isinstance(v, float):
         return repr(v)
     return str(v)

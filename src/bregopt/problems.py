@@ -140,10 +140,6 @@ class CompositeObjective:
         return self.nonsmooth.prox(self.kernel, z, lam)
 
 
-def objective_value(obj: CompositeObjective, x) -> float:
-    return obj.value(np.asarray(x, dtype=float))
-
-
 def default_sampler(kernel: Kernel):
     """Random interior points used by the sampling checks below."""
     d = kernel.dim
@@ -165,15 +161,14 @@ class SmadReport:
 
 
 def check_smad(obj: CompositeObjective, samples: int = 1000,
-               rng_seed: int = 0, sampler=None) -> SmadReport:
+               rng_seed: int = 0) -> SmadReport:
     """Sampling check of the descent envelopes |gap| <= L*D_h and gap >= -mu*D_h.
 
     gap = f(x) - f(y) - <grad f(y), x - y> over random interior pairs. A
     sample fails when either envelope is violated by more than
     1e-8 * (1 + |f(x)|). This is a regression guard, not a certification.
     """
-    if sampler is None:
-        sampler = default_sampler(obj.kernel)
+    sampler = default_sampler(obj.kernel)
     rng = np.random.default_rng(rng_seed)
     L = obj.smooth.smad_constant()
     mu = obj.smooth.weak_convexity_constant()

@@ -7,7 +7,7 @@ method; with the Euclidean kernel both reduce to the classical proximal
 gradient iterations.
 
 Every run records a full per-iteration trace (objective, Bregman step,
-descent certificate H_k = Psi(x^k) + M * D_h(x^{k-1}, x^k), accepted beta,
+descent certificate H_k = Psi(x^k) + D_h(x^{k-1}, x^k) / lam, accepted beta,
 stationarity residual, wall time).
 """
 
@@ -51,18 +51,13 @@ class LineSearchConfig:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Fixed-step solver configuration.
-
-    lyapunov_M = None means M = 1/lam, the choice under which the descent
-    certificate and the sublinear rate bound below are stated.
-    """
+    """Fixed-step solver configuration."""
 
     lam: float
     line_search: LineSearchConfig = field(default_factory=LineSearchConfig)
     tol: float = 1e-6
     k_max: int = 5000
     exit_mode: str = "iterate_relative"
-    lyapunov_M: Optional[float] = None
     keep_iterates: bool = False
 
     def __post_init__(self):
@@ -72,21 +67,10 @@ class SolverConfig:
             raise ValidationError("tol must be positive and finite")
         if not self.k_max >= 1:
             raise ValidationError("k_max must be positive")
-        if self.lyapunov_M is not None and not math.isfinite(self.lyapunov_M):
-            raise ValidationError("lyapunov_M must be finite")
         if self.exit_mode not in EXIT_MODES:
             raise ValidationError(
                 "exit_mode must be one of %s" % (EXIT_MODES,)
             )
-        M = self.lyapunov_effective_M
-        inv_lam = 1.0 / self.lam
-        if (M > inv_lam * (1.0 + 1e-12)
-                or M < self.line_search.rho * inv_lam * (1.0 - 1e-12)):
-            raise ValidationError("lyapunov_M must lie in [rho/lam, 1/lam]")
-
-    @property
-    def lyapunov_effective_M(self) -> float:
-        return 1.0 / self.lam if self.lyapunov_M is None else self.lyapunov_M
 
 
 @dataclass(frozen=True)
@@ -113,8 +97,7 @@ class SolveResult:
 
 
 def line_search_beta(kernel: Kernel, x_prev: np.ndarray, x_curr: np.ndarray,
-                     cfg: LineSearchConfig, C_k: float,
-                     dh_prev: Optional[float] = None):
+                     cfg: LineSearchConfig, C_k: float, dh_prev: float):
     """First beta in {beta0, eta*beta0, ...} whose trial point is admissible.
 
     Admissible means the trial x_curr + beta*(x_curr - x_prev) lies in the
@@ -122,15 +105,13 @@ def line_search_beta(kernel: Kernel, x_prev: np.ndarray, x_curr: np.ndarray,
     D_h(x_curr, trial) <= rho * C_k * D_h(x_prev, x_curr). A trial outside
     the domain counts as a failed test and keeps shrinking. Falls back to
     beta = 0 after max_shrinks, which always satisfies the condition.
-    dh_prev is D_h(x_prev, x_curr) when the caller has it already, for
-    points it has checked; without it the bound is computed here.
+    dh_prev is D_h(x_prev, x_curr), which the caller has already computed
+    for points it has checked.
     Returns (beta, shrinks).
     """
     direction = x_curr - x_prev
     if not direction.any():
         return cfg.beta0, 0
-    if dh_prev is None:
-        dh_prev = kernel.bregman(x_prev, x_curr)
     bound = cfg.rho * C_k * dh_prev
     beta = cfg.beta0
     for shrinks in range(cfg.max_shrinks + 1):
@@ -166,7 +147,6 @@ def bpge_solve(obj: CompositeObjective, x0: np.ndarray,
             "step size %g exceeds 1/L = %g" % (cfg.lam, 1.0 / L)
         )
     inv_lam = 1.0 / cfg.lam
-    M = cfg.lyapunov_effective_M
     mu = smooth.weak_convexity_constant()
     C_k = inv_lam / (inv_lam + mu)
 
@@ -210,8 +190,8 @@ def bpge_solve(obj: CompositeObjective, x0: np.ndarray,
             exit_reason = EXIT_NUMERICAL_FAILURE
             break
         trace.append(IterationRecord(
-            k + 1, psi_next, dh, psi_next + M * dh, beta, shrinks, residual,
-            time.perf_counter() - start,
+            k + 1, psi_next, dh, psi_next + inv_lam * dh, beta, shrinks,
+            residual, time.perf_counter() - start,
         ))
         if iterates is not None:
             iterates.append(x_next.copy())
@@ -277,13 +257,11 @@ def sublinear_rate_check(result: SolveResult, slack: float = 1e-10) -> RateRepor
 
     For every K with records 1..K+1 present, verifies
     min_{1<=k<=K} dh_step <= (H_1 - H_{K+1}) / (K * (1 - rho) / lam) + slack.
-    Requires a fixed-step run with M = 1/lam. Returns the max violation
-    (negative when the bound holds everywhere with room to spare).
+    H_k is the trace's certificate, whose M is 1/lam. Returns the max
+    violation (negative when the bound holds everywhere with room to spare).
     """
     cfg = result.config
     inv_lam = 1.0 / cfg.lam
-    if abs(cfg.lyapunov_effective_M - inv_lam) > 1e-12 * inv_lam:
-        raise ValidationError("rate check is stated for M = 1/lam")
     denom_unit = inv_lam - cfg.line_search.rho * inv_lam
     trace = result.trace
     max_slack = -np.inf

@@ -231,6 +231,36 @@ class TestNegativeSeed:
         assert "1 rows" in capsys.readouterr().out
 
 
+class TestFileErrors:
+    @pytest.mark.parametrize("command,case", [
+        ("sweep", "missing-spec"),
+        ("sweep", "spec-is-dir"),
+        ("sweep", "spec-not-utf8"),
+        ("generate", "out-is-file"),
+        ("solve", "out-is-file"),
+        ("sweep", "out-is-file"),
+    ])
+    def test_exits_1_without_traceback(self, command, case, tmp_path, capsys):
+        spec, out = tmp_path / "spec.json", tmp_path / "out"
+        spec.write_text(json.dumps({"problem": "plip", "sizes": [[10, 2]],
+                                    "k_max": 20}), encoding="utf-8")
+        if case == "missing-spec":
+            spec = tmp_path / "missing.json"
+        elif case == "spec-is-dir":
+            spec = tmp_path
+        elif case == "spec-not-utf8":
+            spec.write_bytes(b'{"problem": "pl\xefip"}')
+        else:
+            out.write_text("", encoding="utf-8")
+        if command == "sweep":
+            argv = ["sweep", "--spec", str(spec)]
+        else:
+            argv = [command, "--problem", "plip", "--m", "10", "--d", "2"]
+        assert cli.main(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
 class TestCheck:
     @pytest.mark.parametrize("problem", ["plip", "qip"])
     def test_invariant_suite_passes(self, problem, capsys):

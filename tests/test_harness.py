@@ -150,6 +150,27 @@ class TestTraceCsv:
             b = (tmp_path / "b" / name).read_text(encoding="utf-8")
             assert harness.strip_timing_columns(a) == harness.strip_timing_columns(b)
 
+    def test_numpy_scalar_spec_matches_plain_spec(self, tmp_path):
+        # Same cell seeds (derive_seed) and the same printed values (_fmt).
+        plain = dict(sizes=((30, 4),), rhos=(0.9,), seed=3, k_max=60,
+                     tol=1e-6, beta0=0.99, eta=0.5, theta=1.0)
+        numpy = dict(sizes=((np.int64(30), np.int64(4)),),
+                     rhos=(np.float64(0.9),), seed=np.int64(3),
+                     k_max=np.int64(60), tol=np.float64(1e-6),
+                     beta0=np.float64(0.99), eta=np.float64(0.5),
+                     theta=np.float64(1.0))
+        for name, fields in (("plain", plain), ("numpy", numpy)):
+            harness.run_comparison(harness.ExperimentSpec(
+                problem="plip", **fields), out_dir=tmp_path / name)
+        names = sorted(p.name for p in (tmp_path / "plain").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "numpy").iterdir())
+        assert len(names) == 3
+        for name in names:
+            a, b = ((tmp_path / d / name).read_text(encoding="utf-8")
+                    for d in ("plain", "numpy"))
+            assert harness.strip_timing_columns(a) == \
+                harness.strip_timing_columns(b)
+
 
 def test_emit_convergence_curves(tmp_path):
     from bregopt import SolverConfig, bpge_solve

@@ -10,7 +10,6 @@ from bregopt import (
     ZeroTerm,
     check_smad,
     cubic_root_scale,
-    objective_value,
     soft_threshold,
 )
 from bregopt import plip, qip
@@ -23,13 +22,13 @@ def test_plip_objective_zero_at_consistent_data():
     inst = plip.generate_plip(20, 4, seed=0)
     obj = plip.make_objective(inst)
     # b = A x_true exactly, so the KL fit vanishes at the ground truth.
-    assert objective_value(obj, inst.x_true + 1e-30) == pytest.approx(0.0, abs=1e-10)
+    assert obj.value(inst.x_true + 1e-30) == pytest.approx(0.0, abs=1e-10)
 
 
 def test_qip_objective_at_zero():
     inst = qip.generate_qip(30, 5, seed=1, theta=1.0)
     obj = qip.make_objective(inst)
-    assert objective_value(obj, np.zeros(5)) == pytest.approx(
+    assert obj.value(np.zeros(5)) == pytest.approx(
         0.25 * np.sum(inst.b ** 2))
 
 
@@ -37,7 +36,7 @@ def test_qip_objective_scalar_hand_value():
     inst = qip.QipInstance(a=np.array([[1.0]]), b=np.array([1.0]), theta=1.0,
                            seed=0, x_true=np.array([1.0]))
     obj = qip.make_objective(inst)
-    assert objective_value(obj, np.array([2.0])) == pytest.approx(4.25)
+    assert obj.value(np.array([2.0])) == pytest.approx(4.25)
 
 
 class TestCheckSmad:

@@ -56,7 +56,8 @@ class TestLineSearch:
     def test_equal_points_accept_beta0_immediately(self):
         cfg = LineSearchConfig(beta0=0.7)
         x = np.array([1.0, 2.0])
-        beta, shrinks = line_search_beta(EuclideanKernel(2), x, x.copy(), cfg, 1.0)
+        beta, shrinks = line_search_beta(EuclideanKernel(2), x, x.copy(), cfg,
+                                         1.0, 0.0)
         assert beta == 0.7 and shrinks == 0
 
     def test_euclidean_accepts_beta0_below_sqrt_rho(self):
@@ -64,23 +65,24 @@ class TestLineSearch:
         rho = 0.82
         cfg = LineSearchConfig(beta0=0.9, rho=rho)
         rng = np.random.default_rng(0)
+        kernel = EuclideanKernel(3)
         for _ in range(20):
             x_prev = rng.standard_normal(3)
             x_curr = rng.standard_normal(3)
-            beta, shrinks = line_search_beta(EuclideanKernel(3), x_prev,
-                                             x_curr, cfg, 1.0)
+            beta, shrinks = line_search_beta(kernel, x_prev, x_curr, cfg, 1.0,
+                                             kernel.bregman(x_prev, x_curr))
             assert beta == pytest.approx(0.9) and shrinks == 0
 
     def test_euclidean_shrinks_above_threshold(self):
         rho = 0.25
         cfg = LineSearchConfig(beta0=0.99, eta=0.5, rho=rho)
+        kernel = EuclideanKernel(1)
         x_prev, x_curr = np.array([0.0]), np.array([1.0])
-        beta, shrinks = line_search_beta(EuclideanKernel(1), x_prev, x_curr,
-                                         cfg, 1.0)
+        beta, shrinks = line_search_beta(kernel, x_prev, x_curr, cfg, 1.0,
+                                         kernel.bregman(x_prev, x_curr))
         assert beta <= np.sqrt(rho) + 1e-12
         assert shrinks >= 1
         # The accepted beta satisfies the inequality as evaluated.
-        kernel = EuclideanKernel(1)
         trial = x_curr + beta * (x_curr - x_prev)
         assert kernel.bregman(x_curr, trial) <= rho * kernel.bregman(x_prev, x_curr)
 
@@ -88,7 +90,8 @@ class TestLineSearch:
         kernel = BurgKernel(1)
         cfg = LineSearchConfig(beta0=0.99, eta=0.5, rho=0.99)
         x_prev, x_curr = np.array([2.0]), np.array([1.0])
-        beta, shrinks = line_search_beta(kernel, x_prev, x_curr, cfg, 1.0)
+        beta, shrinks = line_search_beta(kernel, x_prev, x_curr, cfg, 1.0,
+                                         kernel.bregman(x_prev, x_curr))
         trial = x_curr + beta * (x_curr - x_prev)
         assert np.all(trial > 0)
         assert (kernel.bregman(x_curr, trial)
@@ -99,19 +102,11 @@ class TestLineSearch:
         # until the trial is positive and the distance test passes.
         kernel = BurgKernel(1)
         cfg = LineSearchConfig(beta0=0.99, eta=0.5, rho=0.99)
-        beta, shrinks = line_search_beta(kernel, np.array([5.0]),
-                                         np.array([1.0]), cfg, 1.0)
+        x_prev, x_curr = np.array([5.0]), np.array([1.0])
+        beta, shrinks = line_search_beta(kernel, x_prev, x_curr, cfg, 1.0,
+                                         kernel.bregman(x_prev, x_curr))
         assert shrinks >= 1
         assert 1.0 + beta * (1.0 - 5.0) > 0
-
-
-    def test_known_bound_matches_computed_bound(self):
-        kernel = BurgKernel(3)
-        cfg = LineSearchConfig()
-        x_prev, x_curr = np.array([1.0, 2.0, 0.5]), np.array([1.2, 1.7, 0.6])
-        dh = kernel.bregman(x_prev, x_curr)
-        assert (line_search_beta(kernel, x_prev, x_curr, cfg, 0.9, dh)
-                == line_search_beta(kernel, x_prev, x_curr, cfg, 0.9))
 
 
 class TestReductions:
@@ -222,6 +217,19 @@ class TestDescentDiagnostics:
             assert (curr.lyapunov
                     <= prev.lyapunov + 1e-10 * max(1.0, abs(prev.lyapunov)))
 
+    @pytest.mark.parametrize("problem,m,d", [("plip", 100, 10),
+                                             ("qip", 200, 10)])
+    @pytest.mark.parametrize("solve", [bpge_solve, bpg_solve],
+                             ids=["bpge", "bpg"])
+    def test_certificate_constant_is_one_over_lam(self, problem, m, d, solve):
+        # H_k = Psi(x^k) + M * D_h(x^{k-1}, x^k) with M = 1/lam, bit for bit.
+        obj, x0 = _shipped(problem, m, d, seed=24)
+        cfg = SolverConfig(lam=1.0 / obj.smooth.smad_constant(), k_max=400)
+        result = solve(obj, x0, cfg)
+        assert result.iterations > 10
+        for rec in result.trace:
+            assert rec.lyapunov == rec.psi + (1.0 / cfg.lam) * rec.dh_step
+
     def test_accepted_betas_satisfy_contract_post_hoc(self):
         inst = qip.generate_qip(40, 5, seed=8)
         obj, x0 = qip.make_objective(inst), qip.default_x0(inst)
@@ -274,16 +282,6 @@ class TestRateBound:
         assert result.trace[1].dh_step <= bound + 1e-10
         assert sublinear_rate_check(result).holds
 
-    def test_requires_default_lyapunov_constant(self):
-        inst = plip.generate_plip(10, 3, seed=13)
-        obj, x0 = plip.make_objective(inst), plip.default_x0(inst)
-        lam = 1.0 / obj.smooth.smad_constant()
-        cfg = SolverConfig(lam=lam, k_max=5, tol=1e-300,
-                           lyapunov_M=0.995 / lam)
-        result = bpge_solve(obj, x0, cfg)
-        with pytest.raises(ValidationError):
-            sublinear_rate_check(result)
-
 
 class TestConfigValidation:
     def test_rejects_step_above_one_over_L(self):
@@ -301,13 +299,6 @@ class TestConfigValidation:
         with pytest.raises(ValidationError):
             LineSearchConfig(rho=1.5)
 
-    def test_rejects_lyapunov_constant_outside_window(self):
-        with pytest.raises(ValidationError):
-            SolverConfig(lam=0.1, lyapunov_M=20.0)
-        with pytest.raises(ValidationError):
-            SolverConfig(lam=0.1, line_search=LineSearchConfig(rho=0.9),
-                         lyapunov_M=1.0)
-
     def test_rejects_unknown_exit_mode(self):
         with pytest.raises(ValidationError):
             SolverConfig(lam=0.1, exit_mode="bogus")
@@ -319,10 +310,6 @@ class TestConfigValidation:
     def test_rejects_nan_tol(self):
         with pytest.raises(ValidationError):
             SolverConfig(lam=0.1, tol=float("nan"))
-
-    def test_rejects_nan_lyapunov_constant(self):
-        with pytest.raises(ValidationError):
-            SolverConfig(lam=0.1, lyapunov_M=float("nan"))
 
 
 class TestExitModes:
