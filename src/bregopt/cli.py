@@ -16,6 +16,7 @@ from pathlib import Path
 
 from . import checks, harness
 from .errors import NumericalError, ValidationError
+from .problems import check_seed
 from .solvers import EXIT_NUMERICAL_FAILURE
 
 log = logging.getLogger("bregopt")
@@ -86,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_generate(args) -> int:
     inst = harness.generate_instance(args.problem, args.m, args.d, args.seed,
                                      theta=args.theta)
-    text = harness.problem_module(args.problem).to_json(inst)
+    text = inst.to_json()
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / ("%s_m%d_d%d_seed%d.json"
@@ -104,12 +105,13 @@ def _cmd_solve(args) -> int:
         lambdas=(args.lambda_rule,), rhos=(args.rho,), solvers=(args.solver,),
         tol=args.tol, k_max=args.kmax, beta0=args.beta0, eta=args.eta,
         exit_mode=_EXIT_MODE_FLAG[args.exit_mode], theta=args.theta)
+    check_seed(args.seed)  # the instance seed, before --out is created
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     _, results = harness.run_cell(spec, args.m, args.d, args.lambda_rule,
                                   args.rho, args.seed)
     result = results[args.solver]
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     stem = "%s_m%d_d%d_seed%d_%s" % (args.problem, args.m, args.d,
                                      args.seed, args.solver)
     harness.write_trace_csv(result, out_dir / ("trace_%s.csv" % stem))

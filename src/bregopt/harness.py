@@ -21,6 +21,7 @@ import numpy as np
 
 from . import plip, qip
 from .errors import ValidationError
+from .problems import check_theta, is_integer, is_number
 from .solvers import (
     LineSearchConfig,
     SolveResult,
@@ -40,17 +41,9 @@ TRACE_HEADER = ("iter", "psi", "psi_gap", "dh_step", "lyapunov", "beta",
 TIMING_COLUMNS = ("cum_time_s", "T_bpge", "T_bpg", "T_ratio")
 
 
-def _is_integer(v) -> bool:
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-
-
-def _is_number(v) -> bool:
-    return _is_integer(v) or isinstance(v, (float, np.floating))
-
-
 def _is_size(v) -> bool:
     return (isinstance(v, (list, tuple)) and len(v) == 2
-            and all(map(_is_integer, v)))
+            and all(map(is_integer, v)))
 
 
 def _list_of(test):
@@ -60,9 +53,9 @@ def _list_of(test):
 # Spec field types, checked before any range check so that a value of the
 # wrong type never reaches a comparison.
 _FIELD_TYPES = (
-    (("seed", "repetitions", "k_max"), _is_integer, "an integer"),
-    (("tol", "beta0", "eta", "theta"), _is_number, "a number"),
-    (("rhos",), _list_of(_is_number), "a list of numbers"),
+    (("seed", "repetitions", "k_max"), is_integer, "an integer"),
+    (("tol", "beta0", "eta", "theta"), is_number, "a number"),
+    (("rhos",), _list_of(is_number), "a list of numbers"),
     (("lambdas", "solvers"), _list_of(lambda v: isinstance(v, str)),
      "a list of strings"),
     (("sizes",), _list_of(_is_size), "a list of [m, d] integer pairs"),
@@ -106,6 +99,7 @@ class ExperimentSpec:
                 )
         for rho in self.rhos:  # beta0, eta, rho, tol, k_max and exit_mode
             self.solver_config(1.0, "1/L", rho)
+        check_theta(self.theta)
         for solver in self.solvers:
             if solver not in SOLVERS:
                 raise ValidationError("unknown solver %r" % (solver,))
@@ -224,9 +218,8 @@ def write_trace_csv(result: SolveResult, path) -> None:
 
 
 def emit_convergence_curves(results: dict, out_dir) -> List[Path]:
-    """Write one trace CSV per named run; returns the written paths."""
+    """Write one trace CSV per named run into out_dir; returns the paths."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     paths = []
     for name, result in results.items():
         path = out_dir / ("trace_%s.csv" % name)
@@ -261,9 +254,11 @@ def run_comparison(spec: ExperimentSpec, out_dir=None) -> List[ComparisonRow]:
     """Run every (size x lambda x rho x rep) cell of the sweep, in order.
 
     Writes one trace CSV per run plus an aggregate comparison table when
-    out_dir is given. A numerical failure inside a run is recorded in its
-    row, not fatal to the sweep.
+    out_dir is given, creating it before the first cell runs. A numerical
+    failure inside a run is recorded in its row, not fatal to the sweep.
     """
+    if out_dir is not None:
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
     cells = list(itertools.product(spec.sizes, range(len(spec.lambdas)),
                                    range(len(spec.rhos)),
                                    range(spec.repetitions)))

@@ -8,19 +8,18 @@ mirror step has the closed form x_j = y_j / (1 + lam * y_j * grad_j).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, NumericalError, ValidationError
 from .kernels import BurgKernel
-from .problems import (CompositeObjective, SmoothTerm, ZeroTerm, check_seed,
-                       check_shapes)
+from .problems import (CompositeObjective, Instance, SmoothTerm, ZeroTerm,
+                       check_seed, check_theta)
 
 
 @dataclass(frozen=True)
-class PlipInstance:
+class PlipInstance(Instance):
     """Positive measurement matrix A, positive data b, and generation metadata."""
 
     A: np.ndarray
@@ -28,19 +27,12 @@ class PlipInstance:
     seed: int
     x_true: np.ndarray
 
+    MATRIX = "A"
+
     def __post_init__(self):
-        check_seed(self.seed)
-        check_shapes("A", self.A, self.b, self.x_true)
+        super().__post_init__()
         if not (np.isfinite(self.b).all() and (self.b > 0.0).all()):
             raise ValidationError("b must be finite and positive")
-
-    @property
-    def m(self) -> int:
-        return self.A.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.A.shape[1]
 
     @property
     def smad_bound(self) -> float:
@@ -78,8 +70,7 @@ def generate_plip(m: int, d: int, seed: int,
 
 def generate(m: int, d: int, seed: int, theta: float = 1.0) -> PlipInstance:
     """`generate_plip` for the problem table; theta is checked, then unused."""
-    if not (np.isfinite(theta) and theta >= 0.0):
-        raise ValidationError("theta must be finite and >= 0")
+    check_theta(theta)
     return generate_plip(m, d, seed)
 
 
@@ -97,15 +88,6 @@ def _kl(inst: PlipInstance, x, value=True, gradient=True):
     return (float((inst.b * np.log(ratio) + Ax - inst.b).sum())
             if value else None,
             inst.A.T @ (1.0 - ratio) if gradient else None)
-
-
-def kl_value(inst: PlipInstance, x) -> float:
-    """sum_i { b_i log(b_i / (Ax)_i) + (Ax)_i - b_i }, nonnegative."""
-    return _kl(inst, _require_positive(x), gradient=False)[0]
-
-
-def kl_gradient(inst: PlipInstance, x) -> np.ndarray:
-    return _kl(inst, _require_positive(x), value=False)[1]
 
 
 def plip_prox(inst: PlipInstance, y, grad, lam: float) -> np.ndarray:
@@ -130,13 +112,14 @@ class PlipSmooth(SmoothTerm):
         self.inst = inst
 
     def value(self, x):
-        return kl_value(self.inst, x)
+        """sum_i { b_i log(b_i / (Ax)_i) + (Ax)_i - b_i }, nonnegative."""
+        return _kl(self.inst, _require_positive(x), gradient=False)[0]
 
     def gradient(self, x):
-        return kl_gradient(self.inst, x)
+        return _kl(self.inst, _require_positive(x), value=False)[1]
 
     def value_and_gradient(self, x):
-        """kl_value and kl_gradient from one forward product A x."""
+        """value and gradient from one forward product A x."""
         return _kl(self.inst, x)
 
     def smad_constant(self):
@@ -157,27 +140,5 @@ def default_x0(inst: PlipInstance) -> np.ndarray:
     return rng.uniform(0.5, 1.5, inst.d)
 
 
-def to_json(inst: PlipInstance) -> str:
-    doc = {
-        "m": inst.m,
-        "d": inst.d,
-        "seed": inst.seed,
-        "A": [float(v) for v in inst.A.ravel()],
-        "b": [float(v) for v in inst.b],
-        "x_true": [float(v) for v in inst.x_true],
-    }
-    return json.dumps(doc, sort_keys=True)
-
-
-def from_json(text: str) -> PlipInstance:
-    doc = json.loads(text)
-    m, d = int(doc["m"]), int(doc["d"])
-    A = np.asarray(doc["A"], dtype=float)
-    if m >= 1 and A.size == m * d:  # else the shape check rejects flat A
-        A = A.reshape(m, d)
-    return PlipInstance(
-        A=A,
-        b=np.asarray(doc["b"], dtype=float),
-        seed=int(doc["seed"]),
-        x_true=np.asarray(doc["x_true"], dtype=float),
-    )
+to_json = PlipInstance.to_json
+from_json = PlipInstance.from_json

@@ -8,8 +8,9 @@ immutable and all operations are pure.
 
 from __future__ import annotations
 
+import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -17,20 +18,75 @@ from .errors import ValidationError
 from .kernels import BurgKernel, Kernel
 
 
+def is_integer(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def is_number(v) -> bool:
+    return is_integer(v) or isinstance(v, (float, np.floating))
+
+
 def check_seed(seed) -> None:
-    """Instance seeds feed numpy's generators, which need them >= 0."""
-    if seed < 0:
-        raise ValidationError("seed must be >= 0, got %s" % seed)
+    """Instance seeds feed numpy's generators, which need integers >= 0."""
+    if not (is_integer(seed) and seed >= 0):
+        raise ValidationError("seed must be an integer >= 0, got %r" % (seed,))
 
 
-def check_shapes(name: str, A, b, x_true) -> None:
-    """Raise ValidationError unless A is a nonempty m x d matrix with len(b)
-    = m and len(x_true) = d. Reads shapes only, never the entries of A."""
-    if np.ndim(A) != 2 or 0 in np.shape(A):
-        raise ValidationError("%s must be a nonempty m x d matrix" % name)
-    m, d = np.shape(A)
-    if np.shape(b) != (m,) or np.shape(x_true) != (d,):
-        raise ValidationError("b needs %d entries and x_true %d" % (m, d))
+def check_theta(theta) -> None:
+    if not (is_number(theta) and math.isfinite(theta) and theta >= 0.0):
+        raise ValidationError("theta must be finite and >= 0")
+
+
+class Instance:
+    """Base of the frozen instance dataclasses: a nonempty m x d matrix in
+    the field each subclass names as MATRIX, b with m entries, x_true with
+    d, and a seed; subclasses add their data checks after this
+    `__post_init__`, which reads shapes only. The JSON document is every
+    field plus m and d, the arrays as lists (the matrix as rows)."""
+
+    def __post_init__(self):
+        check_seed(self.seed)
+        shape = np.shape(getattr(self, self.MATRIX))
+        if len(shape) != 2 or 0 in shape:
+            raise ValidationError("%s must be a nonempty m x d matrix"
+                                  % self.MATRIX)
+        if np.shape(self.b) != shape[:1] or np.shape(self.x_true) != shape[1:]:
+            raise ValidationError("b needs %d entries and x_true %d" % shape)
+
+    @property
+    def m(self) -> int:
+        return getattr(self, self.MATRIX).shape[0]
+
+    @property
+    def d(self) -> int:
+        return getattr(self, self.MATRIX).shape[1]
+
+    def to_json(self) -> str:
+        doc = {f.name: np.asarray(getattr(self, f.name)).tolist()
+               for f in fields(self)}
+        return json.dumps(dict(doc, m=self.m, d=self.d), sort_keys=True)
+
+    @classmethod
+    def from_json(cls, text: str) -> "Instance":
+        """The instance of a `to_json` document. A malformed document, or an
+        m and d that disagree with the matrix, raises ValidationError."""
+        try:
+            doc = json.loads(text)
+            args = {f.name: doc[f.name] for f in fields(cls)}
+            header = (doc["m"], doc["d"])
+            for name, value in args.items():
+                if isinstance(value, list):
+                    value = np.asarray(value)
+                    if value.dtype.kind not in "iuf":
+                        raise TypeError("%s holds a non-number" % name)
+                    args[name] = value.astype(float)
+        except (ValueError, TypeError, KeyError) as exc:
+            raise ValidationError("malformed %s document: %s: %s" % (
+                cls.__name__, type(exc).__name__, exc)) from exc
+        inst = cls(**args)
+        if header != (inst.m, inst.d):
+            raise ValidationError("m and d disagree with %s" % cls.MATRIX)
+        return inst
 
 
 class SmoothTerm:

@@ -8,7 +8,6 @@ followed by a scalar cubic root for the norm.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -17,12 +16,12 @@ import numpy as np
 
 from .errors import ValidationError
 from .kernels import QuarticKernel, cubic_root_scale
-from .problems import (CompositeObjective, L1Term, SmoothTerm, check_seed,
-                       check_shapes, soft_threshold)
+from .problems import (CompositeObjective, Instance, L1Term, SmoothTerm,
+                       check_seed, check_theta, soft_threshold)
 
 
 @dataclass(frozen=True)
-class QipInstance:
+class QipInstance(Instance):
     """Measurement vectors a_i (rows of a), data b, l1 weight theta."""
 
     a: np.ndarray
@@ -31,21 +30,13 @@ class QipInstance:
     seed: int
     x_true: np.ndarray
 
+    MATRIX = "a"
+
     def __post_init__(self):
-        check_seed(self.seed)
-        check_shapes("a", self.a, self.b, self.x_true)
+        super().__post_init__()
         if not np.isfinite(self.b).all():
             raise ValidationError("b must be finite")
-        if not (math.isfinite(self.theta) and self.theta >= 0.0):
-            raise ValidationError("theta must be finite and >= 0")
-
-    @property
-    def m(self) -> int:
-        return self.a.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.a.shape[1]
+        check_theta(self.theta)
 
     @cached_property
     def _bounds(self) -> tuple:
@@ -100,11 +91,6 @@ def _quartic(inst: QipInstance, x, value=True, gradient=True):
             inst.a.T @ (r * ax) if gradient else None)
 
 
-def qip_gradient(inst: QipInstance, x) -> np.ndarray:
-    """Gradient of the smooth part: sum_i (<a_i,x>^2 - b_i) <a_i,x> a_i."""
-    return _quartic(inst, x, value=False)[1]
-
-
 def qip_prox(inst: QipInstance, y, grad, lam: float) -> np.ndarray:
     """Closed-form prox of theta*||.||_1 under the quartic kernel.
 
@@ -128,10 +114,11 @@ class QipSmooth(SmoothTerm):
         return _quartic(self.inst, x, gradient=False)[0]
 
     def gradient(self, x):
-        return qip_gradient(self.inst, x)
+        """sum_i (<a_i,x>^2 - b_i) <a_i,x> a_i."""
+        return _quartic(self.inst, x, value=False)[1]
 
     def value_and_gradient(self, x):
-        """value and qip_gradient from one forward product a x."""
+        """value and gradient from one forward product a x."""
         return _quartic(self.inst, x)
 
     def smad_constant(self):
@@ -156,28 +143,5 @@ def default_x0(inst: QipInstance) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def to_json(inst: QipInstance) -> str:
-    doc = {
-        "m": inst.m,
-        "d": inst.d,
-        "seed": inst.seed,
-        "theta": inst.theta,
-        "a": [[float(v) for v in row] for row in inst.a],
-        "b": [float(v) for v in inst.b],
-        "x_true": [float(v) for v in inst.x_true],
-    }
-    return json.dumps(doc, sort_keys=True)
-
-
-def from_json(text: str) -> QipInstance:
-    doc = json.loads(text)
-    a = np.asarray(doc["a"], dtype=float)
-    if a.shape != (int(doc["m"]), int(doc["d"])):
-        raise ValidationError("a is not the m x d matrix the document states")
-    return QipInstance(
-        a=a,
-        b=np.asarray(doc["b"], dtype=float),
-        theta=float(doc["theta"]),
-        seed=int(doc["seed"]),
-        x_true=np.asarray(doc["x_true"], dtype=float),
-    )
+to_json = QipInstance.to_json
+from_json = QipInstance.from_json

@@ -133,7 +133,7 @@ def test_criterion_03_prox_matches_grid_oracle(report):
         rng = np.random.default_rng([seed, 7])
         for _ in range(10):
             y = rng.uniform(0.3, 1.5, 2)
-            grad = plip.kl_gradient(inst, y)
+            grad = plip.PlipSmooth(inst).gradient(y)
             x = plip.plip_prox(inst, y, grad, lam)
             x_star, v_star = prox_oracle(kernel, lambda u: 0.0, y, grad, lam,
                                          lo=1e-3, hi=4.0)
@@ -152,7 +152,7 @@ def test_criterion_03_prox_matches_grid_oracle(report):
 
         for _ in range(10):
             y = rng.standard_normal(2)
-            grad = qip.qip_gradient(inst, y)
+            grad = qip.QipSmooth(inst).gradient(y)
             x = qip.qip_prox(inst, y, grad, lam)
             x_star, v_star = prox_oracle(kernel, g_value, y, grad, lam,
                                          lo=-3.0, hi=3.0)

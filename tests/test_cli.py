@@ -213,8 +213,8 @@ class TestNegativeSeed:
     def test_instance_seed_is_rejected(self, command, tmp_path, capsys):
         argv = [command, "--problem", "plip", "--m", "10", "--d", "3",
                 "--seed", "-1"]
-        if command != "check":
-            argv += ["--out", str(tmp_path)]
+        if command != "check":  # a fresh --out must not be created
+            argv += ["--out", str(tmp_path / "out")]
         assert cli.main(argv) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and "seed" in captured.err
@@ -259,6 +259,24 @@ class TestFileErrors:
         assert cli.main(argv + ["--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["solve", "sweep"])
+    def test_out_is_file_fails_before_solving(self, command, tmp_path,
+                                              capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(harness, "run_cell",
+                            lambda *args, **kwargs: calls.append(args))
+        spec, out = tmp_path / "spec.json", tmp_path / "out"
+        spec.write_text(json.dumps({"problem": "plip", "sizes": [[10, 2]]}),
+                        encoding="utf-8")
+        out.write_text("", encoding="utf-8")
+        if command == "sweep":
+            argv = ["sweep", "--spec", str(spec)]
+        else:
+            argv = ["solve", "--problem", "plip", "--m", "10", "--d", "2"]
+        assert cli.main(argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert calls == []
 
 
 class TestCheck:

@@ -1,9 +1,12 @@
 import ast
+from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bregopt
+from bregopt import harness
 
 SRC = Path(bregopt.__file__).resolve().parent
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -13,6 +16,20 @@ def test_every_exported_name_resolves():
     missing = [name for name in bregopt.__all__
                if not hasattr(bregopt, name)]
     assert missing == []
+
+
+@pytest.mark.parametrize("name", sorted(harness.PROBLEM_MODULES))
+def test_problem_module_protocol(name):
+    module = harness.PROBLEM_MODULES[name]
+    for attr in ("generate", "make_objective", "default_x0", "to_json",
+                 "from_json"):
+        assert callable(getattr(module, attr, None)), attr
+    inst = module.generate(12, 5, seed=21, theta=0.7)
+    back = module.from_json(module.to_json(inst))
+    assert type(back) is type(inst)
+    for f in fields(inst):
+        want, got = getattr(inst, f.name), getattr(back, f.name)
+        assert type(got) is type(want) and np.array_equal(got, want), f.name
 
 
 def unused_imports(source: str):

@@ -36,12 +36,13 @@ class TestGeneration:
 class TestKlValue:
     def test_zero_at_consistent_data(self):
         inst = plip.generate_plip(30, 6, seed=4)
-        assert plip.kl_value(inst, inst.x_true) == pytest.approx(0.0, abs=1e-10)
+        assert plip.PlipSmooth(inst).value(inst.x_true) == pytest.approx(
+            0.0, abs=1e-10)
 
     def test_scalar_hand_value(self):
         inst = plip.PlipInstance(A=np.array([[1.0]]), b=np.array([1.0]),
                                  seed=0, x_true=np.array([1.0]))
-        assert plip.kl_value(inst, np.array([2.0])) == pytest.approx(
+        assert plip.PlipSmooth(inst).value(np.array([2.0])) == pytest.approx(
             1.0 - np.log(2.0))
 
     def test_nonnegative(self):
@@ -49,32 +50,33 @@ class TestKlValue:
         rng = np.random.default_rng(0)
         for _ in range(200):
             x = rng.uniform(0.05, 3.0, 5)
-            assert plip.kl_value(inst, x) >= -1e-12
+            assert plip.PlipSmooth(inst).value(x) >= -1e-12
 
     def test_rejects_nonpositive_point(self):
         inst = plip.generate_plip(10, 3, seed=6)
         with pytest.raises(DomainError):
-            plip.kl_value(inst, np.array([1.0, 0.0, 1.0]))
+            plip.PlipSmooth(inst).value(np.array([1.0, 0.0, 1.0]))
 
 
 class TestKlGradient:
     def test_zero_at_consistent_data(self):
         inst = plip.generate_plip(30, 6, seed=7)
-        g = plip.kl_gradient(inst, inst.x_true)
+        g = plip.PlipSmooth(inst).gradient(inst.x_true)
         assert np.linalg.norm(g) < 1e-9
 
     def test_scalar_hand_value(self):
         inst = plip.PlipInstance(A=np.array([[1.0]]), b=np.array([1.0]),
                                  seed=0, x_true=np.array([1.0]))
-        assert plip.kl_gradient(inst, np.array([2.0])) == pytest.approx([0.5])
+        assert plip.PlipSmooth(inst).gradient(np.array([2.0])) == \
+            pytest.approx([0.5])
 
     def test_matches_finite_differences(self):
         inst = plip.generate_plip(25, 5, seed=8)
         rng = np.random.default_rng(1)
         for _ in range(100):
             x = rng.uniform(0.1, 2.0, 5)
-            g = plip.kl_gradient(inst, x)
-            fd = fd_gradient(lambda u: plip.kl_value(inst, u), x)
+            g = plip.PlipSmooth(inst).gradient(x)
+            fd = fd_gradient(lambda u: plip.PlipSmooth(inst).value(u), x)
             assert np.linalg.norm(g - fd) <= 1e-5 * max(1.0, np.linalg.norm(g))
 
 
@@ -97,7 +99,7 @@ class TestProx:
         rng = np.random.default_rng(2)
         for _ in range(50):
             y = rng.uniform(0.2, 2.0, 6)
-            grad = plip.kl_gradient(inst, y)
+            grad = plip.PlipSmooth(inst).gradient(y)
             x = plip.plip_prox(inst, y, grad, lam)
             assert np.all(x > 0.0)
             resid = np.linalg.norm(kernel.gradient(x) - kernel.gradient(y)
@@ -111,7 +113,7 @@ class TestProx:
         rng = np.random.default_rng(3)
         for _ in range(10):
             y = rng.uniform(0.3, 1.5, 2)
-            grad = plip.kl_gradient(inst, y)
+            grad = plip.PlipSmooth(inst).gradient(y)
             x = plip.plip_prox(inst, y, grad, lam)
             x_star, _ = prox_oracle(kernel, lambda u: 0.0, y, grad, lam,
                                     lo=1e-3, hi=4.0)
@@ -126,7 +128,7 @@ class TestProx:
         rng = np.random.default_rng(4)
         for _ in range(100):
             y = rng.uniform(0.05, 3.0, 6)
-            grad = plip.kl_gradient(inst, y)
+            grad = plip.PlipSmooth(inst).gradient(y)
             ref = plip.plip_prox(inst, y, grad, lam)
             np.testing.assert_allclose(
                 obj.nonsmooth.prox(
@@ -159,15 +161,6 @@ def test_default_x0_range_and_determinism():
     assert np.array_equal(x0, plip.default_x0(inst))
 
 
-def test_json_round_trip():
-    inst = plip.generate_plip(15, 4, seed=14)
-    back = plip.from_json(plip.to_json(inst))
-    assert np.array_equal(inst.A, back.A)
-    assert np.array_equal(inst.b, back.b)
-    assert np.array_equal(inst.x_true, back.x_true)
-    assert inst.seed == back.seed
-
-
 class TestValidation:
     def doc(self, **changes):
         doc = json.loads(plip.to_json(plip.generate_plip(6, 3, seed=15)))
@@ -186,12 +179,35 @@ class TestValidation:
             plip.from_json(self.doc(A=[1.0] * 17))
 
     def test_from_json_rejects_negative_seed(self):
-        with pytest.raises(ValidationError, match="seed"):
-            plip.from_json(self.doc(seed=-1))
+        for seed in (-1, 1.7):  # nor a non-integer one
+            with pytest.raises(ValidationError, match="seed"):
+                plip.from_json(self.doc(seed=seed))
 
     def test_generate_rejects_negative_seed(self):
+        for seed in (-1, True):  # a bool is not an integer seed
+            with pytest.raises(ValidationError, match="seed"):
+                plip.generate_plip(6, 3, seed=seed)
         with pytest.raises(ValidationError, match="seed"):
-            plip.generate_plip(6, 3, seed=-1)
+            plip.PlipInstance(A=np.array([[1.0]]), b=np.array([1.0]),
+                              seed=1.5, x_true=np.array([1.0]))
+
+    @pytest.mark.parametrize("case", [
+        "not-json", "list", "missing-field", "ragged-A", "string-in-A",
+        "flat-A"])
+    def test_from_json_rejects_malformed(self, case):
+        doc = json.loads(self.doc())
+        A = doc["A"]
+        text = {
+            "not-json": "{",
+            "list": "[]",
+            "missing-field": json.dumps({k: v for k, v in doc.items()
+                                         if k != "x_true"}),
+            "ragged-A": self.doc(A=A[:-1] + [A[-1][:2]]),
+            "string-in-A": self.doc(A=[["0.5"] + A[0][1:]] + A[1:]),
+            "flat-A": self.doc(A=[v for row in A for v in row]),
+        }[case]
+        with pytest.raises(ValidationError):
+            plip.from_json(text)
 
     @pytest.mark.parametrize("A,b,x_true", [
         (np.ones((2, 3)), np.ones(3), np.ones(3)),

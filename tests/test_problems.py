@@ -1,3 +1,6 @@
+import json
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -12,10 +15,20 @@ from bregopt import (
     cubic_root_scale,
     soft_threshold,
 )
-from bregopt import plip, qip
+from bregopt import harness, plip, qip
 from bregopt.problems import CompositeObjective, SmoothTerm
 
 from helpers import fd_gradient, prox_oracle
+
+
+@pytest.mark.parametrize("name", sorted(harness.PROBLEM_MODULES))
+def test_instance_document_is_fields_plus_m_and_d(name):
+    # One format for every problem: the matrix as a list of rows.
+    inst = harness.generate_instance(name, 4, 3, seed=5)
+    doc = json.loads(inst.to_json())
+    assert set(doc) == {f.name for f in fields(inst)} | {"m", "d"}
+    assert (doc["m"], doc["d"]) == (4, 3)
+    assert doc[inst.MATRIX] == getattr(inst, inst.MATRIX).tolist()
 
 
 def test_plip_objective_zero_at_consistent_data():

@@ -57,11 +57,13 @@ class TestValueAndGradient:
         inst = scalar_instance()
         psi = qip.make_objective(inst).value(np.array([2.0]))
         assert psi == pytest.approx(4.25)
-        assert qip.qip_gradient(inst, np.array([2.0])) == pytest.approx([6.0])
+        assert qip.QipSmooth(inst).gradient(np.array([2.0])) == \
+            pytest.approx([6.0])
 
     def test_gradient_zero_at_origin(self):
         inst = qip.generate_qip(20, 5, seed=13)
-        assert np.array_equal(qip.qip_gradient(inst, np.zeros(5)), np.zeros(5))
+        assert np.array_equal(qip.QipSmooth(inst).gradient(np.zeros(5)),
+                              np.zeros(5))
 
     def test_gradient_matches_finite_differences(self):
         inst = qip.generate_qip(15, 5, seed=14)
@@ -109,7 +111,7 @@ class TestProx:
         rng = np.random.default_rng(1)
         for _ in range(50):
             y = rng.standard_normal(6)
-            grad = qip.qip_gradient(inst, y)
+            grad = qip.QipSmooth(inst).gradient(y)
             x = qip.qip_prox(inst, y, grad, lam)
             c = kernel.gradient(y) - lam * grad
             v = qip.soft_threshold(c, lam * inst.theta)
@@ -123,7 +125,7 @@ class TestProx:
         rng = np.random.default_rng(2)
         for _ in range(50):
             y = rng.standard_normal(6)
-            grad = qip.qip_gradient(inst, y)
+            grad = qip.QipSmooth(inst).gradient(y)
             x = qip.qip_prox(inst, y, grad, lam)
             c = kernel.gradient(y) - lam * grad
             tau = lam * inst.theta
@@ -141,7 +143,7 @@ class TestProx:
         rng = np.random.default_rng(4)
         for _ in range(100):
             y = rng.standard_normal(6)
-            ref = qip.qip_prox(inst, y, qip.qip_gradient(inst, y), lam)
+            ref = qip.qip_prox(inst, y, qip.QipSmooth(inst).gradient(y), lam)
             np.testing.assert_allclose(obj.prox_step(y, lam), ref,
                                        rtol=1e-14, atol=0.0)
 
@@ -156,7 +158,7 @@ class TestProx:
 
         for _ in range(10):
             y = rng.standard_normal(2)
-            grad = qip.qip_gradient(inst, y)
+            grad = qip.QipSmooth(inst).gradient(y)
             x = qip.qip_prox(inst, y, grad, lam)
             x_star, v_star = prox_oracle(kernel, g_value, y, grad, lam,
                                          lo=-3.0, hi=3.0)
@@ -183,15 +185,6 @@ def test_default_x0_unit_norm():
     assert np.array_equal(x0, qip.default_x0(inst))
 
 
-def test_json_round_trip():
-    inst = qip.generate_qip(12, 5, seed=21, theta=0.7)
-    back = qip.from_json(qip.to_json(inst))
-    assert np.array_equal(inst.a, back.a)
-    assert np.array_equal(inst.b, back.b)
-    assert np.array_equal(inst.x_true, back.x_true)
-    assert inst.theta == back.theta and inst.seed == back.seed
-
-
 def test_noise_flag_perturbs_measurements():
     clean = qip.generate_qip(20, 5, seed=22)
     noisy = qip.generate_qip(20, 5, seed=22, noise_std=0.1)
@@ -208,15 +201,36 @@ class TestValidation:
     @pytest.mark.parametrize("changes", [
         {"b": [1.0] * 5}, {"b": [1.0] * 5 + [np.inf]},
         {"theta": -2.0}, {"theta": np.nan}, {"seed": -1},
+        {"theta": "0.5"}, {"seed": 1.7},
     ], ids=["short-b", "inf-b", "negative-theta", "nan-theta",
-            "negative-seed"])
+            "negative-seed", "string-theta", "float-seed"])
     def test_from_json_rejects(self, changes):
         with pytest.raises(ValidationError):
             qip.from_json(self.doc(**changes))
 
     def test_generate_rejects_negative_seed(self):
+        for seed in (-1, True):  # a bool is not an integer seed
+            with pytest.raises(ValidationError, match="seed"):
+                qip.generate_qip(6, 3, seed=seed)
         with pytest.raises(ValidationError, match="seed"):
-            qip.generate_qip(6, 3, seed=-1)
+            qip.QipInstance(a=np.array([[1.0]]), b=np.array([1.0]),
+                            theta=1.0, seed=1.5, x_true=np.array([1.0]))
+
+    @pytest.mark.parametrize("case", [
+        "not-json", "list", "missing-field", "ragged-a", "string-in-a"])
+    def test_from_json_rejects_malformed(self, case):
+        doc = json.loads(self.doc())
+        a = doc["a"]
+        text = {
+            "not-json": "{",
+            "list": "[]",
+            "missing-field": json.dumps({k: v for k, v in doc.items()
+                                         if k != "theta"}),
+            "ragged-a": self.doc(a=a[:-1] + [a[-1][:2]]),
+            "string-in-a": self.doc(a=[["0.5"] + a[0][1:]] + a[1:]),
+        }[case]
+        with pytest.raises(ValidationError):
+            qip.from_json(text)
 
     def test_from_json_rejects_shape_unlike_header(self):
         with pytest.raises(ValidationError):
