@@ -33,8 +33,6 @@ from .solvers import (
     bpg_solve,
     bpge_solve,
     line_search_beta,
-    pg_solve,
-    pge_solve,
     sublinear_rate_check,
 )
 
@@ -47,7 +45,7 @@ __all__ = [
     "EXIT_TOLERANCE", "EXIT_MAX_ITERATIONS", "EXIT_NUMERICAL_FAILURE",
     "EXIT_MODES", "RateReport",
     "LineSearchConfig", "SolverConfig", "IterationRecord", "SolveResult",
-    "line_search_beta", "bpge_solve", "bpg_solve", "pge_solve", "pg_solve",
+    "line_search_beta", "bpge_solve", "bpg_solve",
     "sublinear_rate_check",
 ]
 

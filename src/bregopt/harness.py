@@ -33,7 +33,7 @@ from .solvers import (
 PROBLEM_MODULES = {"plip": plip, "qip": qip}
 PROBLEMS = tuple(PROBLEM_MODULES)
 LAMBDA_RULES = {"1/L": 1.0, "1/2L": 2.0, "1/3L": 3.0}
-SOLVERS = ("bpg", "bpge", "pg", "pge")
+SOLVERS = ("bpge", "bpg")
 
 TRACE_HEADER = ("iter", "psi", "psi_gap", "dh_step", "lyapunov", "beta",
                 "shrinks", "residual", "cum_time_s")
@@ -103,10 +103,6 @@ class ExperimentSpec:
         for solver in self.solvers:
             if solver not in SOLVERS:
                 raise ValidationError("unknown solver %r" % (solver,))
-            if solver in ("pg", "pge"):
-                raise ValidationError(
-                    "%s cannot be applied to %s: the smooth part has no "
-                    "globally Lipschitz gradient" % (solver, self.problem))
         if self.repetitions < 1:
             raise ValidationError("repetitions must be positive")
 
@@ -217,17 +213,6 @@ def write_trace_csv(result: SolveResult, path) -> None:
             ])
 
 
-def emit_convergence_curves(results: dict, out_dir) -> List[Path]:
-    """Write one trace CSV per named run into out_dir; returns the paths."""
-    out_dir = Path(out_dir)
-    paths = []
-    for name, result in results.items():
-        path = out_dir / ("trace_%s.csv" % name)
-        write_trace_csv(result, path)
-        paths.append(path)
-    return paths
-
-
 def run_cell(spec: ExperimentSpec, m: int, d: int, rule: str, rho: float,
              seed: int, rep: int = 0):
     """Every solver of the spec on the instance generated from seed, from
@@ -258,7 +243,8 @@ def run_comparison(spec: ExperimentSpec, out_dir=None) -> List[ComparisonRow]:
     failure inside a run is recorded in its row, not fatal to the sweep.
     """
     if out_dir is not None:
-        Path(out_dir).mkdir(parents=True, exist_ok=True)
+        out_dir = Path(out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
     cells = list(itertools.product(spec.sizes, range(len(spec.lambdas)),
                                    range(len(spec.rhos)),
                                    range(spec.repetitions)))
@@ -268,13 +254,12 @@ def run_comparison(spec: ExperimentSpec, out_dir=None) -> List[ComparisonRow]:
 
     rows = [row for row, _ in outcomes]
     if out_dir is not None:
-        emit_convergence_curves({
-            "%s_m%d_d%d_lam%d_rho%d_rep%d_%s" % (
-                spec.problem, m, d, li, ri, rep, solver): result
-            for ((m, d), li, ri, rep), (_, results) in zip(cells, outcomes)
-            for solver, result in results.items()
-        }, out_dir)
-        write_comparison_csv(rows, Path(out_dir) / "comparison.csv")
+        for ((m, d), li, ri, rep), (_, results) in zip(cells, outcomes):
+            for solver, result in results.items():
+                write_trace_csv(result, out_dir / (
+                    "trace_%s_m%d_d%d_lam%d_rho%d_rep%d_%s.csv"
+                    % (spec.problem, m, d, li, ri, rep, solver)))
+        write_comparison_csv(rows, out_dir / "comparison.csv")
     return rows
 
 

@@ -40,14 +40,11 @@ class PlipInstance(Instance):
         return float(np.sum(np.abs(self.b)))
 
 
-def generate_plip(m: int, d: int, seed: int,
-                  poisson_noise: bool = False) -> PlipInstance:
+def generate_plip(m: int, d: int, seed: int) -> PlipInstance:
     """Seeded instance: A and x_true entrywise uniform, b = A x_true.
 
     Entries of A are drawn in (0, 1]; columns that end up entirely below
-    1e-12 are resampled so no coordinate of x is unconstrained. With
-    poisson_noise the data are replaced by a Poisson sample of A x_true
-    (floored away from zero, since the KL fit needs b > 0).
+    1e-12 are resampled so no coordinate of x is unconstrained.
     """
     if m < 1 or d < 1:
         raise ValidationError("m and d must be >= 1")
@@ -62,10 +59,7 @@ def generate_plip(m: int, d: int, seed: int,
     x_true = rng.random(d)
     while np.min(A @ x_true) <= 0.0:
         x_true = rng.random(d)
-    b = A @ x_true
-    if poisson_noise:
-        b = np.maximum(rng.poisson(b).astype(float), 1e-3)
-    return PlipInstance(A=A, b=b, seed=int(seed), x_true=x_true)
+    return PlipInstance(A=A, b=A @ x_true, seed=int(seed), x_true=x_true)
 
 
 def generate(m: int, d: int, seed: int, theta: float = 1.0) -> PlipInstance:

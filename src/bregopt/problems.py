@@ -40,17 +40,22 @@ def check_theta(theta) -> None:
 class Instance:
     """Base of the frozen instance dataclasses: a nonempty m x d matrix in
     the field each subclass names as MATRIX, b with m entries, x_true with
-    d, and a seed; subclasses add their data checks after this
-    `__post_init__`, which reads shapes only. The JSON document is every
-    field plus m and d, the arrays as lists (the matrix as rows)."""
+    d, all three numpy arrays, and a seed; subclasses add their data checks
+    after this `__post_init__`, which reads types and shapes only. The JSON
+    document is every field plus m and d, the arrays as lists (the matrix
+    as rows)."""
 
     def __post_init__(self):
         check_seed(self.seed)
-        shape = np.shape(getattr(self, self.MATRIX))
+        arrays = (getattr(self, self.MATRIX), self.b, self.x_true)
+        if not all(isinstance(v, np.ndarray) for v in arrays):
+            raise ValidationError("%s, b and x_true must be numpy arrays"
+                                  % self.MATRIX)
+        shape = arrays[0].shape
         if len(shape) != 2 or 0 in shape:
             raise ValidationError("%s must be a nonempty m x d matrix"
                                   % self.MATRIX)
-        if np.shape(self.b) != shape[:1] or np.shape(self.x_true) != shape[1:]:
+        if self.b.shape != shape[:1] or self.x_true.shape != shape[1:]:
             raise ValidationError("b needs %d entries and x_true %d" % shape)
 
     @property
@@ -188,12 +193,6 @@ class CompositeObjective:
     def value(self, x: np.ndarray) -> float:
         x = self.kernel.require_interior(x, "x")
         return self.smooth.value(x) + self.nonsmooth.value(x)
-
-    def prox_step(self, y: np.ndarray, lam: float) -> np.ndarray:
-        """The prox step from y: checks y, then forms the mirror point."""
-        y = self.kernel.require_interior(y, "y")
-        z = self.kernel.gradient(y) - lam * self.smooth.gradient(y)
-        return self.nonsmooth.prox(self.kernel, z, lam)
 
 
 def default_sampler(kernel: Kernel):

@@ -56,13 +56,11 @@ class QipInstance(Instance):
         return self._bounds[1]
 
 
-def generate_qip(m: int, d: int, seed: int, theta: float = 1.0,
-                 noise_std: float = 0.0) -> QipInstance:
+def generate_qip(m: int, d: int, seed: int, theta: float = 1.0) -> QipInstance:
     """Seeded instance: Gaussian a_i, 5%-sparse ground truth, b = <a_i, x*>^2.
 
     The support of x_true has ceil(0.05 * d) positions chosen uniformly
-    without replacement, values standard normal. noise_std > 0 adds
-    Gaussian noise to b (off by default).
+    without replacement, values standard normal.
     """
     if m < 1 or d < 1:
         raise ValidationError("m and d must be >= 1")
@@ -73,11 +71,8 @@ def generate_qip(m: int, d: int, seed: int, theta: float = 1.0,
     support = rng.choice(d, size=nnz, replace=False)
     x_true = np.zeros(d)
     x_true[support] = rng.standard_normal(nnz)
-    b = (a @ x_true) ** 2
-    if noise_std > 0.0:
-        b = b + noise_std * rng.standard_normal(m)
-    return QipInstance(a=a, b=b, theta=float(theta), seed=int(seed),
-                       x_true=x_true)
+    return QipInstance(a=a, b=(a @ x_true) ** 2, theta=float(theta),
+                       seed=int(seed), x_true=x_true)
 
 
 generate = generate_qip

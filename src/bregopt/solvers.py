@@ -21,8 +21,8 @@ from typing import ClassVar, List, Optional
 import numpy as np
 
 from .errors import DomainError, NumericalError, ValidationError
-from .kernels import EuclideanKernel, Kernel
-from .problems import CompositeObjective
+from .kernels import Kernel
+from .problems import CompositeObjective, is_integer, is_number
 
 EXIT_TOLERANCE = "tolerance"
 EXIT_MAX_ITERATIONS = "max_iterations"
@@ -61,12 +61,12 @@ class SolverConfig:
     keep_iterates: bool = False
 
     def __post_init__(self):
-        if not (math.isfinite(self.lam) and self.lam > 0.0):
-            raise ValidationError("step size lam must be positive and finite")
-        if not (math.isfinite(self.tol) and self.tol > 0.0):
-            raise ValidationError("tol must be positive and finite")
-        if not self.k_max >= 1:
-            raise ValidationError("k_max must be positive")
+        for name in ("lam", "tol"):
+            v = getattr(self, name)
+            if not (is_number(v) and math.isfinite(v) and v > 0.0):
+                raise ValidationError("%s must be positive and finite" % name)
+        if not (is_integer(self.k_max) and self.k_max >= 1):
+            raise ValidationError("k_max must be a positive integer")
         if self.exit_mode not in EXIT_MODES:
             raise ValidationError(
                 "exit_mode must be one of %s" % (EXIT_MODES,)
@@ -220,26 +220,6 @@ def bpge_solve(obj: CompositeObjective, x0: np.ndarray,
 def bpg_solve(obj: CompositeObjective, x0, cfg: SolverConfig) -> SolveResult:
     """Plain Bregman proximal gradient: beta forced to 0, no line search."""
     return bpge_solve(obj, x0, cfg, _extrapolate=False)
-
-
-def _require_euclidean(obj: CompositeObjective, name: str):
-    if not isinstance(obj.kernel, EuclideanKernel):
-        raise ValidationError(
-            "%s requires the Euclidean kernel (globally Lipschitz gradient); "
-            "got %s" % (name, type(obj.kernel).__name__)
-        )
-
-
-def pge_solve(obj: CompositeObjective, x0, cfg: SolverConfig) -> SolveResult:
-    """Extrapolated proximal gradient; the Euclidean special case."""
-    _require_euclidean(obj, "pge_solve")
-    return bpge_solve(obj, x0, cfg)
-
-
-def pg_solve(obj: CompositeObjective, x0, cfg: SolverConfig) -> SolveResult:
-    """Classical proximal gradient; the Euclidean special case without beta."""
-    _require_euclidean(obj, "pg_solve")
-    return bpg_solve(obj, x0, cfg)
 
 
 @dataclass(frozen=True)

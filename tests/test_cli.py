@@ -75,7 +75,15 @@ class TestSolve:
                              "--d", "3", "--solver", "pg",
                              "--out", str(tmp_path)])
             assert code == 1
-            assert "Lipschitz" in capsys.readouterr().err
+            assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("solver", harness.SOLVERS)
+    @pytest.mark.parametrize("problem", harness.PROBLEMS)
+    def test_every_offered_solver_runs(self, problem, solver, tmp_path):
+        # No solver name is offered only to be refused.
+        assert cli.main(["solve", "--problem", problem, "--m", "10",
+                         "--d", "3", "--solver", solver, "--kmax", "20",
+                         "--out", str(tmp_path)]) == 0
 
     @pytest.mark.parametrize("flag", ["--m", "--d"])
     def test_zero_size_is_rejected(self, flag, tmp_path, capsys):

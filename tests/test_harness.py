@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bregopt import ValidationError
-from bregopt import harness, plip, qip
+from bregopt import harness, plip
 
 
 def tiny_spec(**overrides):
@@ -16,11 +16,11 @@ def tiny_spec(**overrides):
 
 class TestSpecValidation:
     def test_rejects_pg_on_plip(self):
-        with pytest.raises(ValidationError, match="Lipschitz"):
+        with pytest.raises(ValidationError, match="unknown solver"):
             tiny_spec(solvers=("pg",))
 
     def test_rejects_pge_on_qip(self):
-        with pytest.raises(ValidationError, match="Lipschitz"):
+        with pytest.raises(ValidationError, match="unknown solver"):
             tiny_spec(problem="qip", solvers=("pge",))
 
     def test_rejects_unknown_fields(self):
@@ -170,20 +170,6 @@ class TestTraceCsv:
                     for d in ("plain", "numpy"))
             assert harness.strip_timing_columns(a) == \
                 harness.strip_timing_columns(b)
-
-
-def test_emit_convergence_curves(tmp_path):
-    from bregopt import SolverConfig, bpge_solve
-    inst = qip.generate_qip(30, 5, seed=23)
-    obj, x0 = qip.make_objective(inst), qip.default_x0(inst)
-    result = bpge_solve(obj, x0,
-                        SolverConfig(lam=1.0 / obj.smooth.smad_constant(),
-                                     k_max=100))
-    paths = harness.emit_convergence_curves({"demo": result}, tmp_path)
-    assert paths == [tmp_path / "trace_demo.csv"]
-    rows = read_csv(paths[0])
-    assert rows[0] == list(harness.TRACE_HEADER)
-    assert len(rows) - 2 == result.iterations
 
 
 def test_sweep_calls_the_patchable_module_globals(tmp_path, monkeypatch):

@@ -16,8 +16,6 @@ from bregopt import (
     bpg_solve,
     bpge_solve,
     line_search_beta,
-    pg_solve,
-    pge_solve,
     soft_threshold,
     sublinear_rate_check,
 )
@@ -168,20 +166,12 @@ class TestReductions:
                                  EuclideanKernel(4))
         lam = 1.0 / obj.smooth.smad_constant()
         cfg = SolverConfig(lam=lam, k_max=50, tol=1e-300, keep_iterates=True)
-        result = pg_solve(obj, np.zeros(4), cfg)
+        # With the Euclidean kernel BPG is the proximal gradient method.
+        result = bpg_solve(obj, np.zeros(4), cfg)
         x = np.zeros(4)
         for a in result.iterates[1:]:
             x = x - lam * obj.smooth.gradient(x)
             assert np.linalg.norm(a - x) <= 1e-12
-
-    def test_pg_pge_reject_non_euclidean(self):
-        inst = qip.generate_qip(20, 4, seed=4)
-        obj, x0 = qip.make_objective(inst), qip.default_x0(inst)
-        cfg = SolverConfig(lam=1.0 / obj.smooth.smad_constant())
-        with pytest.raises(ValidationError):
-            pg_solve(obj, x0, cfg)
-        with pytest.raises(ValidationError):
-            pge_solve(obj, x0, cfg)
 
 
 class TestDescentDiagnostics:
@@ -310,6 +300,14 @@ class TestConfigValidation:
     def test_rejects_nan_tol(self):
         with pytest.raises(ValidationError):
             SolverConfig(lam=0.1, tol=float("nan"))
+
+    @pytest.mark.parametrize("field,value", [
+        ("k_max", 2.5), ("k_max", True), ("k_max", "5"), ("tol", "1"),
+        ("lam", "0.1"), ("lam", True),
+    ])
+    def test_rejects_mistyped_field(self, field, value):
+        with pytest.raises(ValidationError):
+            SolverConfig(**{"lam": 0.1, field: value})
 
 
 class TestExitModes:
