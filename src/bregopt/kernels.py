@@ -73,10 +73,11 @@ class Kernel:
         y = self.require_interior(y, "y")
         return self._bregman(x, y)
 
-    def _bregman(self, x: np.ndarray, y: np.ndarray) -> float:
-        """`bregman` for float vectors already known to be interior."""
+    def _bregman(self, x: np.ndarray, y: np.ndarray, hgrad_y=None) -> float:
+        """`bregman` for interior float vectors; hgrad_y = grad h(y) if held."""
+        g = self.gradient(y) if hgrad_y is None else hgrad_y
         hx, hy = self.value(x), self.value(y)
-        inner = float(np.dot(self.gradient(y), x - y))
+        inner = float(np.dot(g, x - y))
         return _clamp_nonnegative(hx - hy - inner,
                                   abs(hx) + abs(hy) + abs(inner))
 
@@ -107,7 +108,7 @@ class EuclideanKernel(Kernel):
     def inverse_gradient(self, z):
         return np.array(z, dtype=float)
 
-    def _bregman(self, x, y):
+    def _bregman(self, x, y, hgrad_y=None):
         r = x - y
         return 0.5 * float(np.dot(r, r))
 
@@ -135,7 +136,7 @@ class BurgKernel(Kernel):
             raise DomainError("Burg inverse gradient needs every component < 0")
         return -1.0 / z
 
-    def _bregman(self, x, y):
+    def _bregman(self, x, y, hgrad_y=None):
         t = x / y
         return _clamp_nonnegative(float((t - np.log(t) - 1.0).sum()))
 

@@ -14,8 +14,8 @@ import numpy as np
 
 from .errors import DomainError, NumericalError, ValidationError
 from .kernels import BurgKernel
-from .problems import (CompositeObjective, Instance, SmoothTerm, ZeroTerm,
-                       check_seed, check_theta)
+from .problems import (CompositeObjective, Instance, LinearModelSmooth,
+                       ZeroTerm, check_seed, check_theta)
 
 
 @dataclass(frozen=True)
@@ -75,15 +75,6 @@ def _require_positive(x) -> np.ndarray:
     return x
 
 
-def _kl(inst: PlipInstance, x, value=True, gradient=True):
-    """KL value and gradient A^T (1 - b/Ax) from one A x; None if not asked."""
-    Ax = inst.A @ x
-    ratio = inst.b / Ax
-    return (float((inst.b * np.log(ratio) + Ax - inst.b).sum())
-            if value else None,
-            inst.A.T @ (1.0 - ratio) if gradient else None)
-
-
 def plip_prox(inst: PlipInstance, y, grad, lam: float) -> np.ndarray:
     """Closed-form mirror step x_j = y_j / (1 + lam * y_j * grad_j).
 
@@ -99,25 +90,22 @@ def plip_prox(inst: PlipInstance, y, grad, lam: float) -> np.ndarray:
     return y / denom
 
 
-class PlipSmooth(SmoothTerm):
-    """KL data fit; convex, hence mu = 0, with L = ||b||_1."""
+class PlipSmooth(LinearModelSmooth):
+    """KL data fit of u = A x; convex, hence mu = 0, with L = ||b||_1."""
 
-    def __init__(self, inst: PlipInstance):
-        self.inst = inst
+    _point = staticmethod(_require_positive)
 
-    def value(self, x):
-        """sum_i { b_i log(b_i / (Ax)_i) + (Ax)_i - b_i }, nonnegative."""
-        return _kl(self.inst, _require_positive(x), gradient=False)[0]
+    def at_forward(self, u, value=True, gradient=True):
+        """sum_i { b_i log(b_i / u_i) + u_i - b_i } and A^T (1 - b/u)."""
+        b = self.inst.b
+        ratio = b / u
+        return (float((b * np.log(ratio) + u - b).sum()) if value else None,
+                self.M.T @ (1.0 - ratio) if gradient else None)
 
-    def gradient(self, x):
-        return _kl(self.inst, _require_positive(x), value=False)[1]
-
-    def value_and_gradient(self, x):
-        """value and gradient from one forward product A x."""
-        return _kl(self.inst, x)
-
-    def smad_constant(self):
-        return self.inst.smad_bound
+    def carry(self, u_curr, u_prev, beta, y):
+        """The affine carry, or A y where rounding leaves it outside u > 0."""
+        u = super().carry(u_curr, u_prev, beta, y)
+        return u if (u > 0.0).all() else self.forward(y)
 
 
 def make_objective(inst: PlipInstance) -> CompositeObjective:

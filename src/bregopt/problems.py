@@ -40,17 +40,18 @@ def check_theta(theta) -> None:
 class Instance:
     """Base of the frozen instance dataclasses: a nonempty m x d matrix in
     the field each subclass names as MATRIX, b with m entries, x_true with
-    d, all three numpy arrays, and a seed; subclasses add their data checks
-    after this `__post_init__`, which reads types and shapes only. The JSON
-    document is every field plus m and d, the arrays as lists (the matrix
-    as rows)."""
+    d, all three numpy arrays of ints or floats, and a seed; subclasses add
+    their data checks after this `__post_init__`, which reads types and
+    shapes only. The JSON document is every field plus m and d, the arrays
+    as lists (the matrix as rows)."""
 
     def __post_init__(self):
         check_seed(self.seed)
         arrays = (getattr(self, self.MATRIX), self.b, self.x_true)
-        if not all(isinstance(v, np.ndarray) for v in arrays):
-            raise ValidationError("%s, b and x_true must be numpy arrays"
-                                  % self.MATRIX)
+        if not all(isinstance(v, np.ndarray) and v.dtype.kind in "iuf"
+                   for v in arrays):
+            raise ValidationError("%s, b and x_true must be numpy arrays of "
+                                  "numbers" % self.MATRIX)
         shape = arrays[0].shape
         if len(shape) != 2 or 0 in shape:
             raise ValidationError("%s must be a nonempty m x d matrix"
@@ -95,7 +96,14 @@ class Instance:
 
 
 class SmoothTerm:
-    """Differentiable term f with its certified constants."""
+    """Differentiable term f with its certified constants.
+
+    The solvers take f and grad f at an iterate x from
+    `at_forward(forward(x))`, and grad f at BPGe's extrapolated y from
+    `carry`. The defaults (identity map, `value` and `gradient` at u, and
+    the affine carry, then y bit for bit) fit any term; f(x) = phi(Mx)
+    overrides them with u = Mx, so BPGe carries M y instead of forming it.
+    """
 
     def value(self, x: np.ndarray) -> float:
         raise NotImplementedError
@@ -103,14 +111,18 @@ class SmoothTerm:
     def gradient(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def value_and_gradient(self, x: np.ndarray):
-        """(f(x), grad f(x)) at a point x already checked to be interior.
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """The forward value u that f and grad f are computed from."""
+        return x
 
-        The solvers call this once per iterate. Override it to share work
-        between the two, such as a forward product. The shipped overrides
-        return the separate calls' results bit for bit.
-        """
-        return self.value(x), self.gradient(x)
+    def at_forward(self, u: np.ndarray, value=True, gradient=True):
+        """(f, grad f) at the x with forward(x) = u; None if not asked."""
+        return (self.value(u) if value else None,
+                self.gradient(u) if gradient else None)
+
+    def carry(self, u_curr, u_prev, beta: float, y: np.ndarray):
+        """forward(y), given u_curr = forward(x_curr) and u_prev likewise."""
+        return u_curr + beta * (u_curr - u_prev)
 
     def smad_constant(self) -> float:
         """Constant L such that L*h - f and L*h + f are convex."""
@@ -119,6 +131,29 @@ class SmoothTerm:
     def weak_convexity_constant(self) -> float:
         """Constant mu >= 0 such that f + mu*h is convex (0 for convex f)."""
         return 0.0
+
+
+class LinearModelSmooth(SmoothTerm):
+    """f(x) = phi(Mx) with M the instance matrix; a subclass defines
+    `at_forward` as phi(u) and M^T phi'(u), and the check `_point` on x."""
+
+    def __init__(self, inst: Instance):
+        self.inst = inst
+        self.M = getattr(inst, inst.MATRIX)
+
+    _point = staticmethod(np.asarray)
+
+    def forward(self, x):
+        return self.M @ x
+
+    def value(self, x):
+        return self.at_forward(self.forward(self._point(x)), gradient=False)[0]
+
+    def gradient(self, x):
+        return self.at_forward(self.forward(self._point(x)), value=False)[1]
+
+    def smad_constant(self):
+        return self.inst.smad_bound
 
 
 class NonsmoothTerm:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .kernels import QuarticKernel, cubic_root_scale
-from .problems import (CompositeObjective, Instance, L1Term, SmoothTerm,
+from .problems import (CompositeObjective, Instance, L1Term, LinearModelSmooth,
                        check_seed, check_theta, soft_threshold)
 
 
@@ -78,14 +78,6 @@ def generate_qip(m: int, d: int, seed: int, theta: float = 1.0) -> QipInstance:
 generate = generate_qip
 
 
-def _quartic(inst: QipInstance, x, value=True, gradient=True):
-    """(1/4)||(ax)^2 - b||^2 and its gradient from one a x; None if not asked."""
-    ax = inst.a @ np.asarray(x, dtype=float)
-    r = ax * ax - inst.b
-    return (0.25 * float(np.dot(r, r)) if value else None,
-            inst.a.T @ (r * ax) if gradient else None)
-
-
 def qip_prox(inst: QipInstance, y, grad, lam: float) -> np.ndarray:
     """Closed-form prox of theta*||.||_1 under the quartic kernel.
 
@@ -99,25 +91,14 @@ def qip_prox(inst: QipInstance, y, grad, lam: float) -> np.ndarray:
     return v / (r * r + 1.0)
 
 
-class QipSmooth(SmoothTerm):
-    """Quartic data fit with its certified envelope constants."""
+class QipSmooth(LinearModelSmooth):
+    """Quartic data fit of u = a x with its certified envelope constants."""
 
-    def __init__(self, inst: QipInstance):
-        self.inst = inst
-
-    def value(self, x):
-        return _quartic(self.inst, x, gradient=False)[0]
-
-    def gradient(self, x):
-        """sum_i (<a_i,x>^2 - b_i) <a_i,x> a_i."""
-        return _quartic(self.inst, x, value=False)[1]
-
-    def value_and_gradient(self, x):
-        """value and gradient from one forward product a x."""
-        return _quartic(self.inst, x)
-
-    def smad_constant(self):
-        return self.inst.smad_bound
+    def at_forward(self, u, value=True, gradient=True):
+        """(1/4)||u^2 - b||^2 and sum_i (u_i^2 - b_i) u_i a_i."""
+        r = u * u - self.inst.b
+        return (0.25 * float(np.dot(r, r)) if value else None,
+                self.M.T @ (r * u) if gradient else None)
 
     def weak_convexity_constant(self):
         return self.inst.weak_convexity_bound

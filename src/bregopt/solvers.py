@@ -41,12 +41,12 @@ class LineSearchConfig:
     max_shrinks: ClassVar[int] = 60
 
     def __post_init__(self):
-        if not 0.0 <= self.beta0 < 1.0:
-            raise ValidationError("beta0 must be in [0, 1)")
-        if not 0.0 < self.eta < 1.0:
-            raise ValidationError("eta must be in (0, 1)")
-        if not 0.0 < self.rho < 1.0:
-            raise ValidationError("rho must be in (0, 1)")
+        if not (is_number(self.beta0) and 0.0 <= self.beta0 < 1.0):
+            raise ValidationError("beta0 must be a number in [0, 1)")
+        if not (is_number(self.eta) and 0.0 < self.eta < 1.0):
+            raise ValidationError("eta must be a number in (0, 1)")
+        if not (is_number(self.rho) and 0.0 < self.rho < 1.0):
+            raise ValidationError("rho must be a number in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -134,9 +134,11 @@ def bpge_solve(obj: CompositeObjective, x0: np.ndarray,
 
     Each new point is checked against the kernel domain once: x0 here,
     each line-search trial in `line_search_beta` and each prox output
-    below. f and grad f are evaluated together once per iterate, grad h
-    once per new point, and grad f, grad h and D_h are carried over to
-    the next iteration where it needs them at the same point.
+    below. f and grad f come from one `smooth.forward` per iterate, grad h
+    once per new point, and grad f, grad h and D_h are carried over to the
+    next iteration where it needs them at the same point. At an
+    extrapolated y, `smooth.carry` forms forward(y) from those held: for
+    f(x) = phi(Mx), M y = M x + beta (M x - M x_prev) with no product.
     """
     kernel = obj.kernel
     smooth, nonsmooth = obj.smooth, obj.nonsmooth
@@ -150,9 +152,9 @@ def bpge_solve(obj: CompositeObjective, x0: np.ndarray,
     mu = smooth.weak_convexity_constant()
     C_k = inv_lam / (inv_lam + mu)
 
-    x_prev = x0.copy()
-    x_curr = x0.copy()
-    f_curr, grad_curr = smooth.value_and_gradient(x_curr)
+    x_prev = x_curr = x0.copy()
+    u_prev = u_curr = smooth.forward(x_curr)
+    f_curr, grad_curr = smooth.at_forward(u_curr)
     psi_curr = f_curr + nonsmooth.value(x_curr)
     hgrad_curr = kernel._gradient(x_curr)
     dh = 0.0  # D_h(x_prev, x_curr)
@@ -170,18 +172,20 @@ def bpge_solve(obj: CompositeObjective, x0: np.ndarray,
                 beta, shrinks = 0.0, 0
             if beta != 0.0:
                 y = x_curr + beta * (x_curr - x_prev)
-                grad_y = smooth.gradient(y)
+                grad_y = smooth.at_forward(
+                    smooth.carry(u_curr, u_prev, beta, y), value=False)[1]
                 hgrad_y = kernel._gradient(y)
             else:
-                y, grad_y, hgrad_y = x_curr, grad_curr, hgrad_curr
+                grad_y, hgrad_y = grad_curr, hgrad_curr
             x_next = nonsmooth.prox(kernel, hgrad_y - cfg.lam * grad_y,
                                     cfg.lam)
             if not kernel.in_interior_domain(x_next):
                 raise NumericalError("prox left the kernel domain")
-            f_next, grad_curr = smooth.value_and_gradient(x_next)
+            u_next = smooth.forward(x_next)
+            f_next, grad_curr = smooth.at_forward(u_next)
             psi_next = f_next + nonsmooth.value(x_next)
-            dh = kernel._bregman(x_curr, x_next)
             hgrad_curr = kernel._gradient(x_next)
+            dh = kernel._bregman(x_curr, x_next, hgrad_curr)
             r = grad_curr - grad_y - inv_lam * (hgrad_curr - hgrad_y)
             residual = math.sqrt(float(np.dot(r, r)))
             if not (math.isfinite(psi_next) and math.isfinite(dh)):
@@ -202,6 +206,7 @@ def bpge_solve(obj: CompositeObjective, x0: np.ndarray,
         else:
             gap = abs(psi_next - psi_curr) / max(1.0, abs(psi_next))
         x_prev, x_curr, psi_curr = x_curr, x_next, psi_next
+        u_prev, u_curr = u_curr, u_next
         if gap <= cfg.tol:
             exit_reason = EXIT_TOLERANCE
             break

@@ -209,7 +209,10 @@ class TestValidation:
         (np.ones(3), np.ones(3), np.ones(1)),
         (np.ones((0, 3)), np.ones(0), np.ones(3)),
         ([[1.0]], [1.0], [1.0]),
-    ], ids=["b-length", "x-length", "flat-A", "empty-A", "nested-lists"])
+        (np.array([["1"]]), np.array(["1"]), np.array(["1"])),
+        (np.ones((1, 1), dtype=object), np.ones(1, dtype=object), np.ones(1)),
+    ], ids=["b-length", "x-length", "flat-A", "empty-A", "nested-lists",
+            "string-arrays", "object-arrays"])
     def test_construction_rejects_shape_mismatch(self, A, b, x_true):
         with pytest.raises(ValidationError):
             plip.PlipInstance(A=A, b=b, seed=0, x_true=x_true)

@@ -242,7 +242,10 @@ class TestValidation:
         (np.ones((2, 3)), np.ones(2), np.ones(4)),
         (np.ones(3), np.ones(3), np.ones(1)),
         ([[1.0]], [1.0], [1.0]),
-    ], ids=["b-length", "x-length", "flat-a", "nested-lists"])
+        (np.array([["x"]]), np.array(["1"]), np.array(["1"])),
+        (np.ones((1, 1), dtype=object), np.ones(1, dtype=object), np.ones(1)),
+    ], ids=["b-length", "x-length", "flat-a", "nested-lists",
+            "string-arrays", "object-arrays"])
     def test_construction_rejects_shape_mismatch(self, a, b, x_true):
         with pytest.raises(ValidationError):
             qip.QipInstance(a=a, b=b, theta=1.0, seed=0, x_true=x_true)

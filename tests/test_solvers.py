@@ -20,7 +20,7 @@ from bregopt import (
     sublinear_rate_check,
 )
 from bregopt import plip, qip
-from bregopt.kernels import Kernel
+from bregopt.kernels import Kernel, QuarticKernel
 from bregopt.problems import NonsmoothTerm, SmoothTerm
 
 
@@ -309,6 +309,12 @@ class TestConfigValidation:
         with pytest.raises(ValidationError):
             SolverConfig(**{"lam": 0.1, field: value})
 
+    @pytest.mark.parametrize("field", ["beta0", "eta", "rho"])
+    @pytest.mark.parametrize("value", ["0.5", False], ids=["str", "bool"])
+    def test_line_search_rejects_mistyped_field(self, field, value):
+        with pytest.raises(ValidationError):
+            LineSearchConfig(**{field: value})
+
 
 class TestExitModes:
     def test_objective_relative_exit(self):
@@ -348,11 +354,6 @@ class CountingSmooth(SmoothTerm):
         self.grad_evals += 1
         return self.inner.gradient(x)
 
-    def value_and_gradient(self, x):
-        self.f_evals += 1
-        self.grad_evals += 1
-        return self.inner.value_and_gradient(x)
-
     def smad_constant(self):
         return self.inner.smad_constant()
 
@@ -361,8 +362,8 @@ class CountingSmooth(SmoothTerm):
 
 
 class TwoMethodSmooth(SmoothTerm):
-    """Defines value and gradient only, so the default value_and_gradient
-    runs."""
+    """Defines value and gradient only, so the default forward, at_forward
+    and carry run."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -420,6 +421,33 @@ def _counting_gradient(base):
     return Counting
 
 
+def _counting_forward(smooth):
+    """The shipped term `smooth`, counting its `forward` calls."""
+
+    class Counting(type(smooth)):
+        calls = 0
+
+        def forward(self, x):
+            self.calls += 1
+            return super().forward(x)
+
+    return Counting(smooth.inst)
+
+
+def _recomputing(smooth):
+    """The shipped term `smooth` with M y formed afresh at each extrapolated
+    y instead of carried; counts its `carry` calls."""
+
+    class Recomputing(type(smooth)):
+        calls = 0
+
+        def carry(self, u_curr, u_prev, beta, y):
+            self.calls += 1
+            return self.forward(y)
+
+    return Recomputing(smooth.inst)
+
+
 def _shipped(problem, m, d, seed):
     mod = {"plip": plip, "qip": qip}[problem]
     inst = getattr(mod, "generate_" + problem)(m, d, seed=seed)
@@ -470,12 +498,33 @@ class TestFusedIteration:
             self, problem, m, d, solve):
         obj, x0 = _shipped(problem, m, d, seed=22)
         cfg = SolverConfig(lam=1.0 / obj.smooth.smad_constant(), k_max=400)
-        shipped = solve(obj, x0, cfg)
+        # The shipped terms carry M y into BPGe's extrapolated steps, which
+        # the two-method term cannot; its BPGe reference forms M y afresh.
+        reference = solve(obj if solve is bpg_solve else dataclasses.replace(
+            obj, smooth=_recomputing(obj.smooth)), x0, cfg)
         plain = solve(dataclasses.replace(obj, smooth=TwoMethodSmooth(
             obj.smooth)), x0, cfg)
-        assert _timeless(plain.trace) == _timeless(shipped.trace)
-        assert np.array_equal(plain.x_final, shipped.x_final)
-        assert plain.exit_reason == shipped.exit_reason
+        assert _timeless(plain.trace) == _timeless(reference.trace)
+        assert np.array_equal(plain.x_final, reference.x_final)
+        assert plain.exit_reason == reference.exit_reason
+
+    def test_quartic_bregman_reuses_kernel_gradient(self):
+        obj, x0 = _shipped("qip", 200, 10, seed=21)
+
+        class Counting(QuarticKernel):
+            calls = 0
+
+            def gradient(self, x):
+                self.calls += 1
+                return super().gradient(x)
+
+        obj = dataclasses.replace(obj, kernel=Counting(obj.dim))
+        cfg = SolverConfig(lam=1.0 / obj.smooth.smad_constant(), k_max=300)
+        result = bpg_solve(obj, x0, cfg)
+        assert result.exit_reason != "numerical_failure"
+        # grad h at x0 and at each prox output, which D_h(x_curr, x_next)
+        # reuses.
+        assert obj.kernel.calls == result.iterations + 1
 
     def test_kernel_with_only_required_methods_runs(self):
         rng = np.random.default_rng(23)
@@ -493,6 +542,55 @@ class TestFusedIteration:
         xs = result.iterates
         for k in range(1, len(xs)):
             assert result.trace[k].dh_step == kernel.bregman(xs[k - 1], xs[k])
+
+
+class TestForwardCarry:
+    @pytest.mark.parametrize("problem,m,d", [("plip", 100, 10),
+                                             ("qip", 200, 10)])
+    def test_bpge_forms_one_forward_product_per_iterate(self, problem, m, d):
+        obj, x0 = _shipped(problem, m, d, seed=21)
+        obj = dataclasses.replace(obj, smooth=_counting_forward(obj.smooth))
+        cfg = SolverConfig(lam=1.0 / obj.smooth.smad_constant(), k_max=300)
+        result = bpge_solve(obj, x0, cfg)
+        assert result.exit_reason != "numerical_failure"
+        assert sum(rec.beta_accepted != 0.0 for rec in result.trace) > 10
+        # x0 and each prox output; each extrapolated y is carried.
+        assert obj.smooth.calls == result.iterations + 1
+
+    def test_plip_carry_falls_back_to_forward_product(self):
+        A = np.array([[1.0, 0.3], [0.2, 0.9]])
+        x_true = np.array([0.4, 0.7])
+        smooth = plip.PlipSmooth(plip.PlipInstance(A=A, b=A @ x_true, seed=0,
+                                                   x_true=x_true))
+        y = np.array([0.3, 0.6])
+        u_prev = np.array([1.0, 1.0])
+        carried = smooth.carry(np.array([1.0, 0.5]), u_prev, 0.5, y)
+        assert np.array_equal(carried, [1.0, 0.25])
+        # 0.1 + 0.5 * (0.1 - 1) < 0: the carry leaves u > 0, so A y.
+        fallback = smooth.carry(np.array([1.0, 0.1]), u_prev, 0.5, y)
+        assert np.array_equal(fallback, A @ y)
+
+    @pytest.mark.parametrize("problem,m,d", [("plip", 100, 10),
+                                             ("qip", 200, 10)])
+    def test_carried_matches_recomputed(self, problem, m, d):
+        obj, x0 = _shipped(problem, m, d, seed=22)
+        cfg = SolverConfig(lam=1.0 / obj.smooth.smad_constant(), k_max=400)
+        carried = bpge_solve(obj, x0, cfg)
+        recomputing = _recomputing(obj.smooth)
+        recomputed = bpge_solve(dataclasses.replace(obj, smooth=recomputing),
+                                x0, cfg)
+        assert recomputing.calls == sum(rec.beta_accepted != 0.0
+                                        for rec in recomputed.trace) > 10
+        assert carried.iterations == recomputed.iterations
+        assert carried.exit_reason == recomputed.exit_reason
+        for field in ("beta_accepted", "shrink_count"):
+            assert ([getattr(rec, field) for rec in carried.trace]
+                    == [getattr(rec, field) for rec in recomputed.trace])
+        assert carried.psi_final == pytest.approx(recomputed.psi_final,
+                                                  rel=1e-12)
+        scale = np.linalg.norm(recomputed.x_final)
+        assert np.linalg.norm(carried.x_final - recomputed.x_final) \
+            <= 1e-12 * scale
 
 
 class _LineSearchFailureKernel(BurgKernel):
