@@ -25,6 +25,14 @@ _NEGATIVE_SLACK = 1e-12
 _EPS = float(np.finfo(float).eps)
 
 
+def is_integer(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def is_number(v) -> bool:
+    return is_integer(v) or isinstance(v, (float, np.floating))
+
+
 def _as_vector(x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
@@ -37,8 +45,8 @@ class Kernel:
     """Base class for kernel generating distances."""
 
     def __init__(self, dim: int):
-        if dim < 1:
-            raise ValidationError("kernel dimension must be >= 1")
+        if not (is_integer(dim) and dim >= 1):
+            raise ValidationError("kernel dimension must be an integer >= 1")
         self.dim = int(dim)
 
     def value(self, x: np.ndarray) -> float:

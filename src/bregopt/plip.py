@@ -95,17 +95,16 @@ class PlipSmooth(LinearModelSmooth):
 
     _point = staticmethod(_require_positive)
 
-    def at_forward(self, u, value=True, gradient=True):
-        """sum_i { b_i log(b_i / u_i) + u_i - b_i } and A^T (1 - b/u)."""
-        b = self.inst.b
+    @staticmethod
+    def _phi(u, b, value=True):
+        """sum_i { b_i log(b_i / u_i) + u_i - b_i } and 1 - b/u."""
         ratio = b / u
         return (float((b * np.log(ratio) + u - b).sum()) if value else None,
-                self.M.T @ (1.0 - ratio) if gradient else None)
+                1.0 - ratio)
 
-    def carry(self, u_curr, u_prev, beta, y):
-        """The affine carry, or A y where rounding leaves it outside u > 0."""
-        u = super().carry(u_curr, u_prev, beta, y)
-        return u if (u > 0.0).all() else self.forward(y)
+    @staticmethod
+    def _in_domain(u):
+        return u.min() > 0.0
 
 
 def make_objective(inst: PlipInstance) -> CompositeObjective:

@@ -15,15 +15,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ValidationError
-from .kernels import BurgKernel, Kernel
-
-
-def is_integer(v) -> bool:
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-
-
-def is_number(v) -> bool:
-    return is_integer(v) or isinstance(v, (float, np.floating))
+from .kernels import BurgKernel, Kernel, is_integer, is_number
 
 
 def check_seed(seed) -> None:
@@ -98,11 +90,10 @@ class Instance:
 class SmoothTerm:
     """Differentiable term f with its certified constants.
 
-    The solvers take f and grad f at an iterate x from
-    `at_forward(forward(x))`, and grad f at BPGe's extrapolated y from
-    `carry`. The defaults (identity map, `value` and `gradient` at u, and
-    the affine carry, then y bit for bit) fit any term; f(x) = phi(Mx)
-    overrides them with u = Mx, so BPGe carries M y instead of forming it.
+    The solvers read f through one `evaluate` per iterate x, called after
+    the line search has chosen the next step's beta and y from x and D_h
+    (it never reads f), so that call also returns grad f(y). The default
+    uses `value` and `gradient`; `LinearModelSmooth` makes one pass over M.
     """
 
     def value(self, x: np.ndarray) -> float:
@@ -111,18 +102,13 @@ class SmoothTerm:
     def gradient(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """The forward value u that f and grad f are computed from."""
-        return x
+    def evaluate(self, x, u_prev, beta: float, y):
+        """(u, f(x), grad f(x), grad f(y) or None) at a new iterate x.
 
-    def at_forward(self, u: np.ndarray, value=True, gradient=True):
-        """(f, grad f) at the x with forward(x) = u; None if not asked."""
-        return (self.value(u) if value else None,
-                self.gradient(u) if gradient else None)
-
-    def carry(self, u_curr, u_prev, beta: float, y: np.ndarray):
-        """forward(y), given u_curr = forward(x_curr) and u_prev likewise."""
-        return u_curr + beta * (u_curr - u_prev)
+        u (here x) comes back as u_prev with the next iterate; y is the
+        next step's point x + beta (x - x_prev), or None if it is x."""
+        return (x, self.value(x), self.gradient(x),
+                None if y is None else self.gradient(y))
 
     def smad_constant(self) -> float:
         """Constant L such that L*h - f and L*h + f are convex."""
@@ -133,24 +119,74 @@ class SmoothTerm:
         return 0.0
 
 
+# Row blocks of M of at most this size stay in a core's L2 cache from the
+# product M_B x to the products with M_B^T that follow it.
+_BLOCK_BYTES = 512 * 1024
+
+
 class LinearModelSmooth(SmoothTerm):
-    """f(x) = phi(Mx) with M the instance matrix; a subclass defines
-    `at_forward` as phi(u) and M^T phi'(u), and the check `_point` on x."""
+    """f(x) = phi(Mx) = sum_i phi_i((Mx)_i) with M the instance matrix.
+
+    A subclass defines `_phi(u, b, value=True)`, giving phi(u) (None unless
+    value) and the elementwise phi'(u) from the terms they share, the check
+    `_point` on x and, if phi needs it, the domain test `_in_domain(u)`.
+    M is cut once into row blocks of at most 512 KiB, a multiple of 8 rows
+    each, so that blocked M x is M @ x bit for bit (unless the last block
+    is one row); one block keeps the unblocked products. The line search,
+    which never reads f, fixes the next y before `evaluate` runs.
+    """
 
     def __init__(self, inst: Instance):
         self.inst = inst
-        self.M = getattr(inst, inst.MATRIX)
+        self.M = M = getattr(inst, inst.MATRIX)
+        rows = max(8, _BLOCK_BYTES // (8 * M.itemsize * M.shape[1]) * 8)
+        self._blocks = None if M.shape[0] <= rows else [
+            (slice(i, i + rows), M[i:i + rows], inst.b[i:i + rows])
+            for i in range(0, M.shape[0], rows)]
 
     _point = staticmethod(np.asarray)
+    _in_domain = staticmethod(lambda u: True)
 
-    def forward(self, x):
-        return self.M @ x
+    def evaluate(self, x, u_prev, beta, y):
+        """One pass over M: per row block, u_B = M_B x, then, while M_B is
+        in cache, M_B^T phi'(u_B) and M_B^T phi'(u_B + beta (u_B - u_prev_B))
+        for grad f at x and y; grad f(y) is `gradient(y)` where rounding
+        leaves that carried M y outside `_in_domain`."""
+        M, b, phi = self.M, self.inst.b, self._phi
+        if self._blocks is None:
+            u = M @ x
+            f, w = phi(u, b)
+            grad, grad_y = M.T @ w, None
+            if y is not None:
+                u_y = u + beta * (u - u_prev)
+                grad_y = (M.T @ phi(u_y, b, False)[1] if self._in_domain(u_y)
+                          else self.gradient(y))
+            return u, f, grad, grad_y
+        # Row 0 of W holds phi'(u_B), row 1 phi' of the carried u_B (G[1] is
+        # dropped once a block fails), so that W_B M_B reads M_B once.
+        carried = y is not None
+        u = np.empty(M.shape[0])
+        W = np.empty((1 + carried, M.shape[0]))
+        G = np.zeros((len(W), M.shape[1]))
+        for rows, M_B, b_B in self._blocks:
+            u_B = np.matmul(M_B, x, out=u[rows])
+            W_B = W[:, rows]
+            W_B[0] = phi(u_B, b_B, False)[1]
+            if carried:
+                u_y = u_B + beta * (u_B - u_prev[rows])
+                carried = self._in_domain(u_y)
+                W_B[1] = phi(u_y, b_B, False)[1]
+            G += W_B @ M_B
+        grad_y = G[1] if carried else None
+        if y is not None and not carried:
+            grad_y = self.gradient(y)
+        return u, phi(u, b)[0], G[0], grad_y
 
     def value(self, x):
-        return self.at_forward(self.forward(self._point(x)), gradient=False)[0]
+        return self._phi(self.M @ self._point(x), self.inst.b)[0]
 
     def gradient(self, x):
-        return self.at_forward(self.forward(self._point(x)), value=False)[1]
+        return self.evaluate(self._point(x), None, 0.0, None)[2]
 
     def smad_constant(self):
         return self.inst.smad_bound
@@ -188,8 +224,8 @@ class L1Term(NonsmoothTerm):
     """
 
     def __init__(self, weight: float):
-        if not (math.isfinite(weight) and weight >= 0.0):
-            raise ValidationError("l1 weight must be nonnegative and finite")
+        if not (is_number(weight) and 0.0 <= weight < math.inf):
+            raise ValidationError("l1 weight must be a finite number >= 0")
         self.weight = float(weight)
 
     def value(self, x):

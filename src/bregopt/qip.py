@@ -94,11 +94,11 @@ def qip_prox(inst: QipInstance, y, grad, lam: float) -> np.ndarray:
 class QipSmooth(LinearModelSmooth):
     """Quartic data fit of u = a x with its certified envelope constants."""
 
-    def at_forward(self, u, value=True, gradient=True):
-        """(1/4)||u^2 - b||^2 and sum_i (u_i^2 - b_i) u_i a_i."""
-        r = u * u - self.inst.b
-        return (0.25 * float(np.dot(r, r)) if value else None,
-                self.M.T @ (r * u) if gradient else None)
+    @staticmethod
+    def _phi(u, b, value=True):
+        """(1/4)||u^2 - b||^2 and (u^2 - b) u."""
+        r = u * u - b
+        return 0.25 * float(np.dot(r, r)) if value else None, r * u
 
     def weak_convexity_constant(self):
         return self.inst.weak_convexity_bound

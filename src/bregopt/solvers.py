@@ -107,38 +107,42 @@ def line_search_beta(kernel: Kernel, x_prev: np.ndarray, x_curr: np.ndarray,
     beta = 0 after max_shrinks, which always satisfies the condition.
     dh_prev is D_h(x_prev, x_curr), which the caller has already computed
     for points it has checked.
-    Returns (beta, shrinks).
+    Returns (beta, shrinks, trial, grad h(trial)), grad h computed once per
+    trial that reaches D_h; trial and grad h are None when the trial would
+    be x_curr (beta = 0, or x_curr = x_prev, where beta0 is admissible).
     """
     direction = x_curr - x_prev
     if not direction.any():
-        return cfg.beta0, 0
+        return cfg.beta0, 0, None, None
     bound = cfg.rho * C_k * dh_prev
     beta = cfg.beta0
     for shrinks in range(cfg.max_shrinks + 1):
         if beta == 0.0:
-            return 0.0, shrinks
+            return 0.0, shrinks, None, None
         trial = x_curr + beta * direction
         if kernel.in_interior_domain(trial):
+            hgrad = kernel._gradient(trial)
             try:
-                if kernel._bregman(x_curr, trial) <= bound:
-                    return beta, shrinks
+                if kernel._bregman(x_curr, trial, hgrad) <= bound:
+                    return beta, shrinks, trial, hgrad
             except NumericalError:
                 pass
         beta *= cfg.eta
-    return 0.0, cfg.max_shrinks
+    return 0.0, cfg.max_shrinks, None, None
 
 
 def bpge_solve(obj: CompositeObjective, x0: np.ndarray,
                cfg: SolverConfig, _extrapolate: bool = True) -> SolveResult:
     """Run the extrapolated Bregman proximal gradient iteration from x0.
 
-    Each new point is checked against the kernel domain once: x0 here,
-    each line-search trial in `line_search_beta` and each prox output
-    below. f and grad f come from one `smooth.forward` per iterate, grad h
-    once per new point, and grad f, grad h and D_h are carried over to the
-    next iteration where it needs them at the same point. At an
-    extrapolated y, `smooth.carry` forms forward(y) from those held: for
-    f(x) = phi(Mx), M y = M x + beta (M x - M x_prev) with no product.
+    A step from y (x_curr when beta = 0) runs the prox to x_next, then
+    grad h(x_next), D_h(x_curr, x_next), the line search for the next
+    beta and y (it reads D_h, never f), one `smooth.evaluate` for f and
+    grad f at x_next and grad f at that y (one pass over M for phi(Mx),
+    M y carried), and the record. A failed line search ends the run at
+    the start of the step it was for, after the tolerance test. Each new
+    point gets one domain check (x0 here, each trial, each prox output)
+    and one grad h, which D_h(x_curr, x_next) reuses.
     """
     kernel = obj.kernel
     smooth, nonsmooth = obj.smooth, obj.nonsmooth
@@ -152,41 +156,44 @@ def bpge_solve(obj: CompositeObjective, x0: np.ndarray,
     mu = smooth.weak_convexity_constant()
     C_k = inv_lam / (inv_lam + mu)
 
-    x_prev = x_curr = x0.copy()
-    u_prev = u_curr = smooth.forward(x_curr)
-    f_curr, grad_curr = smooth.at_forward(u_curr)
+    x_curr = x0.copy()
+    u_curr, f_curr, grad_curr, _ = smooth.evaluate(x_curr, None, 0.0, None)
     psi_curr = f_curr + nonsmooth.value(x_curr)
     hgrad_curr = kernel._gradient(x_curr)
-    dh = 0.0  # D_h(x_prev, x_curr)
+    # From x_prev = x0 the line search takes beta0 at y = x0, kernel unused.
+    ahead = (line_search_beta(kernel, x_curr, x_curr, cfg.line_search, C_k,
+                              0.0) if _extrapolate else (0.0, 0, None, None))
+    failed = False
     trace = [IterationRecord(0, psi_curr, 0.0, psi_curr, 0.0, 0, np.nan, 0.0)]
     iterates = [x0.copy()] if cfg.keep_iterates else None
     exit_reason = EXIT_MAX_ITERATIONS
     start = time.perf_counter()
 
     for k in range(cfg.k_max):
+        if failed:
+            exit_reason = EXIT_NUMERICAL_FAILURE
+            break
+        beta, shrinks, y, hgrad_y = ahead
+        if y is None:
+            grad_y, hgrad_y = grad_curr, hgrad_curr
         try:
-            if _extrapolate:
-                beta, shrinks = line_search_beta(kernel, x_prev, x_curr,
-                                                 cfg.line_search, C_k, dh)
-            else:
-                beta, shrinks = 0.0, 0
-            if beta != 0.0:
-                y = x_curr + beta * (x_curr - x_prev)
-                grad_y = smooth.at_forward(
-                    smooth.carry(u_curr, u_prev, beta, y), value=False)[1]
-                hgrad_y = kernel._gradient(y)
-            else:
-                grad_y, hgrad_y = grad_curr, hgrad_curr
             x_next = nonsmooth.prox(kernel, hgrad_y - cfg.lam * grad_y,
                                     cfg.lam)
             if not kernel.in_interior_domain(x_next):
                 raise NumericalError("prox left the kernel domain")
-            u_next = smooth.forward(x_next)
-            f_next, grad_curr = smooth.at_forward(u_next)
+            hgrad_next = kernel._gradient(x_next)
+            dh = kernel._bregman(x_curr, x_next, hgrad_next)
+            ahead = (0.0, 0, None, None)
+            if _extrapolate:
+                try:
+                    ahead = line_search_beta(kernel, x_curr, x_next,
+                                             cfg.line_search, C_k, dh)
+                except (DomainError, NumericalError):
+                    failed = True
+            u_next, f_next, grad_next, grad_y_next = smooth.evaluate(
+                x_next, u_curr, ahead[0], ahead[2])
             psi_next = f_next + nonsmooth.value(x_next)
-            hgrad_curr = kernel._gradient(x_next)
-            dh = kernel._bregman(x_curr, x_next, hgrad_curr)
-            r = grad_curr - grad_y - inv_lam * (hgrad_curr - hgrad_y)
+            r = grad_next - grad_y - inv_lam * (hgrad_next - hgrad_y)
             residual = math.sqrt(float(np.dot(r, r)))
             if not (math.isfinite(psi_next) and math.isfinite(dh)):
                 raise NumericalError("non-finite objective or Bregman step")
@@ -205,8 +212,8 @@ def bpge_solve(obj: CompositeObjective, x0: np.ndarray,
                    / max(1.0, math.sqrt(float(np.dot(x_next, x_next)))))
         else:
             gap = abs(psi_next - psi_curr) / max(1.0, abs(psi_next))
-        x_prev, x_curr, psi_curr = x_curr, x_next, psi_next
-        u_prev, u_curr = u_curr, u_next
+        x_curr, psi_curr, u_curr = x_next, psi_next, u_next
+        grad_curr, hgrad_curr, grad_y = grad_next, hgrad_next, grad_y_next
         if gap <= cfg.tol:
             exit_reason = EXIT_TOLERANCE
             break

@@ -163,6 +163,19 @@ class TestProxFirstOrder:
         with pytest.raises(ValidationError):
             L1Term(weight)
 
+    @pytest.mark.parametrize("make,value", [
+        (QuarticKernel, 2.5), (QuarticKernel, True), (QuarticKernel, "3"),
+        (BurgKernel, np.float64(2.0)), (L1Term, "0.5"), (L1Term, True),
+    ], ids=["dim-float", "dim-bool", "dim-str", "dim-numpy-float",
+            "weight-str", "weight-bool"])
+    def test_rejects_mistyped_dim_and_weight(self, make, value):
+        # Integers for a dimension, numbers for a weight; bools are
+        # neither, numpy integers and floats are accepted.
+        with pytest.raises(ValidationError):
+            make(value)
+        assert make(np.int64(2) if make is not L1Term
+                    else np.float64(0.5)) is not None
+
     def test_l1_quartic_is_hand_formula(self):
         kernel = QuarticKernel(6)
         rng = np.random.default_rng(7)

@@ -19,7 +19,7 @@ from bregopt import (
     soft_threshold,
     sublinear_rate_check,
 )
-from bregopt import plip, qip
+from bregopt import plip, problems, qip
 from bregopt.kernels import Kernel, QuarticKernel
 from bregopt.problems import NonsmoothTerm, SmoothTerm
 
@@ -54,9 +54,11 @@ class TestLineSearch:
     def test_equal_points_accept_beta0_immediately(self):
         cfg = LineSearchConfig(beta0=0.7)
         x = np.array([1.0, 2.0])
-        beta, shrinks = line_search_beta(EuclideanKernel(2), x, x.copy(), cfg,
-                                         1.0, 0.0)
+        beta, shrinks, trial, hgrad = line_search_beta(
+            EuclideanKernel(2), x, x.copy(), cfg, 1.0, 0.0)
         assert beta == 0.7 and shrinks == 0
+        # The trial is x_curr itself, whose grad h the caller holds.
+        assert trial is None and hgrad is None
 
     def test_euclidean_accepts_beta0_below_sqrt_rho(self):
         # D_h(x, x + b*delta) = b^2 ||delta||^2 / 2, so b <= sqrt(rho*C) passes.
@@ -67,30 +69,34 @@ class TestLineSearch:
         for _ in range(20):
             x_prev = rng.standard_normal(3)
             x_curr = rng.standard_normal(3)
-            beta, shrinks = line_search_beta(kernel, x_prev, x_curr, cfg, 1.0,
-                                             kernel.bregman(x_prev, x_curr))
+            beta, shrinks, trial, hgrad = line_search_beta(
+                kernel, x_prev, x_curr, cfg, 1.0,
+                kernel.bregman(x_prev, x_curr))
             assert beta == pytest.approx(0.9) and shrinks == 0
+            assert np.array_equal(trial, x_curr + beta * (x_curr - x_prev))
+            assert np.array_equal(hgrad, kernel.gradient(trial))
 
     def test_euclidean_shrinks_above_threshold(self):
         rho = 0.25
         cfg = LineSearchConfig(beta0=0.99, eta=0.5, rho=rho)
         kernel = EuclideanKernel(1)
         x_prev, x_curr = np.array([0.0]), np.array([1.0])
-        beta, shrinks = line_search_beta(kernel, x_prev, x_curr, cfg, 1.0,
-                                         kernel.bregman(x_prev, x_curr))
+        beta, shrinks, trial, _ = line_search_beta(
+            kernel, x_prev, x_curr, cfg, 1.0, kernel.bregman(x_prev, x_curr))
         assert beta <= np.sqrt(rho) + 1e-12
         assert shrinks >= 1
         # The accepted beta satisfies the inequality as evaluated.
-        trial = x_curr + beta * (x_curr - x_prev)
+        assert np.array_equal(trial, x_curr + beta * (x_curr - x_prev))
         assert kernel.bregman(x_curr, trial) <= rho * kernel.bregman(x_prev, x_curr)
 
     def test_burg_trial_evaluated_numerically(self):
         kernel = BurgKernel(1)
         cfg = LineSearchConfig(beta0=0.99, eta=0.5, rho=0.99)
         x_prev, x_curr = np.array([2.0]), np.array([1.0])
-        beta, shrinks = line_search_beta(kernel, x_prev, x_curr, cfg, 1.0,
-                                         kernel.bregman(x_prev, x_curr))
-        trial = x_curr + beta * (x_curr - x_prev)
+        beta, shrinks, trial, hgrad = line_search_beta(
+            kernel, x_prev, x_curr, cfg, 1.0, kernel.bregman(x_prev, x_curr))
+        assert np.array_equal(trial, x_curr + beta * (x_curr - x_prev))
+        assert np.array_equal(hgrad, kernel.gradient(trial))
         assert np.all(trial > 0)
         assert (kernel.bregman(x_curr, trial)
                 <= 0.99 * kernel.bregman(x_prev, x_curr) + 1e-15)
@@ -101,10 +107,27 @@ class TestLineSearch:
         kernel = BurgKernel(1)
         cfg = LineSearchConfig(beta0=0.99, eta=0.5, rho=0.99)
         x_prev, x_curr = np.array([5.0]), np.array([1.0])
-        beta, shrinks = line_search_beta(kernel, x_prev, x_curr, cfg, 1.0,
-                                         kernel.bregman(x_prev, x_curr))
+        beta, shrinks, trial, _ = line_search_beta(
+            kernel, x_prev, x_curr, cfg, 1.0, kernel.bregman(x_prev, x_curr))
         assert shrinks >= 1
         assert 1.0 + beta * (1.0 - 5.0) > 0
+        assert np.array_equal(trial, [1.0 + beta * (1.0 - 5.0)])
+
+    def test_quartic_returns_trial_and_its_kernel_gradient(self):
+        kernel = QuarticKernel(4)
+        cfg = LineSearchConfig(beta0=0.99, eta=0.5, rho=0.5)
+        rng = np.random.default_rng(1)
+        x_prev, x_curr = rng.standard_normal(4), rng.standard_normal(4)
+        beta, shrinks, trial, hgrad = line_search_beta(
+            kernel, x_prev, x_curr, cfg, 1.0, kernel.bregman(x_prev, x_curr))
+        assert beta > 0.0
+        assert np.array_equal(trial, x_curr + beta * (x_curr - x_prev))
+        assert np.array_equal(hgrad, kernel.gradient(trial))
+        # Every trial 1e-20 + beta * (1e-20 - 1) leaves the Burg domain:
+        # beta = 0 after max_shrinks, a step from x_curr with no new point.
+        assert line_search_beta(BurgKernel(1), np.array([1.0]),
+                                np.array([1e-20]), cfg, 1.0, 1.0) == (
+            0.0, cfg.max_shrinks, None, None)
 
 
 class TestReductions:
@@ -362,8 +385,7 @@ class CountingSmooth(SmoothTerm):
 
 
 class TwoMethodSmooth(SmoothTerm):
-    """Defines value and gradient only, so the default forward, at_forward
-    and carry run."""
+    """Defines value and gradient only, so the default evaluate runs."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -409,43 +431,57 @@ class WeightedMirrorStep(NonsmoothTerm):
 
 
 def _counting_gradient(base):
-    """Subclass of the kernel class `base` that counts `_gradient` calls."""
+    """Subclass of the kernel class `base` that counts `_gradient` calls,
+    and `_bregman` calls apart."""
 
     class Counting(base):
-        calls = 0
+        calls = bregman_calls = 0
 
         def _gradient(self, x):
             self.calls += 1
             return super()._gradient(x)
 
+        def _bregman(self, x, y, hgrad_y=None):
+            self.bregman_calls += 1
+            return super()._bregman(x, y, hgrad_y)
+
     return Counting
 
 
-def _counting_forward(smooth):
-    """The shipped term `smooth`, counting its `forward` calls."""
+def _counting_evaluate(smooth):
+    """The shipped term `smooth`, counting its `evaluate` calls."""
 
     class Counting(type(smooth)):
         calls = 0
 
-        def forward(self, x):
+        def evaluate(self, x, u_prev, beta, y):
             self.calls += 1
-            return super().forward(x)
+            return super().evaluate(x, u_prev, beta, y)
 
     return Counting(smooth.inst)
 
 
 def _recomputing(smooth):
     """The shipped term `smooth` with M y formed afresh at each extrapolated
-    y instead of carried; counts its `carry` calls."""
+    y: its test of the carried M y always fails. Counts those tests."""
 
     class Recomputing(type(smooth)):
         calls = 0
 
-        def carry(self, u_curr, u_prev, beta, y):
+        def _in_domain(self, u):
             self.calls += 1
-            return self.forward(y)
+            return False
 
     return Recomputing(smooth.inst)
+
+
+def _one_block(smooth):
+    """The shipped term `smooth` rebuilt with all of M in one block."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(problems, "_BLOCK_BYTES", 1 << 62)
+        single = type(smooth)(smooth.inst)
+    assert single._blocks is None
+    return single
 
 
 def _shipped(problem, m, d, seed):
@@ -486,9 +522,14 @@ class TestFusedIteration:
         assert result.exit_reason != "numerical_failure"
         extrapolated = sum(rec.beta_accepted != 0.0 for rec in result.trace)
         assert (extrapolated > 0) == (solve is bpge_solve)
-        # x0, each prox output and each extrapolated y: the prox reuses
-        # grad h(y) through its mirror point.
-        assert kernel.calls == result.iterations + 1 + extrapolated
+        # D_h runs once per step and once per line-search trial inside the
+        # domain.
+        trials = kernel.bregman_calls - result.iterations
+        assert (trials > 0) == (solve is bpge_solve)
+        # x0, each prox output and each trial that reached D_h: the line
+        # search hands the accepted trial's grad h to the step from it, and
+        # the prox reuses grad h(y) through its mirror point.
+        assert kernel.calls == result.iterations + 1 + trials
 
     @pytest.mark.parametrize("problem,m,d", [("plip", 100, 10),
                                              ("qip", 200, 10)])
@@ -526,6 +567,30 @@ class TestFusedIteration:
         # reuses.
         assert obj.kernel.calls == result.iterations + 1
 
+    def test_bpge_quartic_gradient_once_per_trial(self):
+        obj, x0 = _shipped("qip", 200, 10, seed=21)
+
+        class Counting(QuarticKernel):
+            calls = bregman_calls = 0
+
+            def gradient(self, x):
+                self.calls += 1
+                return super().gradient(x)
+
+            def _bregman(self, x, y, hgrad_y=None):
+                self.bregman_calls += 1
+                return super()._bregman(x, y, hgrad_y)
+
+        obj = dataclasses.replace(obj, kernel=Counting(obj.dim))
+        cfg = SolverConfig(lam=1.0 / obj.smooth.smad_constant(), k_max=300)
+        result = bpge_solve(obj, x0, cfg)
+        assert result.exit_reason != "numerical_failure"
+        assert sum(rec.beta_accepted != 0.0 for rec in result.trace) > 10
+        trials = obj.kernel.bregman_calls - result.iterations
+        # x0, each prox output and each trial that reached D_h; the
+        # accepted trial is not evaluated again as y.
+        assert obj.kernel.calls == result.iterations + 1 + trials
+
     def test_kernel_with_only_required_methods_runs(self):
         rng = np.random.default_rng(23)
         B = rng.standard_normal((12, 5))
@@ -549,12 +614,13 @@ class TestForwardCarry:
                                              ("qip", 200, 10)])
     def test_bpge_forms_one_forward_product_per_iterate(self, problem, m, d):
         obj, x0 = _shipped(problem, m, d, seed=21)
-        obj = dataclasses.replace(obj, smooth=_counting_forward(obj.smooth))
+        obj = dataclasses.replace(obj, smooth=_counting_evaluate(obj.smooth))
         cfg = SolverConfig(lam=1.0 / obj.smooth.smad_constant(), k_max=300)
         result = bpge_solve(obj, x0, cfg)
         assert result.exit_reason != "numerical_failure"
         assert sum(rec.beta_accepted != 0.0 for rec in result.trace) > 10
-        # x0 and each prox output; each extrapolated y is carried.
+        # One evaluate, and in it one product M x, at x0 and each prox
+        # output; grad f at each extrapolated y comes from the same call.
         assert obj.smooth.calls == result.iterations + 1
 
     def test_plip_carry_falls_back_to_forward_product(self):
@@ -562,25 +628,41 @@ class TestForwardCarry:
         x_true = np.array([0.4, 0.7])
         smooth = plip.PlipSmooth(plip.PlipInstance(A=A, b=A @ x_true, seed=0,
                                                    x_true=x_true))
-        y = np.array([0.3, 0.6])
+        b, x, y = smooth.inst.b, np.array([0.5, 0.5]), np.array([0.3, 0.6])
+        u = A @ x
         u_prev = np.array([1.0, 1.0])
-        carried = smooth.carry(np.array([1.0, 0.5]), u_prev, 0.5, y)
-        assert np.array_equal(carried, [1.0, 0.25])
-        # 0.1 + 0.5 * (0.1 - 1) < 0: the carry leaves u > 0, so A y.
-        fallback = smooth.carry(np.array([1.0, 0.1]), u_prev, 0.5, y)
-        assert np.array_equal(fallback, A @ y)
+        got_u, f, grad, grad_y = smooth.evaluate(x, u_prev, 0.5, y)
+        assert np.array_equal(got_u, u) and f == smooth.value(x)
+        assert np.array_equal(grad, smooth.gradient(x))
+        carried = u + 0.5 * (u - u_prev)
+        assert (carried > 0.0).all() and not np.array_equal(carried, A @ y)
+        assert np.array_equal(grad_y, A.T @ (1.0 - b / carried))
+        # 0.55 + 0.5 * (0.55 - 2) < 0: the carry leaves u > 0, so A y.
+        fallback = smooth.evaluate(x, np.array([1.0, 2.0]), 0.5, y)[3]
+        assert np.array_equal(fallback, A.T @ (1.0 - b / (A @ y)))
+        assert np.array_equal(fallback, smooth.gradient(y))
 
     @pytest.mark.parametrize("problem,m,d", [("plip", 100, 10),
                                              ("qip", 200, 10)])
     def test_carried_matches_recomputed(self, problem, m, d):
         obj, x0 = _shipped(problem, m, d, seed=22)
-        cfg = SolverConfig(lam=1.0 / obj.smooth.smad_constant(), k_max=400)
+        cfg = SolverConfig(lam=1.0 / obj.smooth.smad_constant(), k_max=400,
+                           keep_iterates=True)
         carried = bpge_solve(obj, x0, cfg)
         recomputing = _recomputing(obj.smooth)
         recomputed = bpge_solve(dataclasses.replace(obj, smooth=recomputing),
                                 x0, cfg)
-        assert recomputing.calls == sum(rec.beta_accepted != 0.0
-                                        for rec in recomputed.trace) > 10
+        # One test per extrapolated y: every step after the first (which
+        # extrapolates from x_prev = x0, so y = x0) with beta != 0, and
+        # the look-ahead after the last step if its beta is not 0.
+        trace, xs = recomputed.trace, recomputed.iterates
+        mu = obj.smooth.weak_convexity_constant()
+        last_beta = line_search_beta(
+            obj.kernel, xs[-2], xs[-1], cfg.line_search,
+            (1.0 / cfg.lam) / (1.0 / cfg.lam + mu), trace[-1].dh_step)[0]
+        assert recomputing.calls == sum(
+            rec.beta_accepted != 0.0 for rec in trace[2:]) + (
+                last_beta != 0.0) > 10
         assert carried.iterations == recomputed.iterations
         assert carried.exit_reason == recomputed.exit_reason
         for field in ("beta_accepted", "shrink_count"):
@@ -591,6 +673,68 @@ class TestForwardCarry:
         scale = np.linalg.norm(recomputed.x_final)
         assert np.linalg.norm(carried.x_final - recomputed.x_final) \
             <= 1e-12 * scale
+
+
+def _relative_gap(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+class TestBlockedPass:
+    """At 2000 x 200, M (3.2 MB) is 6 blocks of 320 rows and one of 80."""
+
+    @pytest.mark.parametrize("problem", ["plip", "qip"])
+    def test_blocked_evaluate_matches_one_block(self, problem):
+        obj, x = _shipped(problem, 2000, 200, seed=25)
+        blocked = obj.smooth
+        sizes = [M_B.shape[0] for _, M_B, _ in blocked._blocks]
+        assert sizes == [320] * 6 + [80]
+        single = _one_block(blocked)
+        rng = np.random.default_rng(25)
+        x_prev = x * rng.uniform(0.9, 1.1, x.size)
+        u_prev = blocked.M @ x_prev
+        y = x + 0.5 * (x - x_prev)
+        got = blocked.evaluate(x, u_prev, 0.5, y)
+        ref = single.evaluate(x, u_prev, 0.5, y)
+        assert np.array_equal(got[0], ref[0]) and got[1] == ref[1]
+        assert _relative_gap(got[2], ref[2]) <= 1e-13
+        assert _relative_gap(got[3], ref[3]) <= 1e-13
+        # Without a y, the same u and f, and no grad f(y).
+        alone = blocked.evaluate(x, None, 0.0, None)
+        assert np.array_equal(alone[0], ref[0]) and alone[1] == ref[1]
+        assert _relative_gap(alone[2], ref[2]) <= 1e-13
+        assert alone[3] is None
+        assert _relative_gap(blocked.gradient(y), ref[3]) <= 1e-13
+
+    def test_plip_carry_outside_domain_in_one_block(self):
+        obj, x = _shipped("plip", 2000, 200, seed=26)
+        smooth = obj.smooth
+        u = smooth.M @ x
+        # u + 0.5 (u - 4u) = -u/2 at one row of the fourth block only.
+        u_prev = u.copy()
+        row = smooth._blocks[3][0].start + 5
+        u_prev[row] = 4.0 * u[row]
+        y = x * 1.01
+        grad_y = smooth.evaluate(x, u_prev, 0.5, y)[3]
+        assert np.array_equal(grad_y, smooth.gradient(y))
+
+    @pytest.mark.parametrize("problem", ["plip", "qip"])
+    @pytest.mark.parametrize("solve", [bpge_solve, bpg_solve],
+                             ids=["bpge", "bpg"])
+    def test_blocked_solve_matches_one_block(self, problem, solve):
+        obj, x0 = _shipped(problem, 2000, 200, seed=27)
+        cfg = SolverConfig(lam=1.0 / obj.smooth.smad_constant(), k_max=30)
+        blocked = solve(obj, x0, cfg)
+        single = solve(dataclasses.replace(obj, smooth=_one_block(obj.smooth)),
+                       x0, cfg)
+        assert blocked.iterations == single.iterations
+        assert blocked.exit_reason == single.exit_reason
+        for field in ("beta_accepted", "shrink_count"):
+            assert ([getattr(rec, field) for rec in blocked.trace]
+                    == [getattr(rec, field) for rec in single.trace])
+        assert (solve is bpge_solve) == any(
+            rec.beta_accepted != 0.0 for rec in blocked.trace[2:])
+        for a, b in zip(blocked.trace, single.trace):
+            assert a.psi == pytest.approx(b.psi, rel=1e-12)
 
 
 class _LineSearchFailureKernel(BurgKernel):
@@ -621,3 +765,35 @@ class TestFailureContainment:
         assert result.exit_reason == "numerical_failure"
         assert result.iterations == 1
         assert _timeless(result.trace) == _timeless(reference.trace[:2])
+
+    def test_look_ahead_failure_after_last_step_keeps_tolerance_exit(self):
+        obj, x0 = _shipped("plip", 40, 4, seed=24)
+        cfg = SolverConfig(lam=1.0 / obj.smooth.smad_constant())
+        reference = bpge_solve(obj, x0, cfg)
+        assert reference.exit_reason == "tolerance"
+
+        class Recording(BurgKernel):
+            callers = []
+
+            def in_interior_domain(self, x):
+                self.callers.append(
+                    inspect.currentframe().f_back.f_code.co_name)
+                return super().in_interior_domain(x)
+
+        bpge_solve(dataclasses.replace(obj, kernel=Recording(obj.dim)), x0,
+                   cfg)
+        # The solver tests each prox output; after the last one, the line
+        # search for a step that is never taken tests its trials.
+        callers = Recording.callers
+        last_prox = max(i for i, name in enumerate(callers)
+                        if name == "bpge_solve")
+        assert callers[last_prox + 1:]
+        assert set(callers[last_prox + 1:]) == {"line_search_beta"}
+        kernel = _LineSearchFailureKernel(obj.dim, fail_at=last_prox + 2)
+        result = bpge_solve(dataclasses.replace(obj, kernel=kernel), x0, cfg)
+        assert kernel.failed_in == "line_search_beta"
+        # The tolerance test on the last step runs before the failure ends
+        # the run.
+        assert result.exit_reason == "tolerance"
+        assert _timeless(result.trace) == _timeless(reference.trace)
+        assert np.array_equal(result.x_final, reference.x_final)
