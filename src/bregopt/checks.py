@@ -77,11 +77,9 @@ def _check_prox(obj, rng, calls: int = 20) -> CheckOutcome:
 
 def _check_lyapunov(obj, x0) -> CheckOutcome:
     cfg = SolverConfig(lam=1.0 / obj.smooth.smad_constant(), k_max=200)
-    result = bpge_solve(obj, x0, cfg)
-    worst = 0.0
-    for prev, curr in zip(result.trace, result.trace[1:]):
-        slack = 1e-10 * max(1.0, abs(prev.lyapunov))
-        worst = max(worst, curr.lyapunov - prev.lyapunov - slack)
+    H = bpge_solve(obj, x0, cfg).trace.column("lyapunov")
+    slack = 1e-10 * np.maximum(1.0, np.abs(H[:-1]))
+    worst = float(np.max(H[1:] - H[:-1] - slack, initial=0.0))
     return CheckOutcome("lyapunov_monotone", worst <= 0.0,
                         "max increase beyond slack %.3e" % worst)
 

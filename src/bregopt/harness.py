@@ -192,25 +192,20 @@ def _fmt(v) -> str:
     return str(v)
 
 
+# One trace row as csv.writer prints it, every float by repr.
+_TRACE_ROW = "%d,%r,%r,%r,%r,%r,%d,%r,%r\r\n"
+
+
 def write_trace_csv(result: SolveResult, path) -> None:
     """Per-iteration trace with the objective gap taken against the run's
     own terminal objective value."""
-    psi_final = result.psi_final
+    psi_final = float(result.psi_final)  # np.float64 would print its type
+    rows = "".join(_TRACE_ROW % (k, psi, abs(psi - psi_final), dh, h, beta,
+                                 shrinks, residual, t)
+                   for k, psi, dh, h, beta, shrinks, residual, t
+                   in result.trace.data.tolist())
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_HEADER)
-        for rec in result.trace:
-            writer.writerow([
-                rec.k,
-                _fmt(rec.psi),
-                _fmt(abs(rec.psi - psi_final)),
-                _fmt(rec.dh_step),
-                _fmt(rec.lyapunov),
-                _fmt(rec.beta_accepted),
-                rec.shrink_count,
-                _fmt(rec.residual),
-                _fmt(rec.wall_time),
-            ])
+        fh.write(",".join(TRACE_HEADER) + "\r\n" + rows)
 
 
 def run_cell(spec: ExperimentSpec, m: int, d: int, rule: str, rho: float,
@@ -238,27 +233,28 @@ def run_cell(spec: ExperimentSpec, m: int, d: int, rule: str, rho: float,
 def run_comparison(spec: ExperimentSpec, out_dir=None) -> List[ComparisonRow]:
     """Run every (size x lambda x rho x rep) cell of the sweep, in order.
 
-    Writes one trace CSV per run plus an aggregate comparison table when
-    out_dir is given, creating it before the first cell runs. A numerical
-    failure inside a run is recorded in its row, not fatal to the sweep.
+    When out_dir is given, creates it before the first cell runs, writes
+    each run's trace CSV as soon as its cell has run, and writes the
+    aggregate comparison table at the end. A numerical failure inside a
+    run is recorded in its row, not fatal to the sweep.
     """
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-    cells = list(itertools.product(spec.sizes, range(len(spec.lambdas)),
-                                   range(len(spec.rhos)),
-                                   range(spec.repetitions)))
-    outcomes = [run_cell(spec, m, d, spec.lambdas[li], spec.rhos[ri],
-                         derive_seed(spec.seed, m, d, li, ri, rep), rep)
-                for (m, d), li, ri, rep in cells]
-
-    rows = [row for row, _ in outcomes]
-    if out_dir is not None:
-        for ((m, d), li, ri, rep), (_, results) in zip(cells, outcomes):
+    rows = []
+    for (m, d), li, ri, rep in itertools.product(
+            spec.sizes, range(len(spec.lambdas)), range(len(spec.rhos)),
+            range(spec.repetitions)):
+        row, results = run_cell(spec, m, d, spec.lambdas[li], spec.rhos[ri],
+                                derive_seed(spec.seed, m, d, li, ri, rep), rep)
+        rows.append(row)
+        if out_dir is not None:
             for solver, result in results.items():
                 write_trace_csv(result, out_dir / (
                     "trace_%s_m%d_d%d_lam%d_rho%d_rep%d_%s.csv"
                     % (spec.problem, m, d, li, ri, rep, solver)))
+        del results  # before the next cell runs
+    if out_dir is not None:
         write_comparison_csv(rows, out_dir / "comparison.csv")
     return rows
 

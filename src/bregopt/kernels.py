@@ -15,6 +15,8 @@ checked ones or to the defining formula.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DomainError, NumericalError, ValidationError
@@ -136,11 +138,12 @@ class BurgKernel(Kernel):
 
     def in_interior_domain(self, x):
         x = np.asarray(x, dtype=float)
-        return bool(np.isfinite(x).all() and (x > 0.0).all())
+        return x.size == 0 or bool(0.0 < np.minimum.reduce(x, None)
+                                   and np.maximum.reduce(x, None) < np.inf)
 
     def inverse_gradient(self, z):
         z = _as_vector(z)
-        if not (z < 0.0).all():
+        if not np.maximum.reduce(z, initial=-np.inf) < 0.0:
             raise DomainError("Burg inverse gradient needs every component < 0")
         return -1.0 / z
 
@@ -166,7 +169,7 @@ class QuarticKernel(Kernel):
 
     def inverse_gradient(self, z):
         z = _as_vector(z)
-        s = float(np.linalg.norm(z))
+        s = math.sqrt(float(np.dot(z, z)))
         if s == 0.0:
             return np.zeros_like(z)
         r = cubic_root_scale(s)

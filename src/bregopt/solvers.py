@@ -8,14 +8,17 @@ gradient iterations.
 
 Every run records a full per-iteration trace (objective, Bregman step,
 descent certificate H_k = Psi(x^k) + D_h(x^{k-1}, x^k) / lam, accepted beta,
-stationarity residual, wall time).
+stationarity residual, wall time), stored as one row of eight doubles per
+iteration.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from array import array
+from collections.abc import Sequence
+from dataclasses import dataclass, field, fields
 from typing import ClassVar, List, Optional
 
 import numpy as np
@@ -85,13 +88,48 @@ class IterationRecord:
     wall_time: float
 
 
+_FIELDS = tuple(f.name for f in fields(IterationRecord))
+
+
+def _record(row) -> IterationRecord:
+    k, psi, dh, lyap, beta, shrinks, residual, wall = row
+    # np.nan itself, as the solver records it: dataclass equality compares
+    # fields as tuples do, where a NaN equals only the same object.
+    return IterationRecord(int(k), psi, dh, lyap, beta, int(shrinks),
+                           np.nan if residual != residual else residual, wall)
+
+
+class Trace(Sequence):
+    """A run's IterationRecords as the read-only (n, 8) float64 array
+    `data`, one row per record in field order. An index builds the record,
+    a slice is a Trace and `column(name)` is a view of one field."""
+
+    def __init__(self, data: np.ndarray):
+        data.flags.writeable = False
+        self.data = data
+
+    def __len__(self) -> int:
+        return len(self.data)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Trace(self.data[i])
+        return _record(self.data[i].tolist())
+
+    def __iter__(self):
+        return map(_record, self.data.tolist())
+
+    def column(self, name: str) -> np.ndarray:
+        return self.data[:, _FIELDS.index(name)]
+
+
 @dataclass(frozen=True)
 class SolveResult:
     x_final: np.ndarray
     psi_final: float
     iterations: int
     exit_reason: str
-    trace: List[IterationRecord]
+    trace: Trace
     config: SolverConfig
     iterates: Optional[List[np.ndarray]] = None
 
@@ -164,7 +202,7 @@ def bpge_solve(obj: CompositeObjective, x0: np.ndarray,
     ahead = (line_search_beta(kernel, x_curr, x_curr, cfg.line_search, C_k,
                               0.0) if _extrapolate else (0.0, 0, None, None))
     failed = False
-    trace = [IterationRecord(0, psi_curr, 0.0, psi_curr, 0.0, 0, np.nan, 0.0)]
+    rows = array("d", (0, psi_curr, 0.0, psi_curr, 0.0, 0, np.nan, 0.0))
     iterates = [x0.copy()] if cfg.keep_iterates else None
     exit_reason = EXIT_MAX_ITERATIONS
     start = time.perf_counter()
@@ -200,10 +238,8 @@ def bpge_solve(obj: CompositeObjective, x0: np.ndarray,
         except (DomainError, NumericalError):
             exit_reason = EXIT_NUMERICAL_FAILURE
             break
-        trace.append(IterationRecord(
-            k + 1, psi_next, dh, psi_next + inv_lam * dh, beta, shrinks,
-            residual, time.perf_counter() - start,
-        ))
+        rows.extend((k + 1, psi_next, dh, psi_next + inv_lam * dh, beta,
+                     shrinks, residual, time.perf_counter() - start))
         if iterates is not None:
             iterates.append(x_next.copy())
         if cfg.exit_mode == "iterate_relative":
@@ -218,10 +254,11 @@ def bpge_solve(obj: CompositeObjective, x0: np.ndarray,
             exit_reason = EXIT_TOLERANCE
             break
 
+    trace = Trace(np.frombuffer(rows).reshape(-1, len(_FIELDS)))
     return SolveResult(
         x_final=x_curr,
         psi_final=psi_curr,
-        iterations=trace[-1].k,
+        iterations=len(trace) - 1,
         exit_reason=exit_reason,
         trace=trace,
         config=cfg,
@@ -255,15 +292,11 @@ def sublinear_rate_check(result: SolveResult, slack: float = 1e-10) -> RateRepor
     cfg = result.config
     inv_lam = 1.0 / cfg.lam
     denom_unit = inv_lam - cfg.line_search.rho * inv_lam
-    trace = result.trace
-    max_slack = -np.inf
-    checked = 0
-    running_min = np.inf
-    for K in range(1, len(trace) - 1):
-        running_min = min(running_min, trace[K].dh_step)
-        bound = (trace[1].lyapunov - trace[K + 1].lyapunov) / (K * denom_unit)
-        max_slack = max(max_slack, running_min - bound - slack)
-        checked += 1
-    if checked == 0:
-        max_slack = 0.0
-    return RateReport(checked, max_slack)
+    dh = result.trace.column("dh_step")
+    H = result.trace.column("lyapunov")
+    K = np.arange(1, len(dh) - 1)
+    if not K.size:
+        return RateReport(0, 0.0)
+    running_min = np.minimum.accumulate(dh[1:-1])
+    bound = (H[1] - H[2:]) / (K * denom_unit)
+    return RateReport(K.size, float(np.max(running_min - bound - slack)))

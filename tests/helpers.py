@@ -2,12 +2,17 @@
 
 These deliberately avoid the closed-form code paths they are used to
 check: gradients come from central finite differences, prox solutions
-from a dense grid plus Nelder-Mead refinement, and the scalar cubic from
-plain bisection.
+from a dense grid plus Nelder-Mead refinement, the scalar cubic from
+plain bisection, and trace CSVs from csv.writer over the records.
 """
+
+import csv
+import inspect
 
 import numpy as np
 from scipy.optimize import minimize
+
+from bregopt import BurgKernel, NumericalError, harness
 
 
 def fd_gradient(fn, x, step=1e-6):
@@ -57,3 +62,65 @@ def bisect_cubic(s, tol=1e-13):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+class FailingBurgKernel(BurgKernel):
+    """Burg kernel whose n-th domain test raises NumericalError."""
+
+    def __init__(self, dim, fail_at):
+        super().__init__(dim)
+        self.calls, self.fail_at, self.failed_in = 0, fail_at, None
+
+    def in_interior_domain(self, x):
+        self.calls += 1
+        if self.calls == self.fail_at:
+            self.failed_in = inspect.stack()[1].function
+            raise NumericalError("boom")
+        return super().in_interior_domain(x)
+
+
+def _fmt(v):
+    v = v.item() if isinstance(v, np.generic) else v
+    return repr(v) if isinstance(v, float) else str(v)
+
+
+def reference_trace_csv(result, path):
+    """A trace CSV written by csv.writer, one IterationRecord at a time,
+    each float printed by repr: what harness.write_trace_csv must match."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(harness.TRACE_HEADER)
+        for rec in result.trace:
+            writer.writerow([
+                rec.k,
+                _fmt(rec.psi),
+                _fmt(abs(rec.psi - result.psi_final)),
+                _fmt(rec.dh_step),
+                _fmt(rec.lyapunov),
+                _fmt(rec.beta_accepted),
+                rec.shrink_count,
+                _fmt(rec.residual),
+                _fmt(rec.wall_time),
+            ])
+
+
+def rate_check_loop(result, slack=1e-10):
+    """(checked, max_slack) of sublinear_rate_check, one record at a time."""
+    inv_lam = 1.0 / result.config.lam
+    denom_unit = inv_lam - result.config.line_search.rho * inv_lam
+    trace = list(result.trace)
+    max_slack, running_min = -np.inf, np.inf
+    for K in range(1, len(trace) - 1):
+        running_min = min(running_min, trace[K].dh_step)
+        bound = (trace[1].lyapunov - trace[K + 1].lyapunov) / (K * denom_unit)
+        max_slack = max(max_slack, running_min - bound - slack)
+    return max(len(trace) - 2, 0), max_slack if len(trace) > 2 else 0.0
+
+
+def lyapunov_increase_loop(trace):
+    """Largest rise of H_k beyond 1e-10 * max(1, |H_{k-1}|), at least 0."""
+    worst = 0.0
+    for prev, curr in zip(trace, trace[1:]):
+        slack = 1e-10 * max(1.0, abs(prev.lyapunov))
+        worst = max(worst, curr.lyapunov - prev.lyapunov - slack)
+    return worst

@@ -1,10 +1,19 @@
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
 
-from bregopt import ValidationError
+from bregopt import (
+    LineSearchConfig,
+    SolverConfig,
+    ValidationError,
+    bpg_solve,
+    bpge_solve,
+)
 from bregopt import harness, plip
+
+from helpers import FailingBurgKernel, reference_trace_csv
 
 
 def tiny_spec(**overrides):
@@ -100,6 +109,71 @@ class TestRunComparison:
                                                  solvers=("bpge",)))
         assert [(r.N_bpge, r.rep) for r in rows] == \
             [(r.N_bpge, r.rep) for r in rows2]
+
+
+@pytest.fixture(scope="module")
+def exit_runs():
+    """One plip run per way a trace can end, plus numpy scalars."""
+    inst = plip.generate_plip(40, 4, seed=24)
+    obj, x0 = plip.make_objective(inst), plip.default_x0(inst)
+    cfg = SolverConfig(lam=1.0 / obj.smooth.smad_constant())
+    runs = {
+        "tolerance": bpge_solve(obj, x0, cfg),
+        "max_iterations": bpg_solve(obj, x0, dataclasses.replace(cfg,
+                                                                 k_max=7)),
+        "numerical_failure": bpge_solve(
+            dataclasses.replace(obj, kernel=FailingBurgKernel(obj.dim, 4)),
+            x0, cfg),
+        "numpy_beta0": bpge_solve(obj, x0, dataclasses.replace(
+            cfg, line_search=LineSearchConfig(beta0=np.float64(0.9)))),
+    }
+    for name in ("tolerance", "max_iterations", "numerical_failure"):
+        assert runs[name].exit_reason == name
+    # A smooth term of one's own may return its value as a numpy scalar.
+    runs["numpy_psi_final"] = dataclasses.replace(
+        runs["tolerance"], psi_final=np.float64(runs["tolerance"].psi_final))
+    return runs
+
+
+@pytest.mark.parametrize("name", ["tolerance", "max_iterations",
+                                  "numerical_failure", "numpy_beta0",
+                                  "numpy_psi_final"])
+def test_trace_csv_bytes_match_csv_writer(exit_runs, name, tmp_path):
+    result = exit_runs[name]
+    harness.write_trace_csv(result, tmp_path / "got.csv")
+    reference_trace_csv(result, tmp_path / "want.csv")
+    got = (tmp_path / "got.csv").read_bytes()
+    assert got == (tmp_path / "want.csv").read_bytes()
+    assert got.count(b"\r\n") == len(result.trace) + 1
+
+
+def test_integer_beta0_prints_beta_as_float(tmp_path):
+    # beta0 = 0 is accepted as an int; the trace stores every beta as a
+    # double, so the beta column reads 0.0 on every row.
+    harness.run_comparison(tiny_spec(beta0=0, k_max=5, solvers=("bpge",)),
+                           out_dir=tmp_path)
+    rows = read_csv(tmp_path / "trace_plip_m30_d4_lam0_rho0_rep0_bpge.csv")
+    col = harness.TRACE_HEADER.index("beta")
+    assert [r[col] for r in rows[1:]] == ["0.0"] * 6
+
+
+def test_sweep_writes_each_cells_traces_before_the_next_cell(tmp_path,
+                                                             monkeypatch):
+    run_cell, cells = harness.run_cell, []
+
+    def checked(*args, **kwargs):
+        # Every earlier cell has both its trace files; no table yet.
+        assert len(list(tmp_path.glob("trace_*.csv"))) == 2 * len(cells)
+        assert not (tmp_path / "comparison.csv").exists()
+        cells.append(args)
+        return run_cell(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_cell", checked)
+    rows = harness.run_comparison(tiny_spec(rhos=(0.9, 0.99), repetitions=2,
+                                            k_max=50), out_dir=tmp_path)
+    assert len(cells) == len(rows) == 4
+    assert len(list(tmp_path.glob("trace_*.csv"))) == 8
+    assert len(read_csv(tmp_path / "comparison.csv")) == 5
 
 
 @pytest.fixture(scope="module")

@@ -188,3 +188,41 @@ class TestValidation:
     def test_not_a_vector(self):
         with pytest.raises(ValidationError):
             QuarticKernel(4).value(np.ones((2, 2)))
+
+
+@pytest.mark.parametrize("x", [
+    [np.nan], [1.0, np.nan], [np.inf], [2.0, -np.inf], [0.0], [-0.0],
+    [5e-324], [-5e-324, -1.0], [1, 3], [0, 3], [], [0.5, 2.0],
+], ids=repr)
+def test_burg_domain_tests_match_elementwise_expressions(x):
+    # The reductions must decide as the elementwise tests they replaced,
+    # for x and for -x, the empty vector included.
+    kernel = BurgKernel(1)
+    for v in (x, [-t for t in x]):
+        a = np.asarray(v, dtype=float)
+        assert kernel.in_interior_domain(v) == bool(
+            np.isfinite(a).all() and (a > 0.0).all())
+        with np.errstate(all="ignore"):
+            if (a < 0.0).all():
+                np.testing.assert_array_equal(kernel.inverse_gradient(v),
+                                              -1.0 / a)
+            else:
+                with pytest.raises(DomainError):
+                    kernel.inverse_gradient(v)
+
+
+def test_quartic_inverse_gradient_matches_linalg_norm_form():
+    def with_linalg_norm(z):
+        s = float(np.linalg.norm(z))
+        if s == 0.0:
+            return np.zeros_like(z)
+        r = cubic_root_scale(s)
+        return z / (r * r + 1.0)
+
+    rng = np.random.default_rng(5)
+    kernel = QuarticKernel(7)
+    for scale in (1e-300, 1e-3, 1.0, 1e3, 1e100):
+        for _ in range(50):
+            z = scale * rng.standard_normal(7)
+            assert np.array_equal(kernel.inverse_gradient(z),
+                                  with_linalg_norm(z))

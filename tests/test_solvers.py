@@ -10,7 +10,7 @@ from bregopt import (
     EuclideanKernel,
     L1Term,
     LineSearchConfig,
-    NumericalError,
+    RateReport,
     SolverConfig,
     ValidationError,
     bpg_solve,
@@ -19,9 +19,13 @@ from bregopt import (
     soft_threshold,
     sublinear_rate_check,
 )
-from bregopt import plip, problems, qip
+from bregopt import checks, plip, problems, qip
 from bregopt.kernels import Kernel, QuarticKernel
 from bregopt.problems import NonsmoothTerm, SmoothTerm
+from bregopt.solvers import IterationRecord, Trace
+
+from helpers import (FailingBurgKernel, lyapunov_increase_loop,
+                     rate_check_loop)
 
 
 class QuadraticSmooth(SmoothTerm):
@@ -280,8 +284,19 @@ class TestRateBound:
             inst = qip.generate_qip(80, 6, seed=seed)
             obj, x0 = qip.make_objective(inst), qip.default_x0(inst)
         cfg = SolverConfig(lam=1.0 / obj.smooth.smad_constant(), k_max=600)
-        report = sublinear_rate_check(bpge_solve(obj, x0, cfg))
+        result = bpge_solve(obj, x0, cfg)
+        report = sublinear_rate_check(result)
         assert report.holds
+        # The column form does the loop's arithmetic: equal, not close.
+        assert report == RateReport(*rate_check_loop(result))
+        for k_max in (1, 2, 3):
+            short = bpge_solve(obj, x0, dataclasses.replace(cfg, k_max=k_max))
+            assert (sublinear_rate_check(short)
+                    == RateReport(*rate_check_loop(short)))
+        capped = bpge_solve(obj, x0, dataclasses.replace(cfg, k_max=200))
+        assert checks._check_lyapunov(obj, x0).detail == (
+            "max increase beyond slack %.3e"
+            % lyapunov_increase_loop(capped.trace))
 
     def test_single_window_reduces_to_two_step_inequality(self):
         inst = plip.generate_plip(30, 4, seed=12)
@@ -492,6 +507,56 @@ def _shipped(problem, m, d, seed):
 
 def _timeless(trace):
     return [dataclasses.replace(rec, wall_time=0.0) for rec in trace]
+
+
+class TestTraceRows:
+    @pytest.fixture(scope="class")
+    def result(self):
+        obj, x0 = _shipped("plip", 40, 4, seed=24)
+        return bpge_solve(obj, x0, SolverConfig(
+            lam=1.0 / obj.smooth.smad_constant(), k_max=30))
+
+    def test_index_slice_iteration_and_columns_agree(self, result):
+        trace = result.trace
+        rows = list(trace)
+        assert len(trace) == len(rows) == result.iterations + 1 == 31
+        assert rows == [trace[i] for i in range(len(trace))]
+        assert trace[-1] == rows[-1] and trace[-1].k == result.iterations
+        part = trace[3:7]
+        assert isinstance(part, Trace) and list(part) == rows[3:7]
+        for f in dataclasses.fields(IterationRecord):
+            np.testing.assert_array_equal(
+                trace.column(f.name), [getattr(r, f.name) for r in rows])
+            np.testing.assert_array_equal(part.column(f.name),
+                                          trace.column(f.name)[3:7])
+        for rec in rows:
+            assert type(rec.k) is int and type(rec.shrink_count) is int
+            assert all(type(getattr(rec, name)) is float for name in
+                       ("psi", "dh_step", "lyapunov", "beta_accepted",
+                        "residual", "wall_time"))
+
+    def test_rows_are_frozen_records(self, result):
+        rec = result.trace[5]
+        timeless = dataclasses.replace(rec, wall_time=0.0)
+        assert timeless.wall_time == 0.0
+        assert dataclasses.replace(timeless, wall_time=rec.wall_time) == rec
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rec.psi = 0.0
+
+    def test_record_zero_of_identical_runs_is_equal(self, result):
+        obj, x0 = _shipped("plip", 40, 4, seed=24)
+        again = bpge_solve(obj, x0, result.config)
+        assert result.trace[0].residual is np.nan
+        assert again.trace[0] == result.trace[0]
+        assert _timeless(again.trace) == _timeless(result.trace)
+
+    def test_column_is_a_read_only_float64_view(self, result):
+        psi = result.trace.column("psi")
+        assert psi.dtype == np.float64
+        before = result.trace[0].psi
+        with pytest.raises(ValueError):
+            psi[0] = 0.0
+        assert result.trace[0].psi == before == result.trace.column("psi")[0]
 
 
 class TestFusedIteration:
@@ -737,21 +802,6 @@ class TestBlockedPass:
             assert a.psi == pytest.approx(b.psi, rel=1e-12)
 
 
-class _LineSearchFailureKernel(BurgKernel):
-    """Burg kernel whose n-th domain test raises NumericalError."""
-
-    def __init__(self, dim, fail_at):
-        super().__init__(dim)
-        self.calls, self.fail_at, self.failed_in = 0, fail_at, None
-
-    def in_interior_domain(self, x):
-        self.calls += 1
-        if self.calls == self.fail_at:
-            self.failed_in = inspect.stack()[1].function
-            raise NumericalError("boom")
-        return super().in_interior_domain(x)
-
-
 class TestFailureContainment:
     def test_line_search_failure_is_recorded_not_raised(self):
         obj, x0 = _shipped("plip", 40, 4, seed=24)
@@ -759,7 +809,7 @@ class TestFailureContainment:
         reference = bpge_solve(obj, x0, cfg)
         # Domain tests run on x0, on the first prox output, then on the
         # first line-search trial of iteration 2.
-        kernel = _LineSearchFailureKernel(obj.dim, fail_at=3)
+        kernel = FailingBurgKernel(obj.dim, fail_at=3)
         result = bpge_solve(dataclasses.replace(obj, kernel=kernel), x0, cfg)
         assert kernel.failed_in == "line_search_beta"
         assert result.exit_reason == "numerical_failure"
@@ -789,7 +839,7 @@ class TestFailureContainment:
                         if name == "bpge_solve")
         assert callers[last_prox + 1:]
         assert set(callers[last_prox + 1:]) == {"line_search_beta"}
-        kernel = _LineSearchFailureKernel(obj.dim, fail_at=last_prox + 2)
+        kernel = FailingBurgKernel(obj.dim, fail_at=last_prox + 2)
         result = bpge_solve(dataclasses.replace(obj, kernel=kernel), x0, cfg)
         assert kernel.failed_in == "line_search_beta"
         # The tolerance test on the last step runs before the failure ends
