@@ -26,14 +26,12 @@ from .solvers import (
     EXIT_NUMERICAL_FAILURE,
     EXIT_TOLERANCE,
     IterationRecord,
-    RateReport,
     LineSearchConfig,
     SolveResult,
     SolverConfig,
     bpg_solve,
     bpge_solve,
     line_search_beta,
-    sublinear_rate_check,
 )
 
 __all__ = [
@@ -43,10 +41,8 @@ __all__ = [
     "CompositeObjective", "SmoothTerm", "NonsmoothTerm", "ZeroTerm",
     "L1Term", "soft_threshold", "check_smad",
     "EXIT_TOLERANCE", "EXIT_MAX_ITERATIONS", "EXIT_NUMERICAL_FAILURE",
-    "EXIT_MODES", "RateReport",
-    "LineSearchConfig", "SolverConfig", "IterationRecord", "SolveResult",
-    "line_search_beta", "bpge_solve", "bpg_solve",
-    "sublinear_rate_check",
+    "EXIT_MODES", "LineSearchConfig", "SolverConfig", "IterationRecord",
+    "SolveResult", "line_search_beta", "bpge_solve", "bpg_solve",
 ]
 
 __version__ = "0.1.0"

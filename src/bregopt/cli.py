@@ -183,7 +183,7 @@ def main(argv=None) -> int:
         return 1 if exc.code else 0
     try:
         return _COMMANDS[args.command](args)
-    except (ValidationError, OSError) as exc:
+    except (ValidationError, OSError, MemoryError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     except NumericalError as exc:

@@ -6,11 +6,15 @@ inverse gradient map where h is of Legendre type. Instances are immutable
 and every method is a pure function of its inputs, so kernels can be
 shared freely across threads.
 
-The public methods check that their points lie in the domain. The solvers
-check each point once, when it is created, and then call the unchecked
-`_bregman` and `_gradient` on it. A subclass only has to define `value`,
-`gradient` and `in_interior_domain`; the unchecked methods default to the
-checked ones or to the defining formula.
+`require_interior` and `bregman` check that each point is a 1-D vector of
+the kernel's size in the interior of the domain, and so do the Burg
+kernel's `value` and `gradient`. The quartic `value` and `gradient` and
+the Euclidean `value` check only that the point is 1-D; the Euclidean
+`gradient` checks nothing. The solvers check each point once, when it is
+created, and then call the unchecked `_bregman` and `_gradient` on it. A
+subclass only has to define `value`, `gradient` and `in_interior_domain`;
+the unchecked methods default to the checked ones or to the defining
+formula.
 """
 
 from __future__ import annotations

@@ -15,9 +15,9 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ValidationError
-from .kernels import QuarticKernel, cubic_root_scale
+from .kernels import QuarticKernel
 from .problems import (CompositeObjective, Instance, L1Term, LinearModelSmooth,
-                       check_seed, check_theta, soft_threshold)
+                       check_seed, check_theta)
 
 
 @dataclass(frozen=True)
@@ -76,19 +76,6 @@ def generate_qip(m: int, d: int, seed: int, theta: float = 1.0) -> QipInstance:
 
 
 generate = generate_qip
-
-
-def qip_prox(inst: QipInstance, y, grad, lam: float) -> np.ndarray:
-    """Closed-form prox of theta*||.||_1 under the quartic kernel.
-
-    c = grad h(y) - lam * grad, v = soft_threshold(c, lam * theta), and the
-    result is v / (r^2 + 1) with r the nonnegative root of r^3 + r = ||v||.
-    """
-    y = np.asarray(y, dtype=float)
-    c = (float(np.dot(y, y)) + 1.0) * y - lam * np.asarray(grad, dtype=float)
-    v = soft_threshold(c, lam * inst.theta)
-    r = cubic_root_scale(float(np.linalg.norm(v)))
-    return v / (r * r + 1.0)
 
 
 class QipSmooth(LinearModelSmooth):

@@ -74,6 +74,10 @@ class SolverConfig:
             raise ValidationError(
                 "exit_mode must be one of %s" % (EXIT_MODES,)
             )
+        if not isinstance(self.line_search, LineSearchConfig):
+            raise ValidationError("line_search must be a LineSearchConfig")
+        if not isinstance(self.keep_iterates, bool):
+            raise ValidationError("keep_iterates must be a bool")
 
 
 @dataclass(frozen=True)
@@ -269,34 +273,3 @@ def bpge_solve(obj: CompositeObjective, x0: np.ndarray,
 def bpg_solve(obj: CompositeObjective, x0, cfg: SolverConfig) -> SolveResult:
     """Plain Bregman proximal gradient: beta forced to 0, no line search."""
     return bpge_solve(obj, x0, cfg, _extrapolate=False)
-
-
-@dataclass(frozen=True)
-class RateReport:
-    checked: int
-    max_slack: float
-
-    @property
-    def holds(self) -> bool:
-        return self.checked == 0 or self.max_slack <= 0.0
-
-
-def sublinear_rate_check(result: SolveResult, slack: float = 1e-10) -> RateReport:
-    """Check the O(1/K) bound on min_k D_h(x^{k-1}, x^k) along a trace.
-
-    For every K with records 1..K+1 present, verifies
-    min_{1<=k<=K} dh_step <= (H_1 - H_{K+1}) / (K * (1 - rho) / lam) + slack.
-    H_k is the trace's certificate, whose M is 1/lam. Returns the max
-    violation (negative when the bound holds everywhere with room to spare).
-    """
-    cfg = result.config
-    inv_lam = 1.0 / cfg.lam
-    denom_unit = inv_lam - cfg.line_search.rho * inv_lam
-    dh = result.trace.column("dh_step")
-    H = result.trace.column("lyapunov")
-    K = np.arange(1, len(dh) - 1)
-    if not K.size:
-        return RateReport(0, 0.0)
-    running_min = np.minimum.accumulate(dh[1:-1])
-    bound = (H[1] - H[2:]) / (K * denom_unit)
-    return RateReport(K.size, float(np.max(running_min - bound - slack)))

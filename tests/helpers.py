@@ -105,7 +105,15 @@ def reference_trace_csv(result, path):
 
 
 def rate_check_loop(result, slack=1e-10):
-    """(checked, max_slack) of sublinear_rate_check, one record at a time."""
+    """Check the O(1/K) bound on min_k D_h(x^{k-1}, x^k) along a trace.
+
+    For every K with records 1..K+1 present, the bound is
+    min_{1<=k<=K} dh_step <= (H_1 - H_{K+1}) / (K * (1 - rho) / lam) + slack,
+    with H_k the trace's certificate. Returns (checked, max_slack): the
+    number of K checked and the largest violation, negative when the bound
+    holds everywhere with room to spare (0.0 when nothing is checked). The
+    bound fails when `checked and max_slack > 0.0`.
+    """
     inv_lam = 1.0 / result.config.lam
     denom_unit = inv_lam - result.config.line_search.rho * inv_lam
     trace = list(result.trace)

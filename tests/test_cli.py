@@ -36,6 +36,18 @@ class TestGenerate:
         assert capsys.readouterr().err.startswith("error: ")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("problem", ["plip", "qip"])
+    def test_unallocatable_size_writes_nothing(self, problem, tmp_path,
+                                               capsys):
+        # 1e8 x 1e8 doubles are 71 PiB, past any address space: numpy
+        # raises MemoryError before it allocates anything.
+        code = cli.main(["generate", "--problem", problem, "--m", "100000000",
+                         "--d", "100000000", "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: Unable to allocate")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestSolve:
     def test_writes_trace_and_summary(self, tmp_path, capsys):

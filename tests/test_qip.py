@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from bregopt import (QuarticKernel, SolverConfig, ValidationError, bpge_solve,
-                     cubic_root_scale)
+                     cubic_root_scale, soft_threshold)
 from bregopt import qip
 
 from helpers import bisect_cubic, fd_gradient, prox_oracle
@@ -14,6 +14,13 @@ from helpers import bisect_cubic, fd_gradient, prox_oracle
 def scalar_instance(b=1.0, theta=1.0):
     return qip.QipInstance(a=np.array([[1.0]]), b=np.array([b]), theta=theta,
                            seed=0, x_true=np.array([1.0]))
+
+
+def prox(inst, y, grad, lam):
+    """The solvers' prox step: obj.nonsmooth.prox at the mirror point of y."""
+    obj = qip.make_objective(inst)
+    return obj.nonsmooth.prox(obj.kernel, obj.kernel.gradient(y) - lam * grad,
+                              lam)
 
 
 class TestGeneration:
@@ -78,17 +85,16 @@ class TestValueAndGradient:
 
 class TestCubicRoot:
     def test_reexported_and_correct(self):
-        assert qip.cubic_root_scale(2.0) == pytest.approx(1.0, abs=1e-12)
-        assert qip.cubic_root_scale is cubic_root_scale
+        assert cubic_root_scale(2.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_against_bisection_oracle(self):
         # r^3 + r = 10 has the exact root r = 2.
-        r = qip.cubic_root_scale(10.0)
+        r = cubic_root_scale(10.0)
         assert abs(r ** 3 + r - 10.0) <= 1e-12
         assert r == pytest.approx(bisect_cubic(10.0), abs=1e-10)
         assert r == pytest.approx(2.0, abs=1e-12)
         for s in [0.01, 0.7, 3.3, 47.0]:
-            assert qip.cubic_root_scale(s) == pytest.approx(
+            assert cubic_root_scale(s) == pytest.approx(
                 bisect_cubic(s), abs=1e-10)
 
 
@@ -96,12 +102,12 @@ class TestProx:
     def test_zero_gradient_zero_weight_fixed_point(self):
         inst = qip.generate_qip(10, 4, seed=15, theta=0.0)
         y = np.array([0.3, -1.0, 0.7, 0.1])
-        x = qip.qip_prox(inst, y, np.zeros(4), 0.05)
+        x = prox(inst, y, np.zeros(4), 0.05)
         assert np.linalg.norm(x - y) < 1e-9
 
     def test_fully_thresholded_input_gives_zero(self):
         inst = scalar_instance(theta=100.0)
-        x = qip.qip_prox(inst, np.array([0.1]), np.array([0.0]), 0.5)
+        x = prox(inst, np.array([0.1]), np.array([0.0]), 0.5)
         assert np.array_equal(x, np.zeros(1))
 
     def test_norm_equals_cubic_root_of_thresholded_norm(self):
@@ -112,10 +118,10 @@ class TestProx:
         for _ in range(50):
             y = rng.standard_normal(6)
             grad = qip.QipSmooth(inst).gradient(y)
-            x = qip.qip_prox(inst, y, grad, lam)
+            x = prox(inst, y, grad, lam)
             c = kernel.gradient(y) - lam * grad
-            v = qip.soft_threshold(c, lam * inst.theta)
-            r = qip.cubic_root_scale(float(np.linalg.norm(v)))
+            v = soft_threshold(c, lam * inst.theta)
+            r = cubic_root_scale(float(np.linalg.norm(v)))
             assert np.linalg.norm(x) == pytest.approx(r, abs=1e-12)
 
     def test_first_order_inclusion(self):
@@ -126,7 +132,7 @@ class TestProx:
         for _ in range(50):
             y = rng.standard_normal(6)
             grad = qip.QipSmooth(inst).gradient(y)
-            x = qip.qip_prox(inst, y, grad, lam)
+            x = prox(inst, y, grad, lam)
             c = kernel.gradient(y) - lam * grad
             tau = lam * inst.theta
             gx = kernel.gradient(x)
@@ -135,20 +141,6 @@ class TestProx:
                     assert abs(gx[j] + tau * np.sign(x[j]) - c[j]) < 1e-9
                 else:
                     assert abs(c[j]) <= tau + 1e-9
-
-    def test_objective_prox_matches_closed_form(self):
-        inst = qip.generate_qip(40, 6, seed=20, theta=0.5)
-        obj = qip.make_objective(inst)
-        lam = 1.0 / inst.smad_bound
-        rng = np.random.default_rng(4)
-        for _ in range(100):
-            y = rng.standard_normal(6)
-            grad = qip.QipSmooth(inst).gradient(y)
-            ref = qip.qip_prox(inst, y, grad, lam)
-            np.testing.assert_allclose(
-                obj.nonsmooth.prox(
-                    obj.kernel, obj.kernel.gradient(y) - lam * grad, lam), ref,
-                rtol=1e-14, atol=0.0)
 
     def test_matches_grid_oracle(self):
         inst = qip.generate_qip(8, 2, seed=18)
@@ -162,7 +154,7 @@ class TestProx:
         for _ in range(10):
             y = rng.standard_normal(2)
             grad = qip.QipSmooth(inst).gradient(y)
-            x = qip.qip_prox(inst, y, grad, lam)
+            x = prox(inst, y, grad, lam)
             x_star, v_star = prox_oracle(kernel, g_value, y, grad, lam,
                                          lo=-3.0, hi=3.0)
             assert np.linalg.norm(x - x_star) < 1e-5
