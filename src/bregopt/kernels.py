@@ -11,10 +11,11 @@ the kernel's size in the interior of the domain, and so do the Burg
 kernel's `value` and `gradient`. The quartic `value` and `gradient` and
 the Euclidean `value` check only that the point is 1-D; the Euclidean
 `gradient` checks nothing. The solvers check each point once, when it is
-created, and then call the unchecked `_bregman` and `_gradient` on it. A
-subclass only has to define `value`, `gradient` and `in_interior_domain`;
-the unchecked methods default to the checked ones or to the defining
-formula.
+created, take what D_h reads of it from one unchecked `_point` call
+(grad h and, where `_bregman` needs it, h) and pass those to the
+unchecked `_bregman`. A subclass only has to define `value`, `gradient`
+and `in_interior_domain`; the unchecked methods default to the checked
+ones or to the defining formula.
 """
 
 from __future__ import annotations
@@ -87,17 +88,21 @@ class Kernel:
         y = self.require_interior(y, "y")
         return self._bregman(x, y)
 
-    def _bregman(self, x: np.ndarray, y: np.ndarray, hgrad_y=None) -> float:
-        """`bregman` for interior float vectors; hgrad_y = grad h(y) if held."""
+    def _bregman(self, x: np.ndarray, y: np.ndarray, hgrad_y=None, hx=None,
+                 hy=None) -> float:
+        """`bregman` for interior float vectors, from grad h(y), h(x) and
+        h(y) where the caller holds them (None: computed here)."""
         g = self.gradient(y) if hgrad_y is None else hgrad_y
-        hx, hy = self.value(x), self.value(y)
+        hx = self.value(x) if hx is None else hx
+        hy = self.value(y) if hy is None else hy
         inner = float(np.dot(g, x - y))
         return _clamp_nonnegative(hx - hy - inner,
                                   abs(hx) + abs(hy) + abs(inner))
 
-    def _gradient(self, x: np.ndarray) -> np.ndarray:
-        """`gradient` for a float vector already known to be interior."""
-        return self.gradient(x)
+    def _point(self, x: np.ndarray) -> tuple:
+        """(grad h(x), h(x)) for a float vector already known to be interior,
+        computed once per point; h is None where `_bregman` never reads it."""
+        return self.gradient(x), self.value(x)
 
 
 def _clamp_nonnegative(d: float, scale: float = 1.0) -> float:
@@ -122,9 +127,12 @@ class EuclideanKernel(Kernel):
     def inverse_gradient(self, z):
         return np.array(z, dtype=float)
 
-    def _bregman(self, x, y, hgrad_y=None):
+    def _bregman(self, x, y, hgrad_y=None, hx=None, hy=None):
         r = x - y
         return 0.5 * float(np.dot(r, r))
+
+    def _point(self, x):
+        return self.gradient(x), None
 
 
 class BurgKernel(Kernel):
@@ -135,10 +143,10 @@ class BurgKernel(Kernel):
         return -float(np.sum(np.log(x)))
 
     def gradient(self, x):
-        return self._gradient(self.require_interior(x))
+        return self._point(self.require_interior(x))[0]
 
-    def _gradient(self, x):
-        return -1.0 / x
+    def _point(self, x):
+        return -1.0 / x, None
 
     def in_interior_domain(self, x):
         x = np.asarray(x, dtype=float)
@@ -151,7 +159,7 @@ class BurgKernel(Kernel):
             raise DomainError("Burg inverse gradient needs every component < 0")
         return -1.0 / z
 
-    def _bregman(self, x, y, hgrad_y=None):
+    def _bregman(self, x, y, hgrad_y=None, hx=None, hy=None):
         t = x / y
         return _clamp_nonnegative(float((t - np.log(t) - 1.0).sum()))
 
@@ -160,13 +168,15 @@ class QuarticKernel(Kernel):
     """h(x) = ||x||^4 / 4 + ||x||^2 / 2 on all of R^d."""
 
     def value(self, x):
-        x = _as_vector(x)
-        s = float(np.dot(x, x))
-        return 0.25 * s * s + 0.5 * s
+        return self._point(_as_vector(x))[1]
 
     def gradient(self, x):
-        x = _as_vector(x)
-        return (float(np.dot(x, x)) + 1.0) * x
+        return self._point(_as_vector(x))[0]
+
+    def _point(self, x):
+        """Both from one ||x||^2: (||x||^2 + 1) x and h(x)."""
+        s = float(np.dot(x, x))
+        return (s + 1.0) * x, 0.25 * s * s + 0.5 * s
 
     def in_interior_domain(self, x):
         return bool(np.isfinite(x).all())

@@ -15,7 +15,7 @@ import numpy as np
 from .errors import DomainError, NumericalError, ValidationError
 from .kernels import BurgKernel
 from .problems import (CompositeObjective, Instance, LinearModelSmooth,
-                       ZeroTerm, check_seed, check_theta)
+                       ZeroTerm, check_seed, check_size, check_theta)
 
 
 @dataclass(frozen=True)
@@ -43,14 +43,16 @@ class PlipInstance(Instance):
 def generate_plip(m: int, d: int, seed: int) -> PlipInstance:
     """Seeded instance: A and x_true entrywise uniform, b = A x_true.
 
-    Entries of A are drawn in (0, 1]; columns that end up entirely below
-    1e-12 are resampled so no coordinate of x is unconstrained.
+    Entries of A are drawn in (0, 1], as 1 - U[0, 1) formed in place, so
+    that A is the one m x d array the draw holds; columns that end up
+    entirely below 1e-12 are resampled so no coordinate of x is
+    unconstrained.
     """
-    if m < 1 or d < 1:
-        raise ValidationError("m and d must be >= 1")
+    check_size(m, d)
     check_seed(seed)
     rng = np.random.default_rng([seed, 0])
-    A = 1.0 - rng.random((m, d))
+    A = rng.random((m, d))
+    np.subtract(1.0, A, out=A)
     while True:
         dead = np.max(A, axis=0) < 1e-12
         if not np.any(dead):

@@ -24,6 +24,14 @@ def check_seed(seed) -> None:
         raise ValidationError("seed must be an integer >= 0, got %r" % (seed,))
 
 
+def check_size(m, d) -> None:
+    """Instance sizes are integers >= 1, as the seed is (numpy integers too,
+    never a bool, a float or a string)."""
+    if not (is_integer(m) and is_integer(d) and m >= 1 and d >= 1):
+        raise ValidationError("m and d must be integers >= 1, got %r and %r"
+                              % (m, d))
+
+
 def check_theta(theta) -> None:
     if not (is_number(theta) and math.isfinite(theta) and theta >= 0.0):
         raise ValidationError("theta must be finite and >= 0")
@@ -77,7 +85,7 @@ class Instance:
                     value = np.asarray(value)
                     if value.dtype.kind not in "iuf":
                         raise TypeError("%s holds a non-number" % name)
-                    args[name] = value.astype(float)
+                    args[name] = value.astype(float, copy=False)
         except (ValueError, TypeError, KeyError) as exc:
             raise ValidationError("malformed %s document: %s: %s" % (
                 cls.__name__, type(exc).__name__, exc)) from exc
@@ -124,25 +132,32 @@ class SmoothTerm:
 _BLOCK_BYTES = 512 * 1024
 
 
+def _row_blocks(M: np.ndarray) -> list:
+    """Slices that cut M's rows into blocks of at most 512 KiB, a multiple
+    of 8 rows each (8 rows at least); the last block may be shorter."""
+    m, d = M.shape
+    rows = max(8, _BLOCK_BYTES // (8 * M.itemsize * d) * 8)
+    return [slice(i, min(i + rows, m)) for i in range(0, m, rows)]
+
+
 class LinearModelSmooth(SmoothTerm):
     """f(x) = phi(Mx) = sum_i phi_i((Mx)_i) with M the instance matrix.
 
     A subclass defines `_phi(u, b, value=True)`, giving phi(u) (None unless
     value) and the elementwise phi'(u) from the terms they share, the check
     `_point` on x and, if phi needs it, the domain test `_in_domain(u)`.
-    M is cut once into row blocks of at most 512 KiB, a multiple of 8 rows
-    each, so that blocked M x is M @ x bit for bit (unless the last block
-    is one row); one block keeps the unblocked products. The line search,
-    which never reads f, fixes the next y before `evaluate` runs.
+    M is cut once into the row blocks of `_row_blocks`, so that blocked
+    M x is M @ x bit for bit (unless the last block is one row); one block
+    keeps the unblocked products. The line search, which never reads f,
+    fixes the next y before `evaluate` runs.
     """
 
     def __init__(self, inst: Instance):
         self.inst = inst
         self.M = M = getattr(inst, inst.MATRIX)
-        rows = max(8, _BLOCK_BYTES // (8 * M.itemsize * M.shape[1]) * 8)
-        self._blocks = None if M.shape[0] <= rows else [
-            (slice(i, i + rows), M[i:i + rows], inst.b[i:i + rows])
-            for i in range(0, M.shape[0], rows)]
+        blocks = _row_blocks(M)
+        self._blocks = None if len(blocks) == 1 else [
+            (rows, M[rows], inst.b[rows]) for rows in blocks]
 
     _point = staticmethod(np.asarray)
     _in_domain = staticmethod(lambda u: True)

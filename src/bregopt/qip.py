@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ValidationError
 from .kernels import QuarticKernel
 from .problems import (CompositeObjective, Instance, L1Term, LinearModelSmooth,
-                       check_seed, check_theta)
+                       _row_blocks, check_seed, check_size, check_theta)
 
 
 @dataclass(frozen=True)
@@ -40,8 +40,12 @@ class QipInstance(Instance):
 
     @cached_property
     def _bounds(self) -> tuple:
-        """Both bounds from one row-norm pass; caching n2 raised peak RSS."""
-        n2 = np.sum(self.a * self.a, axis=1)
+        """Both bounds from one row-norm pass over the row blocks of
+        `_row_blocks`, so that no m x d temporary is made; each row is
+        still summed alone. Caching n2 raised peak RSS."""
+        a = self.a
+        n2 = np.concatenate([np.sum(a[rows] * a[rows], axis=1)
+                             for rows in _row_blocks(a)])
         return (float(np.sum(3.0 * n2 * n2 + n2 * np.abs(self.b))),
                 float(np.sum(n2 * np.abs(self.b))))
 
@@ -62,8 +66,7 @@ def generate_qip(m: int, d: int, seed: int, theta: float = 1.0) -> QipInstance:
     The support of x_true has ceil(0.05 * d) positions chosen uniformly
     without replacement, values standard normal.
     """
-    if m < 1 or d < 1:
-        raise ValidationError("m and d must be >= 1")
+    check_size(m, d)
     check_seed(seed)
     rng = np.random.default_rng([seed, 0])
     a = rng.standard_normal((m, d))

@@ -139,7 +139,8 @@ class SolveResult:
 
 
 def line_search_beta(kernel: Kernel, x_prev: np.ndarray, x_curr: np.ndarray,
-                     cfg: LineSearchConfig, C_k: float, dh_prev: float):
+                     cfg: LineSearchConfig, C_k: float, dh_prev: float,
+                     h_curr=None):
     """First beta in {beta0, eta*beta0, ...} whose trial point is admissible.
 
     Admissible means the trial x_curr + beta*(x_curr - x_prev) lies in the
@@ -148,7 +149,9 @@ def line_search_beta(kernel: Kernel, x_prev: np.ndarray, x_curr: np.ndarray,
     the domain counts as a failed test and keeps shrinking. Falls back to
     beta = 0 after max_shrinks, which always satisfies the condition.
     dh_prev is D_h(x_prev, x_curr), which the caller has already computed
-    for points it has checked.
+    for points it has checked, and h_curr is h(x_curr) if the caller holds
+    it (the h of `kernel._point`); every trial's D_h(x_curr, trial) reuses
+    it.
     Returns (beta, shrinks, trial, grad h(trial)), grad h computed once per
     trial that reaches D_h; trial and grad h are None when the trial would
     be x_curr (beta = 0, or x_curr = x_prev, where beta0 is admissible).
@@ -163,9 +166,10 @@ def line_search_beta(kernel: Kernel, x_prev: np.ndarray, x_curr: np.ndarray,
             return 0.0, shrinks, None, None
         trial = x_curr + beta * direction
         if kernel.in_interior_domain(trial):
-            hgrad = kernel._gradient(trial)
             try:
-                if kernel._bregman(x_curr, trial, hgrad) <= bound:
+                hgrad, h_trial = kernel._point(trial)
+                if kernel._bregman(x_curr, trial, hgrad, h_curr,
+                                   h_trial) <= bound:
                     return beta, shrinks, trial, hgrad
             except NumericalError:
                 pass
@@ -184,7 +188,7 @@ def bpge_solve(obj: CompositeObjective, x0: np.ndarray,
     M y carried), and the record. A failed line search ends the run at
     the start of the step it was for, after the tolerance test. Each new
     point gets one domain check (x0 here, each trial, each prox output)
-    and one grad h, which D_h(x_curr, x_next) reuses.
+    and one `kernel._point`, whose grad h and h every D_h on it reuses.
     """
     kernel = obj.kernel
     smooth, nonsmooth = obj.smooth, obj.nonsmooth
@@ -201,7 +205,7 @@ def bpge_solve(obj: CompositeObjective, x0: np.ndarray,
     x_curr = x0.copy()
     u_curr, f_curr, grad_curr, _ = smooth.evaluate(x_curr, None, 0.0, None)
     psi_curr = f_curr + nonsmooth.value(x_curr)
-    hgrad_curr = kernel._gradient(x_curr)
+    hgrad_curr, h_curr = kernel._point(x_curr)
     # From x_prev = x0 the line search takes beta0 at y = x0, kernel unused.
     ahead = (line_search_beta(kernel, x_curr, x_curr, cfg.line_search, C_k,
                               0.0) if _extrapolate else (0.0, 0, None, None))
@@ -223,13 +227,13 @@ def bpge_solve(obj: CompositeObjective, x0: np.ndarray,
                                     cfg.lam)
             if not kernel.in_interior_domain(x_next):
                 raise NumericalError("prox left the kernel domain")
-            hgrad_next = kernel._gradient(x_next)
-            dh = kernel._bregman(x_curr, x_next, hgrad_next)
+            hgrad_next, h_next = kernel._point(x_next)
+            dh = kernel._bregman(x_curr, x_next, hgrad_next, h_curr, h_next)
             ahead = (0.0, 0, None, None)
             if _extrapolate:
                 try:
                     ahead = line_search_beta(kernel, x_curr, x_next,
-                                             cfg.line_search, C_k, dh)
+                                             cfg.line_search, C_k, dh, h_next)
                 except (DomainError, NumericalError):
                     failed = True
             u_next, f_next, grad_next, grad_y_next = smooth.evaluate(
@@ -252,7 +256,7 @@ def bpge_solve(obj: CompositeObjective, x0: np.ndarray,
                    / max(1.0, math.sqrt(float(np.dot(x_next, x_next)))))
         else:
             gap = abs(psi_next - psi_curr) / max(1.0, abs(psi_next))
-        x_curr, psi_curr, u_curr = x_next, psi_next, u_next
+        x_curr, psi_curr, u_curr, h_curr = x_next, psi_next, u_next, h_next
         grad_curr, hgrad_curr, grad_y = grad_next, hgrad_next, grad_y_next
         if gap <= cfg.tol:
             exit_reason = EXIT_TOLERANCE

@@ -125,6 +125,30 @@ def rate_check_loop(result, slack=1e-10):
     return max(len(trace) - 2, 0), max_slack if len(trace) > 2 else 0.0
 
 
+def reference_plip_draw(m, d, seed):
+    """(A, b, x_true) of plip.generate_plip by its first formula, where
+    1 - U[0, 1) is a second m x d array."""
+    rng = np.random.default_rng([seed, 0])
+    A = 1.0 - rng.random((m, d))
+    while True:
+        dead = np.max(A, axis=0) < 1e-12
+        if not np.any(dead):
+            break
+        A[:, dead] = 1.0 - rng.random((m, int(np.sum(dead))))
+    x_true = rng.random(d)
+    while np.min(A @ x_true) <= 0.0:
+        x_true = rng.random(d)
+    return A, A @ x_true, x_true
+
+
+def reference_qip_bounds(a, b):
+    """(smad_bound, weak_convexity_bound) of a qip instance from one
+    unblocked row-norm pass, n2 = sum(a * a, axis=1)."""
+    n2 = np.sum(a * a, axis=1)
+    return (float(np.sum(3.0 * n2 * n2 + n2 * np.abs(b))),
+            float(np.sum(n2 * np.abs(b))))
+
+
 def lyapunov_increase_loop(trace):
     """Largest rise of H_k beyond 1e-10 * max(1, |H_{k-1}|), at least 0."""
     worst = 0.0

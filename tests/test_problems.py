@@ -1,4 +1,6 @@
 import json
+import math
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -16,9 +18,10 @@ from bregopt import (
     soft_threshold,
 )
 from bregopt import harness, plip, qip
-from bregopt.problems import CompositeObjective, SmoothTerm
+from bregopt.problems import CompositeObjective, SmoothTerm, _row_blocks
 
-from helpers import fd_gradient, prox_oracle
+from helpers import (fd_gradient, prox_oracle, reference_plip_draw,
+                     reference_qip_bounds)
 
 
 @pytest.mark.parametrize("name", sorted(harness.PROBLEM_MODULES))
@@ -254,3 +257,100 @@ def test_smooth_constants_ordering():
 def test_smooth_term_interface_is_abstract():
     with pytest.raises(NotImplementedError):
         SmoothTerm().value(np.zeros(1))
+
+
+# 3000 x 200 is 10 row blocks of 320 rows, the last one of 120.
+SIZES = [(9, 3), (1000, 10), (3000, 200)]
+
+
+class TestOneMatrixCopy:
+    """Building an instance holds one m x d array, with the bits of the
+    formulas that made a second one."""
+
+    def test_row_blocks_of_3000_by_200(self):
+        blocks = _row_blocks(np.empty((3000, 200)))
+        assert [b.stop - b.start for b in blocks] == [320] * 9 + [120]
+        assert blocks[-1].stop == 3000
+        assert _row_blocks(np.empty((9, 3))) == [slice(0, 9)]
+
+    @pytest.mark.parametrize("m,d", SIZES)
+    @pytest.mark.parametrize("seed", [0, 1, 17])
+    def test_plip_draw_is_the_two_array_formula(self, m, d, seed):
+        inst = plip.generate_plip(m, d, seed)
+        A, b, x_true = reference_plip_draw(m, d, seed)
+        for got, want in ((inst.A, A), (inst.b, b), (inst.x_true, x_true)):
+            assert got.tobytes() == want.tobytes()
+        assert inst.smad_bound == float(np.sum(np.abs(b)))
+
+    @pytest.mark.parametrize("m,d", SIZES)
+    @pytest.mark.parametrize("seed", [0, 1, 17])
+    def test_qip_bounds_are_the_unblocked_formula(self, m, d, seed):
+        inst = qip.generate_qip(m, d, seed, theta=0.5)
+        rng = np.random.default_rng([seed, 0])
+        a = rng.standard_normal((m, d))
+        assert inst.a.tobytes() == a.tobytes()
+        nnz = math.ceil(0.05 * d)
+        support = rng.choice(d, size=nnz, replace=False)
+        x_true = np.zeros(d)
+        x_true[support] = rng.standard_normal(nnz)
+        assert inst.x_true.tobytes() == x_true.tobytes()
+        assert inst.b.tobytes() == ((a @ x_true) ** 2).tobytes()
+        assert (inst.smad_bound, inst.weak_convexity_bound) == \
+            reference_qip_bounds(a, inst.b)
+
+    @pytest.mark.parametrize("name", sorted(harness.PROBLEM_MODULES))
+    def test_build_peaks_below_a_quarter_matrix_over_what_it_keeps(self, name):
+        module, (m, d) = harness.PROBLEM_MODULES[name], (4000, 200)
+        started = not tracemalloc.is_tracing()
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        try:
+            obj = module.make_objective(module.generate(m, d, 3, theta=1.0))
+            obj.smooth.smad_constant()
+            obj.smooth.weak_convexity_constant()
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            if started:
+                tracemalloc.stop()
+        matrix = 8 * m * d
+        assert held - base >= matrix
+        assert peak - base <= held - base + matrix // 4
+
+
+class TestSizeCheck:
+    @pytest.mark.parametrize("m,d", [(10.5, 3), ("10", 3), (True, 3),
+                                     (10, 3.0), (10, None), (0, 3), (10, -1)],
+                             ids=["float-m", "string-m", "bool-m", "float-d",
+                                  "none-d", "zero-m", "negative-d"])
+    @pytest.mark.parametrize("name", sorted(harness.PROBLEM_MODULES))
+    def test_generate_rejects_a_bad_size(self, name, m, d):
+        module = harness.PROBLEM_MODULES[name]
+        for generate in (module.generate, getattr(module, "generate_" + name)):
+            with pytest.raises(ValidationError, match="m and d"):
+                generate(m, d, 0)
+
+    @pytest.mark.parametrize("name", sorted(harness.PROBLEM_MODULES))
+    def test_numpy_integer_sizes_are_accepted(self, name):
+        module = harness.PROBLEM_MODULES[name]
+        inst = module.generate(np.int64(6), np.int32(3), 0)
+        assert (inst.m, inst.d) == (6, 3)
+        assert inst.to_json() == module.generate(6, 3, 0).to_json()
+
+
+@pytest.mark.parametrize("name", sorted(harness.PROBLEM_MODULES))
+def test_from_json_round_trip_is_byte_identical(name):
+    module = harness.PROBLEM_MODULES[name]
+    inst = module.generate(7, 4, seed=2)
+    text = module.to_json(inst)
+    back = module.from_json(text)
+    assert module.to_json(back) == text
+    matrix = getattr(back, back.MATRIX)
+    assert matrix.tobytes() == getattr(inst, inst.MATRIX).tobytes()
+    # An integer document loads as float64.
+    doc = json.loads(text)
+    doc[inst.MATRIX] = [[1] * 4] * 7
+    doc["b"], doc["x_true"] = [2] * 7, [1] * 4
+    ints = module.from_json(json.dumps(doc))
+    assert all(getattr(ints, f).dtype == np.float64
+               for f in (inst.MATRIX, "b", "x_true"))

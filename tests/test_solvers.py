@@ -444,20 +444,24 @@ class WeightedMirrorStep(NonsmoothTerm):
         return z / kernel.w
 
 
-def _counting_gradient(base):
-    """Subclass of the kernel class `base` that counts `_gradient` calls,
-    and `_bregman` calls apart."""
+def _counting_point(base):
+    """Subclass of the kernel class `base` that counts `_point` calls, and
+    `_bregman` and `value` calls apart."""
 
     class Counting(base):
-        calls = bregman_calls = 0
+        calls = bregman_calls = value_calls = 0
 
-        def _gradient(self, x):
+        def _point(self, x):
             self.calls += 1
-            return super()._gradient(x)
+            return super()._point(x)
 
-        def _bregman(self, x, y, hgrad_y=None):
+        def _bregman(self, x, y, hgrad_y=None, hx=None, hy=None):
             self.bregman_calls += 1
-            return super()._bregman(x, y, hgrad_y)
+            return super()._bregman(x, y, hgrad_y, hx, hy)
+
+        def value(self, x):
+            self.value_calls += 1
+            return super().value(x)
 
     return Counting
 
@@ -579,7 +583,7 @@ class TestFusedIteration:
                              ids=["bpge", "bpg"])
     def test_kernel_gradient_once_per_new_point(self, problem, m, d, solve):
         obj, x0 = _shipped(problem, m, d, seed=21)
-        kernel = _counting_gradient(type(obj.kernel))(obj.dim)
+        kernel = _counting_point(type(obj.kernel))(obj.dim)
         obj = dataclasses.replace(obj, kernel=kernel)
         cfg = SolverConfig(lam=1.0 / obj.smooth.smad_constant(), k_max=300)
         result = solve(obj, x0, cfg)
@@ -594,6 +598,8 @@ class TestFusedIteration:
         # search hands the accepted trial's grad h to the step from it, and
         # the prox reuses grad h(y) through its mirror point.
         assert kernel.calls == result.iterations + 1 + trials
+        # Every D_h reads the h that `_point` gave its two points.
+        assert kernel.value_calls == 0
 
     @pytest.mark.parametrize("problem,m,d", [("plip", 100, 10),
                                              ("qip", 200, 10)])
@@ -615,45 +621,55 @@ class TestFusedIteration:
 
     def test_quartic_bregman_reuses_kernel_gradient(self):
         obj, x0 = _shipped("qip", 200, 10, seed=21)
-
-        class Counting(QuarticKernel):
-            calls = 0
-
-            def gradient(self, x):
-                self.calls += 1
-                return super().gradient(x)
-
-        obj = dataclasses.replace(obj, kernel=Counting(obj.dim))
+        obj = dataclasses.replace(
+            obj, kernel=_counting_point(QuarticKernel)(obj.dim))
         cfg = SolverConfig(lam=1.0 / obj.smooth.smad_constant(), k_max=300)
         result = bpg_solve(obj, x0, cfg)
         assert result.exit_reason != "numerical_failure"
-        # grad h at x0 and at each prox output, which D_h(x_curr, x_next)
-        # reuses.
+        # grad h and h at x0 and at each prox output, which
+        # D_h(x_curr, x_next) reuses: h(x_curr) is the one the step before
+        # computed.
         assert obj.kernel.calls == result.iterations + 1
+        assert obj.kernel.bregman_calls == result.iterations
+        assert obj.kernel.value_calls == 0
 
     def test_bpge_quartic_gradient_once_per_trial(self):
         obj, x0 = _shipped("qip", 200, 10, seed=21)
-
-        class Counting(QuarticKernel):
-            calls = bregman_calls = 0
-
-            def gradient(self, x):
-                self.calls += 1
-                return super().gradient(x)
-
-            def _bregman(self, x, y, hgrad_y=None):
-                self.bregman_calls += 1
-                return super()._bregman(x, y, hgrad_y)
-
-        obj = dataclasses.replace(obj, kernel=Counting(obj.dim))
+        obj = dataclasses.replace(
+            obj, kernel=_counting_point(QuarticKernel)(obj.dim))
         cfg = SolverConfig(lam=1.0 / obj.smooth.smad_constant(), k_max=300)
         result = bpge_solve(obj, x0, cfg)
         assert result.exit_reason != "numerical_failure"
         assert sum(rec.beta_accepted != 0.0 for rec in result.trace) > 10
         trials = obj.kernel.bregman_calls - result.iterations
+        assert trials > result.iterations
         # x0, each prox output and each trial that reached D_h; the
-        # accepted trial is not evaluated again as y.
+        # accepted trial is not evaluated again as y, and every trial of
+        # one line search reads the same h(x_curr).
         assert obj.kernel.calls == result.iterations + 1 + trials
+        assert obj.kernel.value_calls == 0
+
+    def test_quartic_point_is_value_and_gradient(self):
+        kernel = QuarticKernel(7)
+        for x in np.random.default_rng(3).standard_normal((5, 7)) * [
+                [1e-3], [0.5], [1.0], [3.0], [1e3]]:
+            hgrad, h = kernel._point(x)
+            s = float(np.dot(x, x))
+            assert np.array_equal(hgrad, (s + 1.0) * x)
+            assert h == 0.25 * s * s + 0.5 * s
+            assert np.array_equal(hgrad, kernel.gradient(x))
+            assert h == kernel.value(x)
+
+    def test_held_h_gives_the_same_bregman_bits(self):
+        rng = np.random.default_rng(4)
+        for kernel, sample in ((QuarticKernel(6), rng.standard_normal),
+                               (BurgKernel(6), lambda d: rng.uniform(0.1, 3, d)),
+                               (EuclideanKernel(6), rng.standard_normal)):
+            for _ in range(20):
+                x, y = sample(6), sample(6)
+                (_, hx), (hgrad_y, hy) = kernel._point(x), kernel._point(y)
+                assert (kernel._bregman(x, y, hgrad_y, hx, hy)
+                        == kernel._bregman(x, y) == kernel.bregman(x, y))
 
     def test_kernel_with_only_required_methods_runs(self):
         rng = np.random.default_rng(23)
