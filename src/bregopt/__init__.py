@@ -9,7 +9,6 @@ from .kernels import (
     Kernel,
     QuarticKernel,
     cubic_root_scale,
-    three_point_identity_residual,
 )
 from .problems import (
     CompositeObjective,
@@ -37,7 +36,7 @@ from .solvers import (
 __all__ = [
     "BregoptError", "DomainError", "NumericalError", "ValidationError",
     "Kernel", "EuclideanKernel", "BurgKernel", "QuarticKernel",
-    "cubic_root_scale", "three_point_identity_residual",
+    "cubic_root_scale",
     "CompositeObjective", "SmoothTerm", "NonsmoothTerm", "ZeroTerm",
     "L1Term", "soft_threshold", "check_smad",
     "EXIT_TOLERANCE", "EXIT_MAX_ITERATIONS", "EXIT_NUMERICAL_FAILURE",

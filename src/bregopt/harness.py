@@ -21,7 +21,7 @@ import numpy as np
 
 from . import plip, qip
 from .errors import ValidationError
-from .problems import check_theta, is_integer, is_number
+from .problems import check_size, check_theta, is_integer, is_number
 from .solvers import (
     LineSearchConfig,
     SolveResult,
@@ -89,8 +89,7 @@ class ExperimentSpec:
             if not getattr(self, name):
                 raise ValidationError("%s must be nonempty" % name)
         for m, d in self.sizes:
-            if m < 1 or d < 1:
-                raise ValidationError("each size must be a positive (m, d) pair")
+            check_size(m, d)
         for rule in self.lambdas:
             if rule not in LAMBDA_RULES:
                 raise ValidationError(

@@ -1,21 +1,20 @@
 """Kernel generating distances and their Bregman divergences.
 
-A kernel h supplies value/gradient on the interior of its domain, the
-Bregman divergence D_h(x, y) = h(x) - h(y) - <grad h(y), x - y>, and the
-inverse gradient map where h is of Legendre type. Instances are immutable
-and every method is a pure function of its inputs, so kernels can be
-shared freely across threads.
+A kernel h supplies its value and gradient on the interior of its domain,
+the Bregman divergence D_h(x, y) = h(x) - h(y) - <grad h(y), x - y>, and
+the inverse gradient map where h is of Legendre type. Instances are
+immutable and every method is a pure function of its inputs, so kernels
+can be shared freely across threads.
 
-`require_interior` and `bregman` check that each point is a 1-D vector of
-the kernel's size in the interior of the domain, and so do the Burg
-kernel's `value` and `gradient`. The quartic `value` and `gradient` and
-the Euclidean `value` check only that the point is 1-D; the Euclidean
-`gradient` checks nothing. The solvers check each point once, when it is
-created, take what D_h reads of it from one unchecked `_point` call
-(grad h and, where `_bregman` needs it, h) and pass those to the
-unchecked `_bregman`. A subclass only has to define `value`, `gradient`
-and `in_interior_domain`; the unchecked methods default to the checked
-ones or to the defining formula.
+A kernel class defines `_point(x)`, which returns grad h(x) and either
+h(x) or None, `in_interior_domain` and `inverse_gradient`; it defines
+`_value` only where `_point` leaves h out, and may override `_bregman`
+with a formula of its own. The public `value`, `gradient` and `bregman`
+are written once, here: each passes its points through
+`require_interior` (a 1-D float vector of the kernel's size in the
+interior of the domain, else `ValidationError` or `DomainError`) and then
+calls the unchecked hook. The solvers check each point once, when it is
+created, and call only the hooks.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from .errors import DomainError, NumericalError, ValidationError
 # Negative values of D_h up to this size times that of its terms (at least 1)
 # are rounding noise and clamped to zero; anything more negative is a bug.
 _NEGATIVE_SLACK = 1e-12
-_EPS = float(np.finfo(float).eps)
 
 
 def is_integer(v) -> bool:
@@ -41,7 +39,11 @@ def is_number(v) -> bool:
 
 
 def _as_vector(x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
+    try:
+        x = np.asarray(x, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError("expected a vector of numbers (%s)"
+                              % exc) from None
     if x.ndim != 1:
         raise ValidationError("expected a 1-D vector, got shape %s"
                               % (x.shape,))
@@ -57,10 +59,15 @@ class Kernel:
         self.dim = int(dim)
 
     def value(self, x: np.ndarray) -> float:
-        raise NotImplementedError
+        return self._value(self.require_interior(x))
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        return self._point(self.require_interior(x))[0]
+
+    def bregman(self, x: np.ndarray, y: np.ndarray) -> float:
+        """D_h(x, y), clamped to zero against tiny negative rounding noise."""
+        return self._bregman(self.require_interior(x, "x"),
+                             self.require_interior(y, "y"))
 
     def in_interior_domain(self, x: np.ndarray) -> bool:
         """True iff x lies in the interior of dom h."""
@@ -82,27 +89,26 @@ class Kernel:
             )
         return x
 
-    def bregman(self, x: np.ndarray, y: np.ndarray) -> float:
-        """D_h(x, y), clamped to zero against tiny negative rounding noise."""
-        x = self.require_interior(x, "x")
-        y = self.require_interior(y, "y")
-        return self._bregman(x, y)
+    def _point(self, x: np.ndarray) -> tuple:
+        """(grad h(x), h(x)) for a float vector already known to be interior,
+        computed once per point; h may be None in a class that defines
+        `_value` and whose `_bregman` never reads h."""
+        raise NotImplementedError
+
+    def _value(self, x: np.ndarray) -> float:
+        """h(x) for an interior float vector."""
+        return self._point(x)[1]
 
     def _bregman(self, x: np.ndarray, y: np.ndarray, hgrad_y=None, hx=None,
                  hy=None) -> float:
         """`bregman` for interior float vectors, from grad h(y), h(x) and
         h(y) where the caller holds them (None: computed here)."""
-        g = self.gradient(y) if hgrad_y is None else hgrad_y
-        hx = self.value(x) if hx is None else hx
-        hy = self.value(y) if hy is None else hy
+        g = self._point(y)[0] if hgrad_y is None else hgrad_y
+        hx = self._value(x) if hx is None else hx
+        hy = self._value(y) if hy is None else hy
         inner = float(np.dot(g, x - y))
         return _clamp_nonnegative(hx - hy - inner,
                                   abs(hx) + abs(hy) + abs(inner))
-
-    def _point(self, x: np.ndarray) -> tuple:
-        """(grad h(x), h(x)) for a float vector already known to be interior,
-        computed once per point; h is None where `_bregman` never reads it."""
-        return self.gradient(x), self.value(x)
 
 
 def _clamp_nonnegative(d: float, scale: float = 1.0) -> float:
@@ -114,39 +120,28 @@ def _clamp_nonnegative(d: float, scale: float = 1.0) -> float:
 class EuclideanKernel(Kernel):
     """h(x) = ||x||^2 / 2 on all of R^d; D_h is half the squared distance."""
 
-    def value(self, x):
-        x = _as_vector(x)
-        return 0.5 * float(np.dot(x, x))
-
-    def gradient(self, x):
-        return np.array(x, dtype=float)
+    def _point(self, x):
+        return x.copy(), 0.5 * float(np.dot(x, x))
 
     def in_interior_domain(self, x):
         return bool(np.isfinite(x).all())
 
     def inverse_gradient(self, z):
-        return np.array(z, dtype=float)
+        return _as_vector(z).copy()
 
     def _bregman(self, x, y, hgrad_y=None, hx=None, hy=None):
         r = x - y
         return 0.5 * float(np.dot(r, r))
 
-    def _point(self, x):
-        return self.gradient(x), None
-
 
 class BurgKernel(Kernel):
     """Burg entropy h(x) = -sum log x_j on the open positive orthant."""
 
-    def value(self, x):
-        x = self.require_interior(x)
-        return -float(np.sum(np.log(x)))
-
-    def gradient(self, x):
-        return self._point(self.require_interior(x))[0]
-
     def _point(self, x):
         return -1.0 / x, None
+
+    def _value(self, x):
+        return -float(np.sum(np.log(x)))
 
     def in_interior_domain(self, x):
         x = np.asarray(x, dtype=float)
@@ -167,12 +162,6 @@ class BurgKernel(Kernel):
 class QuarticKernel(Kernel):
     """h(x) = ||x||^4 / 4 + ||x||^2 / 2 on all of R^d."""
 
-    def value(self, x):
-        return self._point(_as_vector(x))[1]
-
-    def gradient(self, x):
-        return self._point(_as_vector(x))[0]
-
     def _point(self, x):
         """Both from one ||x||^2: (||x||^2 + 1) x and h(x)."""
         s = float(np.dot(x, x))
@@ -182,6 +171,7 @@ class QuarticKernel(Kernel):
         return bool(np.isfinite(x).all())
 
     def inverse_gradient(self, z):
+        """z / (r^2 + 1) with r^3 + r = ||z||, the norm of the preimage."""
         z = _as_vector(z)
         s = math.sqrt(float(np.dot(z, z)))
         if s == 0.0:
@@ -190,46 +180,18 @@ class QuarticKernel(Kernel):
         return z / (r * r + 1.0)
 
 
-def cubic_root_scale(norm_v: float) -> float:
-    """Unique nonnegative root r of r^3 + r = norm_v.
+_INV_SQRT27 = 1.0 / math.sqrt(27.0)
 
-    Safeguarded Newton with a bisection fallback on [0, max(1, norm_v)];
-    the equation is strictly increasing so the bracket always contains the
-    root. Robust to large norm_v where closed-form Cardano loses digits.
+
+def cubic_root_scale(s: float) -> float:
+    """Unique nonnegative root r of r^3 + r = s (NaN for a NaN s).
+
+    Cardano's root r = t - 1/(3t), t^3 = s/2 + sqrt(s^2/4 + 1/27), in the
+    form r = s / (t^2 + 1/3 + 1/(9 t^2)), which has no cancellation at any
+    s, then one Newton step to round it off.
     """
-    if norm_v < 0.0:
-        raise ValueError("norm_v must be nonnegative")
-    if norm_v == 0.0:
-        return 0.0
-    lo, hi = 0.0, max(1.0, norm_v)
-    r = min(norm_v, norm_v ** (1.0 / 3.0))
-    tol = max(1e-12, 8.0 * _EPS * (1.0 + norm_v))
-    for _ in range(200):
-        f = r * r * r + r - norm_v
-        if abs(f) <= tol:
-            return r
-        if f > 0.0:
-            hi = r
-        else:
-            lo = r
-        step = f / (3.0 * r * r + 1.0)
-        r_next = r - step
-        if not (lo < r_next < hi):
-            r_next = 0.5 * (lo + hi)
-        if r_next == r:
-            return r
-        r = r_next
-    raise NumericalError("cubic root solve did not reach tolerance for %g" % norm_v)
-
-
-def three_point_identity_residual(kernel: Kernel, x, y, z) -> float:
-    """D_h(x,z) - D_h(x,y) - D_h(y,z) - <grad h(y) - grad h(z), x - y>.
-
-    Identically zero in exact arithmetic; exposed for test suites.
-    """
-    x = kernel.require_interior(x, "x")
-    y = kernel.require_interior(y, "y")
-    z = kernel.require_interior(z, "z")
-    lhs = kernel.bregman(x, z) - kernel.bregman(x, y) - kernel.bregman(y, z)
-    rhs = float(np.dot(kernel.gradient(y) - kernel.gradient(z), x - y))
-    return lhs - rhs
+    if s < 0.0:
+        raise ValueError("s must be nonnegative")
+    t2 = (0.5 * s + math.hypot(0.5 * s, _INV_SQRT27)) ** (2.0 / 3.0)
+    r = s / (t2 + 1.0 / 3.0 + 1.0 / (9.0 * t2))
+    return r - (r * r * r + r - s) / (3.0 * r * r + 1.0)

@@ -3,7 +3,8 @@
 These deliberately avoid the closed-form code paths they are used to
 check: gradients come from central finite differences, prox solutions
 from a dense grid plus Nelder-Mead refinement, the scalar cubic from
-plain bisection, and trace CSVs from csv.writer over the records.
+plain bisection, the three-point identity from the public kernel
+methods, and trace CSVs from csv.writer over the records.
 """
 
 import csv
@@ -62,6 +63,17 @@ def bisect_cubic(s, tol=1e-13):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def three_point_identity_residual(kernel, x, y, z) -> float:
+    """D_h(x,z) - D_h(x,y) - D_h(y,z) - <grad h(y) - grad h(z), x - y>,
+    identically zero in exact arithmetic."""
+    x = kernel.require_interior(x, "x")
+    y = kernel.require_interior(y, "y")
+    z = kernel.require_interior(z, "z")
+    lhs = kernel.bregman(x, z) - kernel.bregman(x, y) - kernel.bregman(y, z)
+    rhs = float(np.dot(kernel.gradient(y) - kernel.gradient(z), x - y))
+    return lhs - rhs
 
 
 class FailingBurgKernel(BurgKernel):

@@ -7,6 +7,7 @@ module-scoped fixtures.
 """
 
 import sys
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -289,17 +290,24 @@ def test_criterion_07_extrapolation_accelerates(acceleration_pairs, report):
 
 def test_criterion_08_stationarity_at_exit(benchmark_runs, acceleration_pairs,
                                             report):
-    """Known red, left failing deliberately.
+    """Known red, left failing deliberately, on both problem families.
+
+    Every tolerance exit in this grid is outside the band: 10 plip runs
+    and 11 qip runs (the runs that stop at k_max are skipped).
 
     For the Poisson problem the nonsmooth part is zero and the kernel step
     is exact, so the recorded subgradient residual is identically equal to
     ||grad f(x_final)||. The iterate-relative exit fires when the step
     ||x^k - x^{k-1}|| drops to ~1e-6, and for the Burg kernel the step and
     the gradient are linked by x - y = lam * x*y*grad, so the gradient norm
-    at exit scales like tol * L, i.e. 1e-3 to 1e-2 for these sizes. That
-    is 2x-1700x above the 1e-4 band no matter how the solver is coded; the
-    band and the 1e-6 exit tolerance cannot both hold on this problem
-    family. The quadratic inverse runs do satisfy the band.
+    at exit scales like tol * L, i.e. 2e-4 to 0.2 for these sizes, 2x to
+    1700x above the 1e-4 band no matter how the solver is coded.
+
+    The quadratic inverse runs fail the same way: at an iterate-relative
+    exit the residual is about ||grad h(x^k) - grad h(y^{k-1})|| / lam,
+    which also scales like tol * L, and qip's L is 7e4 to 8e6. Their
+    residuals are 0.11 to 2.9 against a band of 1.6e-4 to 3e-4. The band
+    and the 1e-6 exit tolerance cannot both hold on either family.
     """
     labelled = [(run.problem, run.m, run.d, run.seed, run.obj, run.result)
                 for run in benchmark_runs]
@@ -316,7 +324,10 @@ def test_criterion_08_stationarity_at_exit(benchmark_runs, acceleration_pairs,
                              float(grad_norm)))
     ok = not failures
     report(8, "stationarity residual at exit", ok)
-    assert ok, failures
+    counts = Counter(row[0].split("-")[0] for row in failures)
+    assert ok, "%d tolerance exits outside the band (%s):\n%s" % (
+        len(failures), ", ".join("%s %d" % kv for kv in sorted(counts.items())),
+        "\n".join(map(str, failures)))
 
 
 def test_criterion_09_line_search_safety(benchmark_runs, report):

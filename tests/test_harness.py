@@ -49,6 +49,12 @@ class TestSpecValidation:
         with pytest.raises(ValidationError):
             tiny_spec(sizes=())
 
+    @pytest.mark.parametrize("size", [(0, 3), (30, 0), (-1, 4)])
+    def test_size_rule_is_that_of_generate(self, size):
+        # The spec rejects what `generate` would, with its message.
+        with pytest.raises(ValidationError, match="m and d"):
+            tiny_spec(sizes=(size,))
+
 
 class TestGenerateInstance:
     def test_deterministic_json(self):

@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -9,10 +12,10 @@ from bregopt import (
     QuarticKernel,
     ValidationError,
     cubic_root_scale,
-    three_point_identity_residual,
 )
 
-from helpers import bisect_cubic, fd_gradient
+from helpers import (bisect_cubic, fd_gradient,
+                     three_point_identity_residual)
 
 
 def all_kernels(d):
@@ -107,11 +110,9 @@ class _ScaledSumKernel(Kernel):
         super().__init__(k1.dim)
         self.alpha, self.k1, self.beta, self.k2 = alpha, k1, beta, k2
 
-    def value(self, x):
-        return self.alpha * self.k1.value(x) + self.beta * self.k2.value(x)
-
-    def gradient(self, x):
-        return self.alpha * self.k1.gradient(x) + self.beta * self.k2.gradient(x)
+    def _point(self, x):
+        return (self.alpha * self.k1.gradient(x) + self.beta * self.k2.gradient(x),
+                self.alpha * self.k1.value(x) + self.beta * self.k2.value(x))
 
     def in_interior_domain(self, x):
         return self.k1.in_interior_domain(x) and self.k2.in_interior_domain(x)
@@ -174,6 +175,22 @@ class TestCubicRootScale:
         with pytest.raises(ValueError):
             cubic_root_scale(-1.0)
 
+    @pytest.mark.parametrize("s", [
+        1e-300, 1e-20, 1e-4, 0.01, 0.1, 0.7, 2.0, 2.5, 10.0, 100.0, 123.4,
+        1e4, 1e8, 1e100, 1e300])
+    def test_root_is_bracketed_by_its_neighbours(self, s):
+        # p(r) = r^3 + r - s, in exact arithmetic, changes sign between the
+        # floats on either side of r: r is within one ulp of the root.
+        def p(r):
+            r = Fraction(r)
+            return r ** 3 + r - Fraction(s)
+
+        r = cubic_root_scale(s)
+        assert p(math.nextafter(r, -math.inf)) < 0 < p(math.nextafter(r, math.inf))
+
+    def test_nan_gives_nan(self):
+        assert math.isnan(cubic_root_scale(float("nan")))
+
 
 class TestValidation:
     def test_dimension_below_one(self):
@@ -188,6 +205,38 @@ class TestValidation:
     def test_not_a_vector(self):
         with pytest.raises(ValidationError):
             QuarticKernel(4).value(np.ones((2, 2)))
+
+    @pytest.mark.parametrize("kernel", all_kernels(3), ids=lambda k: type(k).__name__)
+    def test_inverse_gradient_needs_a_vector(self, kernel):
+        for z in (-np.ones((3, 1)), "ab"):
+            with pytest.raises(ValidationError):
+                kernel.inverse_gradient(z)
+
+
+def _checked_calls(kernel, bad):
+    """Every public method of `kernel` with the point `bad` in each slot."""
+    good = np.ones(kernel.dim)
+    return [lambda: kernel.value(bad), lambda: kernel.gradient(bad),
+            lambda: kernel.bregman(bad, good), lambda: kernel.bregman(good, bad)]
+
+
+@pytest.mark.parametrize("kernel", all_kernels(3), ids=lambda k: type(k).__name__)
+@pytest.mark.parametrize("bad", [np.ones(5), np.ones(2), np.ones((3, 3)),
+                                 np.ones((1, 3)), "ab", "abc"],
+                         ids=["size5", "size2", "3x3", "1x3", "ab", "abc"])
+def test_public_methods_reject_malformed_points(kernel, bad):
+    for call in _checked_calls(kernel, bad):
+        with pytest.raises(ValidationError):
+            call()
+
+
+@pytest.mark.parametrize("kernel", all_kernels(3), ids=lambda k: type(k).__name__)
+def test_public_methods_reject_points_outside_the_domain(kernel):
+    outside = [1.0, -2.0, 1.0] if isinstance(kernel, BurgKernel) else [1.0, np.inf, 1.0]
+    for bad in ([np.nan, 1.0, 1.0], outside):
+        for call in _checked_calls(kernel, bad):
+            with pytest.raises(DomainError):
+                call()
 
 
 @pytest.mark.parametrize("x", [

@@ -19,9 +19,10 @@ from bregopt import (
     cubic_root_scale,
     plip,
     qip,
-    three_point_identity_residual,
 )
 from bregopt.checks import _prox_residual
+
+from helpers import three_point_identity_residual
 
 SETTINGS = settings(max_examples=60, deadline=None, database=None)
 EPS = float(np.finfo(float).eps)

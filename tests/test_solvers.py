@@ -418,17 +418,15 @@ class TwoMethodSmooth(SmoothTerm):
 
 
 class WeightedEuclideanKernel(Kernel):
-    """h(x) = sum_j w_j x_j^2 / 2; defines only the three required methods."""
+    """h(x) = sum_j w_j x_j^2 / 2; defines only `_point` and
+    `in_interior_domain`."""
 
     def __init__(self, w):
         super().__init__(w.size)
         self.w = w
 
-    def value(self, x):
-        return 0.5 * float(np.dot(self.w * x, x))
-
-    def gradient(self, x):
-        return self.w * x
+    def _point(self, x):
+        return self.w * x, 0.5 * float(np.dot(self.w * x, x))
 
     def in_interior_domain(self, x):
         return bool(np.all(np.isfinite(x)))
@@ -862,3 +860,23 @@ class TestFailureContainment:
         assert result.exit_reason == "tolerance"
         assert _timeless(result.trace) == _timeless(reference.trace)
         assert np.array_equal(result.x_final, reference.x_final)
+
+    @pytest.mark.parametrize("solve", [bpge_solve, bpg_solve],
+                             ids=["bpge", "bpg"])
+    def test_nan_gradient_under_the_quartic_prox_is_recorded(self, solve):
+        class NanGradient(SmoothTerm):
+            def value(self, x):
+                return 0.0
+
+            def gradient(self, x):
+                return np.full_like(x, np.nan)
+
+            def smad_constant(self):
+                return 1.0
+
+        # The mirror point is NaN, so the cubic root of its norm is NaN and
+        # so is the prox output, which the solver's domain test rejects.
+        obj = CompositeObjective(NanGradient(), L1Term(0.5), QuarticKernel(3))
+        result = solve(obj, np.ones(3), SolverConfig(lam=1.0, k_max=50))
+        assert result.exit_reason == "numerical_failure"
+        assert result.iterations == 0
