@@ -10,11 +10,13 @@ A kernel class defines `_point(x)`, which returns grad h(x) and either
 h(x) or None, `in_interior_domain` and `inverse_gradient`; it defines
 `_value` only where `_point` leaves h out, and may override `_bregman`
 with a formula of its own. The public `value`, `gradient` and `bregman`
-are written once, here: each passes its points through
-`require_interior` (a 1-D float vector of the kernel's size in the
-interior of the domain, else `ValidationError` or `DomainError`) and then
-calls the unchecked hook. The solvers check each point once, when it is
-created, and call only the hooks.
+are written once, here: each passes its points through `require_interior`,
+the package's one rule for a point (the smooth terms and `plip_prox` apply
+it too), then calls the unchecked hook. A point is a 1-D vector of ints or
+floats (`NUMBER_KINDS`) of the kernel's size, else `ValidationError`, in
+the interior of dom h, else `DomainError`. The z of `inverse_gradient`
+must lie in the range of grad h instead (at any size for Burg's
+componentwise map). The solvers check each point once and call only hooks.
 """
 
 from __future__ import annotations
@@ -38,16 +40,23 @@ def is_number(v) -> bool:
     return is_integer(v) or isinstance(v, (float, np.floating))
 
 
-def _as_vector(x) -> np.ndarray:
+NUMBER_KINDS = "iuf"  # the numpy dtype kinds of numbers: ints and floats
+
+
+def _as_vector(x, size=None, name="z") -> np.ndarray:
+    """x as a 1-D float64 array (x itself if it is one) of `size`, if given."""
     try:
-        x = np.asarray(x, dtype=float)
+        x = np.asarray(x)
     except (TypeError, ValueError) as exc:
         raise ValidationError("expected a vector of numbers (%s)"
                               % exc) from None
-    if x.ndim != 1:
-        raise ValidationError("expected a 1-D vector, got shape %s"
-                              % (x.shape,))
-    return x
+    if x.dtype.kind not in NUMBER_KINDS or x.ndim != 1:
+        raise ValidationError("expected a 1-D vector of numbers, got %s of "
+                              "shape %s" % (x.dtype, x.shape))
+    if size is not None and x.size != size:
+        raise ValidationError("%s has size %d, kernel dimension is %d"
+                              % (name, x.size, size))
+    return x if x.dtype == float else x.astype(float)
 
 
 class Kernel:
@@ -78,15 +87,10 @@ class Kernel:
         raise NotImplementedError
 
     def require_interior(self, x: np.ndarray, name: str = "x") -> np.ndarray:
-        x = _as_vector(x)
-        if x.size != self.dim:
-            raise ValidationError(
-                "%s has size %d, kernel dimension is %d" % (name, x.size, self.dim)
-            )
+        x = _as_vector(x, self.dim, name)
         if not self.in_interior_domain(x):
-            raise DomainError(
-                "%s is outside the interior of the kernel domain" % name
-            )
+            raise DomainError("%s is outside the interior of the kernel "
+                              "domain" % name)
         return x
 
     def _point(self, x: np.ndarray) -> tuple:
@@ -127,7 +131,7 @@ class EuclideanKernel(Kernel):
         return bool(np.isfinite(x).all())
 
     def inverse_gradient(self, z):
-        return _as_vector(z).copy()
+        return self.require_interior(z, "z").copy()
 
     def _bregman(self, x, y, hgrad_y=None, hx=None, hy=None):
         r = x - y
@@ -172,8 +176,12 @@ class QuarticKernel(Kernel):
 
     def inverse_gradient(self, z):
         """z / (r^2 + 1) with r^3 + r = ||z||, the norm of the preimage."""
-        z = _as_vector(z)
+        z = _as_vector(z, self.dim)
         s = math.sqrt(float(np.dot(z, z)))
+        if not s < math.inf:  # ||z||^2 overflowed, or z is not finite
+            s = math.hypot(*z.tolist())  # scaled by max |z_j|, no overflow
+            if not s < math.inf:
+                raise DomainError("quartic inverse gradient needs finite ||z||")
         if s == 0.0:
             return np.zeros_like(z)
         r = cubic_root_scale(s)

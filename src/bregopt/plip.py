@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericalError, ValidationError
-from .kernels import BurgKernel
+from .errors import NumericalError, ValidationError
+from .kernels import BurgKernel, EuclideanKernel
 from .problems import (CompositeObjective, Instance, LinearModelSmooth,
                        ZeroTerm, check_seed, check_size, check_theta)
 
@@ -70,13 +70,6 @@ def generate(m: int, d: int, seed: int, theta: float = 1.0) -> PlipInstance:
     return generate_plip(m, d, seed)
 
 
-def _require_positive(x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if not (x > 0.0).all():
-        raise DomainError("point must be strictly positive")
-    return x
-
-
 def plip_prox(inst: PlipInstance, y, grad, lam: float) -> np.ndarray:
     """Closed-form mirror step x_j = y_j / (1 + lam * y_j * grad_j).
 
@@ -85,8 +78,9 @@ def plip_prox(inst: PlipInstance, y, grad, lam: float) -> np.ndarray:
     inconsistent inputs. The solvers take the same step through
     `ZeroTerm.prox` as -1 / (-1/y - lam * grad), which agrees to a few ulps.
     """
-    y = _require_positive(y)
-    denom = 1.0 + lam * y * np.asarray(grad, dtype=float)
+    y = BurgKernel(inst.d).require_interior(y, "y")
+    grad = EuclideanKernel(inst.d).require_interior(grad, "grad")
+    denom = 1.0 + lam * y * grad
     if not (denom > 0.0).all():
         raise NumericalError("nonpositive denominator in the Burg mirror step")
     return y / denom
@@ -95,7 +89,7 @@ def plip_prox(inst: PlipInstance, y, grad, lam: float) -> np.ndarray:
 class PlipSmooth(LinearModelSmooth):
     """KL data fit of u = A x; convex, hence mu = 0, with L = ||b||_1."""
 
-    _point = staticmethod(_require_positive)
+    KERNEL = BurgKernel
 
     @staticmethod
     def _phi(u, b, value=True):
@@ -110,11 +104,8 @@ class PlipSmooth(LinearModelSmooth):
 
 
 def make_objective(inst: PlipInstance) -> CompositeObjective:
-    return CompositeObjective(
-        smooth=PlipSmooth(inst),
-        nonsmooth=ZeroTerm(),
-        kernel=BurgKernel(inst.d),
-    )
+    smooth = PlipSmooth(inst)
+    return CompositeObjective(smooth, ZeroTerm(), smooth.kernel)
 
 
 def default_x0(inst: PlipInstance) -> np.ndarray:

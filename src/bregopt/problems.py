@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ValidationError
-from .kernels import BurgKernel, Kernel, is_integer, is_number
+from .kernels import NUMBER_KINDS, BurgKernel, Kernel, is_integer, is_number
 
 
 def check_seed(seed) -> None:
@@ -48,7 +48,7 @@ class Instance:
     def __post_init__(self):
         check_seed(self.seed)
         arrays = (getattr(self, self.MATRIX), self.b, self.x_true)
-        if not all(isinstance(v, np.ndarray) and v.dtype.kind in "iuf"
+        if not all(isinstance(v, np.ndarray) and v.dtype.kind in NUMBER_KINDS
                    for v in arrays):
             raise ValidationError("%s, b and x_true must be numpy arrays of "
                                   "numbers" % self.MATRIX)
@@ -83,7 +83,7 @@ class Instance:
             for name, value in args.items():
                 if isinstance(value, list):
                     value = np.asarray(value)
-                    if value.dtype.kind not in "iuf":
+                    if value.dtype.kind not in NUMBER_KINDS:
                         raise TypeError("%s holds a non-number" % name)
                     args[name] = value.astype(float, copy=False)
         except (ValueError, TypeError, KeyError) as exc:
@@ -144,8 +144,9 @@ class LinearModelSmooth(SmoothTerm):
     """f(x) = phi(Mx) = sum_i phi_i((Mx)_i) with M the instance matrix.
 
     A subclass defines `_phi(u, b, value=True)`, giving phi(u) (None unless
-    value) and the elementwise phi'(u) from the terms they share, the check
-    `_point` on x and, if phi needs it, the domain test `_in_domain(u)`.
+    value) and the elementwise phi'(u) from the terms they share, the kernel
+    class `KERNEL` whose domain f shares (`value` and `gradient` check x by
+    `self.kernel`, a `KERNEL` of size d) and, if phi needs it, `_in_domain(u)`.
     M is cut once into the row blocks of `_row_blocks`, so that blocked
     M x is M @ x bit for bit (unless the last block is one row); one block
     keeps the unblocked products. The line search, which never reads f,
@@ -154,12 +155,12 @@ class LinearModelSmooth(SmoothTerm):
 
     def __init__(self, inst: Instance):
         self.inst = inst
+        self.kernel = self.KERNEL(inst.d)
         self.M = M = getattr(inst, inst.MATRIX)
         blocks = _row_blocks(M)
         self._blocks = None if len(blocks) == 1 else [
             (rows, M[rows], inst.b[rows]) for rows in blocks]
 
-    _point = staticmethod(np.asarray)
     _in_domain = staticmethod(lambda u: True)
 
     def evaluate(self, x, u_prev, beta, y):
@@ -198,10 +199,12 @@ class LinearModelSmooth(SmoothTerm):
         return u, phi(u, b)[0], G[0], grad_y
 
     def value(self, x):
-        return self._phi(self.M @ self._point(x), self.inst.b)[0]
+        x = self.kernel.require_interior(x)
+        return self._phi(self.M @ x, self.inst.b)[0]
 
     def gradient(self, x):
-        return self.evaluate(self._point(x), None, 0.0, None)[2]
+        return self.evaluate(self.kernel.require_interior(x), None, 0.0,
+                             None)[2]
 
     def smad_constant(self):
         return self.inst.smad_bound

@@ -84,6 +84,8 @@ generate = generate_qip
 class QipSmooth(LinearModelSmooth):
     """Quartic data fit of u = a x with its certified envelope constants."""
 
+    KERNEL = QuarticKernel
+
     @staticmethod
     def _phi(u, b, value=True):
         """(1/4)||u^2 - b||^2 and (u^2 - b) u."""
@@ -95,11 +97,8 @@ class QipSmooth(LinearModelSmooth):
 
 
 def make_objective(inst: QipInstance) -> CompositeObjective:
-    return CompositeObjective(
-        smooth=QipSmooth(inst),
-        nonsmooth=L1Term(inst.theta),
-        kernel=QuarticKernel(inst.d),
-    )
+    smooth = QipSmooth(inst)
+    return CompositeObjective(smooth, L1Term(inst.theta), smooth.kernel)
 
 
 def default_x0(inst: QipInstance) -> np.ndarray:

@@ -192,7 +192,7 @@ def bpge_solve(obj: CompositeObjective, x0: np.ndarray,
     """
     kernel = obj.kernel
     smooth, nonsmooth = obj.smooth, obj.nonsmooth
-    x0 = kernel.require_interior(np.asarray(x0, dtype=float), "x0")
+    x0 = kernel.require_interior(x0, "x0")
     L = smooth.smad_constant()
     if cfg.lam > (1.0 / L) * (1.0 + 1e-12):
         raise ValidationError(
@@ -206,9 +206,7 @@ def bpge_solve(obj: CompositeObjective, x0: np.ndarray,
     u_curr, f_curr, grad_curr, _ = smooth.evaluate(x_curr, None, 0.0, None)
     psi_curr = f_curr + nonsmooth.value(x_curr)
     hgrad_curr, h_curr = kernel._point(x_curr)
-    # From x_prev = x0 the line search takes beta0 at y = x0, kernel unused.
-    ahead = (line_search_beta(kernel, x_curr, x_curr, cfg.line_search, C_k,
-                              0.0) if _extrapolate else (0.0, 0, None, None))
+    ahead = (cfg.line_search.beta0 if _extrapolate else 0.0, 0, None, None)
     failed = False
     rows = array("d", (0, psi_curr, 0.0, psi_curr, 0.0, 0, np.nan, 0.0))
     iterates = [x0.copy()] if cfg.keep_iterates else None

@@ -17,6 +17,8 @@ from bregopt import (
 from helpers import (bisect_cubic, fd_gradient,
                      three_point_identity_residual)
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def all_kernels(d):
     return [EuclideanKernel(d), BurgKernel(d), QuarticKernel(d)]
@@ -147,6 +149,20 @@ class TestInverseGradient:
     def test_quartic_zero(self):
         k = QuarticKernel(3)
         assert np.array_equal(k.inverse_gradient(np.zeros(3)), np.zeros(3))
+
+    @pytest.mark.parametrize("v", [1e154, 1e200, 1e300])
+    def test_quartic_past_overflow_of_the_squared_norm(self, v):
+        # ||z||^2 overflows (np.dot warns), ||z|| = sqrt(3) v does not.
+        k = QuarticKernel(3)
+        z = v * np.array([1.0, -1.0, 1.0])
+        with np.errstate(over="ignore"):
+            x = k.inverse_gradient(z)
+        assert np.isfinite(x).all()
+        assert np.max(np.abs(k.gradient(x) - z)) <= 1e-14 * v
+
+    def test_quartic_rejects_an_infinite_norm(self):
+        with np.errstate(over="ignore"), pytest.raises(DomainError):
+            QuarticKernel(3).inverse_gradient(np.full(3, 1.7e308))
 
     @pytest.mark.parametrize("kernel", all_kernels(4), ids=lambda k: type(k).__name__)
     def test_round_trip(self, kernel):

@@ -25,6 +25,8 @@ from bregopt.solvers import IterationRecord, Trace
 from helpers import (FailingBurgKernel, lyapunov_increase_loop,
                      rate_check_loop)
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 class QuadraticSmooth(SmoothTerm):
     """f(x) = ||B x - c||^2 / 2; globally Lipschitz gradient."""
