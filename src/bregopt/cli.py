@@ -76,7 +76,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--spec", required=True, help="experiment JSON file")
     p_sweep.add_argument("--out", default=".", help="output directory")
     p_sweep.add_argument("--jobs", type=int, default=1,
-                         help="accepted (>= 1) but unused: sweeps run serially")
+                         help="processes running cells (>= 1): this one and "
+                         "jobs - 1 forked workers, capped at cells and CPUs")
 
     p_check = sub.add_parser("check", help="run the invariant suite")
     _add_instance_flags(p_check)
@@ -145,7 +146,13 @@ def _cmd_sweep(args) -> int:
         raise ValidationError("spec %s is not UTF-8: %s"
                               % (args.spec, exc)) from exc
     spec = harness.ExperimentSpec.from_dict(doc)
-    rows = harness.run_comparison(spec, out_dir=args.out)
+    broken = ()  # a dead worker's error; its module loads only for a pool
+    if args.jobs > 1:
+        from concurrent.futures.process import BrokenProcessPool as broken
+    try:
+        rows = harness.run_comparison(spec, out_dir=args.out, jobs=args.jobs)
+    except broken as exc:
+        raise OSError("a sweep worker died: %s" % exc) from exc
     failures = sum(
         1 for r in rows
         if EXIT_NUMERICAL_FAILURE in (r.exit_bpge, r.exit_bpg)

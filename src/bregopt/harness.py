@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import itertools
+import os
 import time
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -229,30 +230,50 @@ def run_cell(spec: ExperimentSpec, m: int, d: int, rule: str, rho: float,
     return row, results
 
 
-def run_comparison(spec: ExperimentSpec, out_dir=None) -> List[ComparisonRow]:
-    """Run every (size x lambda x rho x rep) cell of the sweep, in order.
-
-    When out_dir is given, creates it before the first cell runs, writes
-    each run's trace CSV as soon as its cell has run, and writes the
-    aggregate comparison table at the end. A numerical failure inside a
-    run is recorded in its row, not fatal to the sweep.
-    """
+def run_comparison(spec: ExperimentSpec, out_dir=None,
+                   jobs: int = 1) -> List[ComparisonRow]:
+    """Run every (size x lambda x rho x rep) cell of the sweep, in order,
+    on min(jobs, cells, usable CPUs) processes: this one runs cell i if
+    i % jobs == 0 and forked workers run the rest, each cell submitted once
+    this one is within 2 jobs cells of it (without fork, this one runs all).
+    Creates out_dir, if given, before the first cell; writes each run's
+    trace CSV when this one reaches its cell and comparison.csv at the end,
+    the files of jobs = 1. A cell's exception is raised at its turn, a dead
+    worker's as BrokenProcessPool; a run's numerical failure is in its row."""
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for (m, d), li, ri, rep in itertools.product(
-            spec.sizes, range(len(spec.lambdas)), range(len(spec.rhos)),
-            range(spec.repetitions)):
-        row, results = run_cell(spec, m, d, spec.lambdas[li], spec.rhos[ri],
-                                derive_seed(spec.seed, m, d, li, ri, rep), rep)
-        rows.append(row)
-        if out_dir is not None:
-            for solver, result in results.items():
-                write_trace_csv(result, out_dir / (
-                    "trace_%s_m%d_d%d_lam%d_rho%d_rep%d_%s.csv"
-                    % (spec.problem, m, d, li, ri, rep, solver)))
-        del results  # before the next cell runs
+    cells = [("trace_%s_m%d_d%d_lam%d_rho%d_rep%d_" % (spec.problem, m, d,
+                                                        li, ri, rep),
+              (spec, m, d, spec.lambdas[li], spec.rhos[ri],
+               derive_seed(spec.seed, m, d, li, ri, rep), rep))
+             for (m, d), li, ri, rep in itertools.product(
+                 spec.sizes, range(len(spec.lambdas)), range(len(spec.rhos)),
+                 range(spec.repetitions))]
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    jobs, pool = min(jobs, len(cells), cpus), None
+    if jobs > 1:  # fork: workers start without importing numpy again and
+        import multiprocessing as mp  # leave no tracker or server running
+        from concurrent.futures import ProcessPoolExecutor as Pool
+        if "fork" in mp.get_all_start_methods():
+            pool = Pool(jobs - 1, mp_context=mp.get_context("fork"))
+    rows, futures = [], {}
+    try:
+        for i, (stem, args) in enumerate(cells):
+            for j in range(i, min(i + 2 * jobs, len(cells))):
+                if pool is not None and j % jobs and j not in futures:
+                    futures[j] = pool.submit(run_cell, *cells[j][1])
+            row, results = (futures.pop(i).result() if i in futures
+                            else run_cell(*args))
+            rows.append(row)
+            if out_dir is not None:
+                for solver, result in results.items():
+                    write_trace_csv(result, out_dir / (stem + solver + ".csv"))
+            del results  # before the next cell runs
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     if out_dir is not None:
         write_comparison_csv(rows, out_dir / "comparison.csv")
     return rows

@@ -26,10 +26,12 @@ def check_seed(seed) -> None:
 
 def check_size(m, d) -> None:
     """Instance sizes are integers >= 1, as the seed is (numpy integers too,
-    never a bool, a float or a string)."""
+    never a bool, a float or a string), with an addressable m x d matrix."""
     if not (is_integer(m) and is_integer(d) and m >= 1 and d >= 1):
         raise ValidationError("m and d must be integers >= 1, got %r and %r"
                               % (m, d))
+    if int(m) * int(d) * 8 > np.iinfo(np.intp).max:
+        raise ValidationError("m x d = %d x %d is too big for numpy" % (m, d))
 
 
 def check_theta(theta) -> None:

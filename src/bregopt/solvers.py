@@ -112,6 +112,9 @@ class Trace(Sequence):
         data.flags.writeable = False
         self.data = data
 
+    def __reduce__(self):  # an unpickled array is writeable until __init__
+        return Trace, (self.data,)
+
     def __len__(self) -> int:
         return len(self.data)
 
@@ -153,12 +156,9 @@ def line_search_beta(kernel: Kernel, x_prev: np.ndarray, x_curr: np.ndarray,
     it (the h of `kernel._point`); every trial's D_h(x_curr, trial) reuses
     it.
     Returns (beta, shrinks, trial, grad h(trial)), grad h computed once per
-    trial that reaches D_h; trial and grad h are None when the trial would
-    be x_curr (beta = 0, or x_curr = x_prev, where beta0 is admissible).
+    trial that reaches D_h; trial and grad h are None when beta = 0.
     """
     direction = x_curr - x_prev
-    if not direction.any():
-        return cfg.beta0, 0, None, None
     bound = cfg.rho * C_k * dh_prev
     beta = cfg.beta0
     for shrinks in range(cfg.max_shrinks + 1):

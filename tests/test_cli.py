@@ -1,10 +1,27 @@
 import csv
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bregopt import cli, harness, plip, qip, solvers
+
+_RUN_CELL = harness.run_cell
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="sweep workers are forked")
+
+
+def _die_in_worker(*args):
+    """harness.run_cell, except that a forked pool worker dies in it."""
+    if multiprocessing.parent_process() is not None:
+        os._exit(1)
+    return _RUN_CELL(*args)
 
 
 class TestGenerate:
@@ -212,20 +229,102 @@ class TestSweep:
         for name in ("T_bpg", "T_ratio", "N_ratio"):
             assert row[name] == "nan"
 
-    def test_jobs_does_not_change_output(self, tmp_path, capsys):
-        doc = dict(self.spec_doc(), sizes=[[20, 3], [30, 4]])
+    @pytest.fixture
+    def two_cpus(self, monkeypatch):
+        """Two usable CPUs, so that --jobs 2 forks one worker anywhere."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+
+    def test_jobs_does_not_change_output(self, tmp_path, capsys, two_cpus):
+        # Five cells: this process runs cells 0, 2 and 4, the worker 1 and 3.
+        doc = dict(self.spec_doc(),
+                   sizes=[[20, 3], [30, 4], [25, 3], [22, 3], [28, 4]])
         for jobs in ("1", "2"):
             assert self.run_spec(tmp_path, doc, "--jobs", jobs,
                                  out="jobs" + jobs) == 0
         capsys.readouterr()
+        assert multiprocessing.active_children() == []
         names = sorted(p.name for p in (tmp_path / "jobs1").iterdir())
         assert names == sorted(p.name for p in (tmp_path / "jobs2").iterdir())
-        assert len(names) == 5
+        assert len(names) == 11
         for name in names:
             a, b = ((tmp_path / ("jobs" + j) / name).read_text(encoding="utf-8")
                     for j in ("1", "2"))
             assert (harness.strip_timing_columns(a)
                     == harness.strip_timing_columns(b))
+
+    @needs_fork
+    def test_dead_worker_is_an_error_without_traceback(self, tmp_path, capsys,
+                                                       two_cpus, monkeypatch):
+        monkeypatch.setattr(harness, "run_cell", _die_in_worker)
+        doc = dict(self.spec_doc(), repetitions=3)
+        assert self.run_spec(tmp_path, doc, "--jobs", "2") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert multiprocessing.active_children() == []
+        # Cell 0 ran here; cell 1, the worker's, ended the sweep.
+        assert sorted(p.name for p in (tmp_path / "runs").iterdir()) == [
+            "trace_plip_m20_d3_lam0_rho0_rep0_bpg.csv",
+            "trace_plip_m20_d3_lam0_rho0_rep0_bpge.csv"]
+
+    def test_a_cells_memory_error_ends_both_settings_alike(self, tmp_path,
+                                                           capsys, two_cpus):
+        # The second cell's 1e8 x 1e8 matrix is too large to allocate; with
+        # --jobs 2 it is the worker's cell, and its MemoryError comes back.
+        doc = dict(self.spec_doc(),
+                   sizes=[[20, 3], [100000000, 100000000], [30, 4]])
+        outcomes = []
+        for jobs in ("1", "2"):
+            code = self.run_spec(tmp_path, doc, "--jobs", jobs,
+                                 out="jobs" + jobs)
+            out = tmp_path / ("jobs" + jobs)
+            outcomes.append((code, capsys.readouterr().err,
+                             {p.name: harness.strip_timing_columns(
+                                 p.read_text(encoding="utf-8"))
+                              for p in out.iterdir()}))
+        assert outcomes[0] == outcomes[1]
+        code, err, files = outcomes[0]
+        assert code == 1 and err.startswith("error: Unable to allocate")
+        assert sorted(files) == [
+            "trace_plip_m20_d3_lam0_rho0_rep0_bpg.csv",
+            "trace_plip_m20_d3_lam0_rho0_rep0_bpge.csv"]
+
+
+def test_import_loads_no_pool_module():
+    # Only a sweep with --jobs > 1 imports them, so no command's start-up
+    # pays for them.
+    code = ("import sys, bregopt.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+class TestUnaddressableSize:
+    # 4e9 x 4e9 doubles are 1.28e20 bytes, past np.intp: numpy would raise
+    # its ValueError "array is too big", where this is a usage error.
+    SIZE = 4000000000
+
+    @pytest.mark.parametrize("problem", ["plip", "qip"])
+    @pytest.mark.parametrize("command", ["generate", "solve", "sweep"])
+    def test_rejected_before_out_is_created(self, command, problem, tmp_path,
+                                            capsys):
+        if command == "sweep":
+            spec = tmp_path / "spec.json"
+            spec.write_text(json.dumps({"problem": problem, "sizes": [
+                [self.SIZE, self.SIZE]]}), encoding="utf-8")
+            argv = ["sweep", "--spec", str(spec)]
+        else:
+            argv = [command, "--problem", problem, "--m", str(self.SIZE),
+                    "--d", str(self.SIZE)]
+        assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "too big" in err[0]
+        assert not (tmp_path / "out").exists()
 
 
 class TestNegativeSeed:

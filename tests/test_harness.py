@@ -1,5 +1,8 @@
+import concurrent.futures
 import csv
 import dataclasses
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from bregopt import (
     bpge_solve,
 )
 from bregopt import harness, plip
+from bregopt.problems import check_size
 
 from helpers import FailingBurgKernel, reference_trace_csv
 
@@ -48,6 +52,16 @@ class TestSpecValidation:
     def test_rejects_empty_sizes(self):
         with pytest.raises(ValidationError):
             tiny_spec(sizes=())
+
+    def test_rejects_a_size_numpy_cannot_address(self):
+        # 8 m d bytes must fit in np.intp: 2**31 x 2**29 doubles are 2**63
+        # bytes, one more than its maximum; one column fewer fits (numpy
+        # integers are multiplied as Python integers, so never wrap).
+        big = (2 ** 31, 2 ** 29)
+        for size in (big, tuple(map(np.int64, big))):
+            with pytest.raises(ValidationError, match="too big"):
+                tiny_spec(sizes=(size,))
+        check_size(2 ** 31, 2 ** 29 - 1)
 
     @pytest.mark.parametrize("size", [(0, 3), (30, 0), (-1, 4)])
     def test_size_rule_is_that_of_generate(self, size):
@@ -277,3 +291,83 @@ def test_sweep_calls_the_patchable_module_globals(tmp_path, monkeypatch):
     assert calls == {"harness.bpge_solve": 1, "solvers.bpge_solve": 1,
                      "harness.generate_instance": 1,
                      "harness.write_trace_csv": 2}
+
+
+class TestJobs:
+    """run_comparison(jobs=...) with ProcessPoolExecutor replaced by a pool
+    that runs each submitted cell in this process when it is submitted."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch, tmp_path):
+        made = []
+
+        class InlinePool:
+            def __init__(self, max_workers, mp_context):
+                assert mp_context.get_start_method() == "fork"
+                self.workers, self.submitted, self.cancelled = (
+                    max_workers, [], None)
+                made.append(self)
+
+            def submit(self, fn, *args):
+                # (cell, cells whose traces this process has written)
+                self.submitted.append(
+                    (args[-1], len(list(tmp_path.glob("pooled/*"))) // 2))
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+            def shutdown(self, cancel_futures=False):
+                self.cancelled = cancel_futures
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            InlinePool)
+        return made
+
+    @staticmethod
+    def cpus(monkeypatch, n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                            raising=False)
+
+    def test_workers_are_capped_at_cells_and_cpus(self, pools, monkeypatch):
+        spec = tiny_spec(repetitions=3, k_max=20)
+        self.cpus(monkeypatch, 64)
+        harness.run_comparison(spec, jobs=64)
+        self.cpus(monkeypatch, 2)
+        harness.run_comparison(spec, jobs=64)
+        harness.run_comparison(spec, jobs=1)
+        assert [p.workers for p in pools] == [2, 1]
+        assert all(p.cancelled for p in pools)
+
+    def test_cells_are_dealt_within_two_jobs_of_the_caller(self, pools,
+                                                           monkeypatch,
+                                                           tmp_path):
+        spec = tiny_spec(repetitions=8, k_max=20)
+        self.cpus(monkeypatch, 8)
+        harness.run_comparison(spec, out_dir=tmp_path / "serial")
+        harness.run_comparison(spec, out_dir=tmp_path / "pooled", jobs=3)
+        (pool,) = pools
+        # Cells 0, 3 and 6 ran here; each other cell j went to the pool once,
+        # when this process was at cell i > j - 2 jobs.
+        assert [j for j, _ in pool.submitted] == [1, 2, 4, 5, 7]
+        assert all(j < i + 6 for j, i in pool.submitted)
+        assert [i for _, i in pool.submitted] == [0, 0, 0, 0, 2]
+        assert_same_files(tmp_path / "serial", tmp_path / "pooled")
+
+    def test_without_fork_the_caller_runs_every_cell(self, pools, monkeypatch,
+                                                     tmp_path):
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                            lambda: ["spawn"])
+        self.cpus(monkeypatch, 4)
+        spec = tiny_spec(repetitions=3, k_max=20)
+        harness.run_comparison(spec, out_dir=tmp_path / "serial")
+        harness.run_comparison(spec, out_dir=tmp_path / "jobs4", jobs=4)
+        assert pools == []
+        assert_same_files(tmp_path / "serial", tmp_path / "jobs4")
+
+
+def assert_same_files(a, b):
+    names = sorted(p.name for p in a.iterdir())
+    assert names == sorted(p.name for p in b.iterdir())
+    for name in names:
+        assert (harness.strip_timing_columns((a / name).read_text("utf-8"))
+                == harness.strip_timing_columns((b / name).read_text("utf-8")))

@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import pickle
 
 import numpy as np
 import pytest
@@ -58,11 +59,13 @@ class TestLineSearch:
     def test_equal_points_accept_beta0_immediately(self):
         cfg = LineSearchConfig(beta0=0.7)
         x = np.array([1.0, 2.0])
+        kernel = EuclideanKernel(2)
         beta, shrinks, trial, hgrad = line_search_beta(
-            EuclideanKernel(2), x, x.copy(), cfg, 1.0, 0.0)
+            kernel, x, x.copy(), cfg, 1.0, 0.0)
         assert beta == 0.7 and shrinks == 0
-        # The trial is x_curr itself, whose grad h the caller holds.
-        assert trial is None and hgrad is None
+        # The first trial is x_curr itself: D_h(x, x) = 0 meets the bound 0.
+        assert np.array_equal(trial, x) and np.array_equal(
+            hgrad, kernel.gradient(x))
 
     def test_euclidean_accepts_beta0_below_sqrt_rho(self):
         # D_h(x, x + b*delta) = b^2 ||delta||^2 / 2, so b <= sqrt(rho*C) passes.
@@ -552,6 +555,17 @@ class TestTraceRows:
         assert result.trace[0].residual is np.nan
         assert again.trace[0] == result.trace[0]
         assert _timeless(again.trace) == _timeless(result.trace)
+
+    def test_pickled_result_keeps_its_records_read_only(self, result):
+        # A sweep worker returns its SolveResults to the caller by pickle.
+        again = pickle.loads(pickle.dumps(result))
+        assert isinstance(again.trace, Trace)
+        assert list(again.trace) == list(result.trace)
+        assert np.array_equal(again.x_final, result.x_final)
+        assert again.config == result.config
+        assert not again.trace.data.flags.writeable
+        with pytest.raises(ValueError):
+            again.trace.column("psi")[0] = 0.0
 
     def test_column_is_a_read_only_float64_view(self, result):
         psi = result.trace.column("psi")
