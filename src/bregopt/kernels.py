@@ -6,10 +6,10 @@ the inverse gradient map where h is of Legendre type. Instances are
 immutable and every method is a pure function of its inputs, so kernels
 can be shared freely across threads.
 
-A kernel class defines `_point(x)`, which returns grad h(x) and either
-h(x) or None, `in_interior_domain` and `inverse_gradient`; it defines
-`_value` only where `_point` leaves h out, and may override `_bregman`
-with a formula of its own. The public `value`, `gradient` and `bregman`
+A kernel class defines `_value(x)`, `_gradient(x)`, `in_interior_domain`
+and `inverse_gradient`, and may override `_bregman`, the three-term
+formula by default, with a closed form of its own, as every shipped
+kernel does. The public `value`, `gradient` and `bregman`
 are written once, here: each passes its points through `require_interior`,
 the package's one rule for a point (the smooth terms and `plip_prox` apply
 it too), then calls the unchecked hook. A point is a 1-D vector of ints or
@@ -71,10 +71,11 @@ class Kernel:
         return self._value(self.require_interior(x))
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        return self._point(self.require_interior(x))[0]
+        return self._gradient(self.require_interior(x))
 
     def bregman(self, x: np.ndarray, y: np.ndarray) -> float:
-        """D_h(x, y), clamped to zero against tiny negative rounding noise."""
+        """D_h(x, y); the default and Burg's forms clamp tiny negative
+        rounding noise to zero, the quartic and Euclidean ones have none."""
         return self._bregman(self.require_interior(x, "x"),
                              self.require_interior(y, "y"))
 
@@ -93,24 +94,19 @@ class Kernel:
                               "domain" % name)
         return x
 
-    def _point(self, x: np.ndarray) -> tuple:
-        """(grad h(x), h(x)) for a float vector already known to be interior,
-        computed once per point; h may be None in a class that defines
-        `_value` and whose `_bregman` never reads h."""
-        raise NotImplementedError
-
     def _value(self, x: np.ndarray) -> float:
         """h(x) for an interior float vector."""
-        return self._point(x)[1]
+        raise NotImplementedError
 
-    def _bregman(self, x: np.ndarray, y: np.ndarray, hgrad_y=None, hx=None,
-                 hy=None) -> float:
-        """`bregman` for interior float vectors, from grad h(y), h(x) and
-        h(y) where the caller holds them (None: computed here)."""
-        g = self._point(y)[0] if hgrad_y is None else hgrad_y
-        hx = self._value(x) if hx is None else hx
-        hy = self._value(y) if hy is None else hy
-        inner = float(np.dot(g, x - y))
+    def _gradient(self, x: np.ndarray) -> np.ndarray:
+        """grad h(x) for an interior float vector."""
+        raise NotImplementedError
+
+    def _bregman(self, x: np.ndarray, y: np.ndarray) -> float:
+        """`bregman` for interior float vectors by the defining formula
+        h(x) - h(y) - <grad h(y), x - y>, which cancels as x nears y."""
+        hx, hy = self._value(x), self._value(y)
+        inner = float(np.dot(self._gradient(y), x - y))
         return _clamp_nonnegative(hx - hy - inner,
                                   abs(hx) + abs(hy) + abs(inner))
 
@@ -124,8 +120,11 @@ def _clamp_nonnegative(d: float, scale: float = 1.0) -> float:
 class EuclideanKernel(Kernel):
     """h(x) = ||x||^2 / 2 on all of R^d; D_h is half the squared distance."""
 
-    def _point(self, x):
-        return x.copy(), 0.5 * float(np.dot(x, x))
+    def _value(self, x):
+        return 0.5 * float(np.dot(x, x))
+
+    def _gradient(self, x):
+        return x.copy()
 
     def in_interior_domain(self, x):
         return bool(np.isfinite(x).all())
@@ -133,7 +132,7 @@ class EuclideanKernel(Kernel):
     def inverse_gradient(self, z):
         return self.require_interior(z, "z").copy()
 
-    def _bregman(self, x, y, hgrad_y=None, hx=None, hy=None):
+    def _bregman(self, x, y):
         r = x - y
         return 0.5 * float(np.dot(r, r))
 
@@ -141,11 +140,11 @@ class EuclideanKernel(Kernel):
 class BurgKernel(Kernel):
     """Burg entropy h(x) = -sum log x_j on the open positive orthant."""
 
-    def _point(self, x):
-        return -1.0 / x, None
-
     def _value(self, x):
         return -float(np.sum(np.log(x)))
+
+    def _gradient(self, x):
+        return -1.0 / x
 
     def in_interior_domain(self, x):
         x = np.asarray(x, dtype=float)
@@ -158,7 +157,7 @@ class BurgKernel(Kernel):
             raise DomainError("Burg inverse gradient needs every component < 0")
         return -1.0 / z
 
-    def _bregman(self, x, y, hgrad_y=None, hx=None, hy=None):
+    def _bregman(self, x, y):
         t = x / y
         return _clamp_nonnegative(float((t - np.log(t) - 1.0).sum()))
 
@@ -166,10 +165,20 @@ class BurgKernel(Kernel):
 class QuarticKernel(Kernel):
     """h(x) = ||x||^4 / 4 + ||x||^2 / 2 on all of R^d."""
 
-    def _point(self, x):
-        """Both from one ||x||^2: (||x||^2 + 1) x and h(x)."""
+    def _value(self, x):
         s = float(np.dot(x, x))
-        return (s + 1.0) * x, 0.25 * s * s + 0.5 * s
+        return 0.25 * s * s + 0.5 * s
+
+    def _gradient(self, x):
+        return (float(np.dot(x, x)) + 1.0) * x
+
+    def _bregman(self, x, y):
+        """||d||^2 (1 + ||y||^2) / 2 + t^2 / 4, where d = x - y and
+        t = ||x||^2 - ||y||^2 = <x + y, d>: put t and <y, d> = (t - ||d||^2)/2
+        into the three-term formula. Both terms are >= 0; nothing cancels."""
+        d = x - y
+        s, t = float(np.dot(d, d)), float(np.dot(x + y, d))
+        return 0.5 * s * (1.0 + float(np.dot(y, y))) + 0.25 * t * t
 
     def in_interior_domain(self, x):
         return bool(np.isfinite(x).all())

@@ -142,8 +142,7 @@ class SolveResult:
 
 
 def line_search_beta(kernel: Kernel, x_prev: np.ndarray, x_curr: np.ndarray,
-                     cfg: LineSearchConfig, C_k: float, dh_prev: float,
-                     h_curr=None):
+                     cfg: LineSearchConfig, C_k: float, dh_prev: float):
     """First beta in {beta0, eta*beta0, ...} whose trial point is admissible.
 
     Admissible means the trial x_curr + beta*(x_curr - x_prev) lies in the
@@ -151,12 +150,9 @@ def line_search_beta(kernel: Kernel, x_prev: np.ndarray, x_curr: np.ndarray,
     D_h(x_curr, trial) <= rho * C_k * D_h(x_prev, x_curr). A trial outside
     the domain counts as a failed test and keeps shrinking. Falls back to
     beta = 0 after max_shrinks, which always satisfies the condition.
-    dh_prev is D_h(x_prev, x_curr), which the caller has already computed
-    for points it has checked, and h_curr is h(x_curr) if the caller holds
-    it (the h of `kernel._point`); every trial's D_h(x_curr, trial) reuses
-    it.
-    Returns (beta, shrinks, trial, grad h(trial)), grad h computed once per
-    trial that reaches D_h; trial and grad h are None when beta = 0.
+    dh_prev is D_h(x_prev, x_curr), computed by the caller for points it
+    has checked. Returns (beta, shrinks, trial, grad h(trial)), grad h of
+    the accepted trial only; trial and grad h are None when beta = 0.
     """
     direction = x_curr - x_prev
     bound = cfg.rho * C_k * dh_prev
@@ -167,10 +163,8 @@ def line_search_beta(kernel: Kernel, x_prev: np.ndarray, x_curr: np.ndarray,
         trial = x_curr + beta * direction
         if kernel.in_interior_domain(trial):
             try:
-                hgrad, h_trial = kernel._point(trial)
-                if kernel._bregman(x_curr, trial, hgrad, h_curr,
-                                   h_trial) <= bound:
-                    return beta, shrinks, trial, hgrad
+                if kernel._bregman(x_curr, trial) <= bound:
+                    return beta, shrinks, trial, kernel._gradient(trial)
             except NumericalError:
                 pass
         beta *= cfg.eta
@@ -187,8 +181,8 @@ def bpge_solve(obj: CompositeObjective, x0: np.ndarray,
     grad f at x_next and grad f at that y (one pass over M for phi(Mx),
     M y carried), and the record. A failed line search ends the run at
     the start of the step it was for, after the tolerance test. Each new
-    point gets one domain check (x0 here, each trial, each prox output)
-    and one `kernel._point`, whose grad h and h every D_h on it reuses.
+    point gets one domain check (x0 here, each trial, each prox output);
+    grad h is computed at x0, each prox output and each accepted trial.
     """
     kernel = obj.kernel
     smooth, nonsmooth = obj.smooth, obj.nonsmooth
@@ -205,7 +199,7 @@ def bpge_solve(obj: CompositeObjective, x0: np.ndarray,
     x_curr = x0.copy()
     u_curr, f_curr, grad_curr, _ = smooth.evaluate(x_curr, None, 0.0, None)
     psi_curr = f_curr + nonsmooth.value(x_curr)
-    hgrad_curr, h_curr = kernel._point(x_curr)
+    hgrad_curr = kernel._gradient(x_curr)
     ahead = (cfg.line_search.beta0 if _extrapolate else 0.0, 0, None, None)
     failed = False
     rows = array("d", (0, psi_curr, 0.0, psi_curr, 0.0, 0, np.nan, 0.0))
@@ -225,13 +219,13 @@ def bpge_solve(obj: CompositeObjective, x0: np.ndarray,
                                     cfg.lam)
             if not kernel.in_interior_domain(x_next):
                 raise NumericalError("prox left the kernel domain")
-            hgrad_next, h_next = kernel._point(x_next)
-            dh = kernel._bregman(x_curr, x_next, hgrad_next, h_curr, h_next)
+            hgrad_next = kernel._gradient(x_next)
+            dh = kernel._bregman(x_curr, x_next)
             ahead = (0.0, 0, None, None)
             if _extrapolate:
                 try:
                     ahead = line_search_beta(kernel, x_curr, x_next,
-                                             cfg.line_search, C_k, dh, h_next)
+                                             cfg.line_search, C_k, dh)
                 except (DomainError, NumericalError):
                     failed = True
             u_next, f_next, grad_next, grad_y_next = smooth.evaluate(
@@ -254,7 +248,7 @@ def bpge_solve(obj: CompositeObjective, x0: np.ndarray,
                    / max(1.0, math.sqrt(float(np.dot(x_next, x_next)))))
         else:
             gap = abs(psi_next - psi_curr) / max(1.0, abs(psi_next))
-        x_curr, psi_curr, u_curr, h_curr = x_next, psi_next, u_next, h_next
+        x_curr, psi_curr, u_curr = x_next, psi_next, u_next
         grad_curr, hgrad_curr, grad_y = grad_next, hgrad_next, grad_y_next
         if gap <= cfg.tol:
             exit_reason = EXIT_TOLERANCE

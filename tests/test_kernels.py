@@ -17,8 +17,6 @@ from bregopt import (
 from helpers import (bisect_cubic, fd_gradient,
                      three_point_identity_residual)
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def all_kernels(d):
     return [EuclideanKernel(d), BurgKernel(d), QuarticKernel(d)]
@@ -71,6 +69,16 @@ class TestBregman:
             if kernel.bregman(x, y) < 1e-14:
                 assert np.linalg.norm(x - y) < 1e-6
 
+    @pytest.mark.parametrize("kernel", all_kernels(5), ids=lambda k: type(k).__name__)
+    def test_closed_form_matches_defining_formula(self, kernel):
+        # Kernel._bregman is h(x) - h(y) - <grad h(y), x - y>, exact enough
+        # where x and y are far apart.
+        rng = np.random.default_rng(6)
+        for _ in range(200):
+            x, y = sample_interior(kernel, rng), sample_interior(kernel, rng)
+            reference = Kernel._bregman(kernel, x, y)
+            assert kernel._bregman(x, y) == pytest.approx(reference, rel=1e-12)
+
     def test_burg_domain_error(self):
         k = BurgKernel(2)
         with pytest.raises(DomainError):
@@ -112,9 +120,11 @@ class _ScaledSumKernel(Kernel):
         super().__init__(k1.dim)
         self.alpha, self.k1, self.beta, self.k2 = alpha, k1, beta, k2
 
-    def _point(self, x):
-        return (self.alpha * self.k1.gradient(x) + self.beta * self.k2.gradient(x),
-                self.alpha * self.k1.value(x) + self.beta * self.k2.value(x))
+    def _value(self, x):
+        return self.alpha * self.k1.value(x) + self.beta * self.k2.value(x)
+
+    def _gradient(self, x):
+        return self.alpha * self.k1.gradient(x) + self.beta * self.k2.gradient(x)
 
     def in_interior_domain(self, x):
         return self.k1.in_interior_domain(x) and self.k2.in_interior_domain(x)

@@ -9,8 +9,6 @@ from bregopt import plip
 
 from helpers import fd_gradient, prox_oracle
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 class TestGeneration:
     def test_entry_bounds(self):

@@ -14,8 +14,6 @@ from bregopt import (BurgKernel, DomainError, EuclideanKernel, QuarticKernel,
                      SolverConfig, ValidationError, bpg_solve, bpge_solve)
 from bregopt import plip, qip
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 D = 3
 PLIP = plip.generate_plip(10, D, seed=0)
 QIP = qip.generate_qip(10, D, seed=0)

@@ -23,8 +23,6 @@ from bregopt.problems import CompositeObjective, SmoothTerm, _row_blocks
 from helpers import (fd_gradient, prox_oracle, reference_plip_draw,
                      reference_qip_bounds)
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 @pytest.mark.parametrize("name", sorted(harness.PROBLEM_MODULES))
 def test_instance_document_is_fields_plus_m_and_d(name):

@@ -2,6 +2,7 @@
 the scalar cubic root, over generated inputs."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from helpers import three_point_identity_residual
 
 SETTINGS = settings(max_examples=60, deadline=None, database=None)
 EPS = float(np.finfo(float).eps)
+TINY = float(np.finfo(float).tiny)
 KERNELS = {"euclidean": EuclideanKernel, "burg": BurgKernel,
            "quartic": QuarticKernel}
 
@@ -71,6 +73,28 @@ def test_three_point_identity(case):
     scale = sum(abs(t) for t in terms)
     residual = three_point_identity_residual(kernel, x, y, z)
     assert abs(residual) <= 64 * EPS * max(1.0, scale)
+
+
+@st.composite
+def quartic_nearby_pairs(draw):
+    """(x, y) with x = y + eps * v for eps from 1e-1 down to 1e-12."""
+    y, v = draw(points("quartic", draw(st.integers(1, 8)), 2))
+    eps = draw(st.sampled_from([10.0 ** -k for k in range(1, 13)]))
+    return y + eps * v, y
+
+
+@SETTINGS
+@given(quartic_nearby_pairs())
+def test_quartic_bregman_is_exact_at_nearby_points(pair):
+    x, y = pair
+    fx, fy = [Fraction(a) for a in x], [Fraction(b) for b in y]
+    sx, sy = sum(a * a for a in fx), sum(b * b for b in fy)
+    exact = (sx * sx / 4 + sx / 2 - sy * sy / 4 - sy / 2
+             - (sy + 1) * sum(b * (a - b) for a, b in zip(fx, fy)))
+    got = QuarticKernel(x.size).bregman(x, y)
+    # A few ulps of D_h itself; below the normal range floats have no
+    # relative precision.
+    assert abs(Fraction(got) - exact) <= 8 * EPS * exact + Fraction(TINY)
 
 
 PROBLEMS = {

@@ -10,8 +10,6 @@ from bregopt import qip
 
 from helpers import bisect_cubic, fd_gradient, prox_oracle
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def scalar_instance(b=1.0, theta=1.0):
     return qip.QipInstance(a=np.array([[1.0]]), b=np.array([b]), theta=theta,
