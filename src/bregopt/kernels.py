@@ -7,16 +7,17 @@ immutable and every method is a pure function of its inputs, so kernels
 can be shared freely across threads.
 
 A kernel class defines `_value(x)`, `_gradient(x)`, `in_interior_domain`
-and `inverse_gradient`, and may override `_bregman`, the three-term
-formula by default, with a closed form of its own, as every shipped
-kernel does. The public `value`, `gradient` and `bregman`
-are written once, here: each passes its points through `require_interior`,
-the package's one rule for a point (the smooth terms and `plip_prox` apply
-it too), then calls the unchecked hook. A point is a 1-D vector of ints or
-floats (`NUMBER_KINDS`) of the kernel's size, else `ValidationError`, in
-the interior of dom h, else `DomainError`. The z of `inverse_gradient`
-must lie in the range of grad h instead (at any size for Burg's
-componentwise map). The solvers check each point once and call only hooks.
+(an unchecked predicate on a float vector of the kernel's size) and
+`inverse_gradient`, and may override `_bregman`, the three-term formula by
+default, with a closed form of its own, as every shipped kernel does. The
+public `value`, `gradient` and `bregman` are written once, here: each
+passes its points through `require_interior`, the package's one rule for a
+point (the smooth terms and `plip_prox` apply it too), then calls the
+unchecked hook. A point is a 1-D vector of ints or floats (`NUMBER_KINDS`)
+of the kernel's size, else `ValidationError`, in the interior of dom h,
+else `DomainError`. The z of `inverse_gradient` is read by the same rule,
+but must lie in the range of grad h instead. The solvers check each point
+once and call only hooks.
 """
 
 from __future__ import annotations
@@ -31,16 +32,19 @@ from .errors import DomainError, NumericalError, ValidationError
 # are rounding noise and clamped to zero; anything more negative is a bug.
 _NEGATIVE_SLACK = 1e-12
 
-
-def is_integer(v) -> bool:
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+NUMBER_KINDS = "iuf"  # the numpy dtype kinds of numbers: ints and floats
+# Their scalar types, int and float too: `type(v) in NUMBER_TYPES` is
+# `is_number(v)` without a call, for the checks a solver step runs.
+NUMBER_TYPES = frozenset([int, float] + [t for t in np.sctypeDict.values()
+                                         if np.dtype(t).kind in NUMBER_KINDS])
 
 
 def is_number(v) -> bool:
-    return is_integer(v) or isinstance(v, (float, np.floating))
+    return type(v) in NUMBER_TYPES
 
 
-NUMBER_KINDS = "iuf"  # the numpy dtype kinds of numbers: ints and floats
+def is_integer(v) -> bool:
+    return is_number(v) and np.dtype(type(v)).kind != "f"
 
 
 def _as_vector(x, size=None, name="z") -> np.ndarray:
@@ -147,14 +151,14 @@ class BurgKernel(Kernel):
         return -1.0 / x
 
     def in_interior_domain(self, x):
-        x = np.asarray(x, dtype=float)
-        return x.size == 0 or bool(0.0 < np.minimum.reduce(x, None)
-                                   and np.maximum.reduce(x, None) < np.inf)
+        return bool(0.0 < np.minimum.reduce(x, None)
+                    and np.maximum.reduce(x, None) < np.inf)
 
     def inverse_gradient(self, z):
-        z = _as_vector(z)
-        if not np.maximum.reduce(z, initial=-np.inf) < 0.0:
-            raise DomainError("Burg inverse gradient needs every component < 0")
+        z = _as_vector(z, self.dim)
+        if not (-np.inf < np.minimum.reduce(z, None)
+                and np.maximum.reduce(z, None) < 0.0):
+            raise DomainError("Burg inverse gradient needs z in (-inf, 0)^d")
         return -1.0 / z
 
     def _bregman(self, x, y):
@@ -201,14 +205,14 @@ _INV_SQRT27 = 1.0 / math.sqrt(27.0)
 
 
 def cubic_root_scale(s: float) -> float:
-    """Unique nonnegative root r of r^3 + r = s (NaN for a NaN s).
+    """Unique nonnegative root r of r^3 + r = s, a number >= 0 (or NaN).
 
     Cardano's root r = t - 1/(3t), t^3 = s/2 + sqrt(s^2/4 + 1/27), in the
     form r = s / (t^2 + 1/3 + 1/(9 t^2)), which has no cancellation at any
     s, then one Newton step to round it off.
     """
-    if s < 0.0:
-        raise ValueError("s must be nonnegative")
+    if not (type(s) in NUMBER_TYPES and not s < 0.0):
+        raise ValidationError("s must be a number >= 0, got %r" % (s,))
     t2 = (0.5 * s + math.hypot(0.5 * s, _INV_SQRT27)) ** (2.0 / 3.0)
     r = s / (t2 + 1.0 / 3.0 + 1.0 / (9.0 * t2))
     return r - (r * r * r + r - s) / (3.0 * r * r + 1.0)

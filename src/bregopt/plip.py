@@ -40,34 +40,22 @@ class PlipInstance(Instance):
         return float(np.sum(np.abs(self.b)))
 
 
-def generate_plip(m: int, d: int, seed: int) -> PlipInstance:
-    """Seeded instance: A and x_true entrywise uniform, b = A x_true.
-
-    Entries of A are drawn in (0, 1], as 1 - U[0, 1) formed in place, so
-    that A is the one m x d array the draw holds; columns that end up
-    entirely below 1e-12 are resampled so no coordinate of x is
-    unconstrained.
-    """
+def generate_plip(m: int, d: int, seed: int, theta: float = 1.0) -> PlipInstance:
+    """Seeded instance: A and x_true entrywise uniform, b = A x_true, and
+    theta checked, then unused. A is 1 - U[0, 1) formed in place, the one
+    m x d array the draw holds; its entries are at least 2^-53, so b > 0
+    unless x_true = 0, which `PlipInstance` rejects."""
     check_size(m, d)
     check_seed(seed)
+    check_theta(theta)
     rng = np.random.default_rng([seed, 0])
     A = rng.random((m, d))
     np.subtract(1.0, A, out=A)
-    while True:
-        dead = np.max(A, axis=0) < 1e-12
-        if not np.any(dead):
-            break
-        A[:, dead] = 1.0 - rng.random((m, int(np.sum(dead))))
     x_true = rng.random(d)
-    while np.min(A @ x_true) <= 0.0:
-        x_true = rng.random(d)
     return PlipInstance(A=A, b=A @ x_true, seed=int(seed), x_true=x_true)
 
 
-def generate(m: int, d: int, seed: int, theta: float = 1.0) -> PlipInstance:
-    """`generate_plip` for the problem table; theta is checked, then unused."""
-    check_theta(theta)
-    return generate_plip(m, d, seed)
+generate = generate_plip
 
 
 def plip_prox(inst: PlipInstance, y, grad, lam: float) -> np.ndarray:
@@ -98,9 +86,7 @@ class PlipSmooth(LinearModelSmooth):
         return (float((b * np.log(ratio) + u - b).sum()) if value else None,
                 1.0 - ratio)
 
-    @staticmethod
-    def _in_domain(u):
-        return u.min() > 0.0
+    _in_domain = staticmethod(lambda u: u.min() > 0.0)
 
 
 def make_objective(inst: PlipInstance) -> CompositeObjective:

@@ -15,7 +15,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ValidationError
-from .kernels import NUMBER_KINDS, BurgKernel, Kernel, is_integer, is_number
+from .kernels import (NUMBER_KINDS, NUMBER_TYPES, BurgKernel, Kernel,
+                      _as_vector, is_integer, is_number)
 
 
 def check_seed(seed) -> None:
@@ -228,10 +229,10 @@ class NonsmoothTerm:
 
 
 def soft_threshold(z: np.ndarray, tau: float) -> np.ndarray:
-    """Componentwise shrinkage sign(z_j) * max(|z_j| - tau, 0)."""
-    if tau < 0.0:
-        raise ValueError("threshold must be nonnegative")
-    z = np.asarray(z, dtype=float)
+    """Shrinkage sign(z_j) * max(|z_j| - tau, 0) of a vector z by tau >= 0."""
+    if not (type(tau) in NUMBER_TYPES and tau >= 0.0):
+        raise ValidationError("threshold must be a number >= 0")
+    z = _as_vector(z)
     return np.sign(z) * np.maximum(np.abs(z) - tau, 0.0)
 
 

@@ -24,6 +24,13 @@ def _die_in_worker(*args):
     return _RUN_CELL(*args)
 
 
+def _nan_plip_value(monkeypatch):
+    """plip's f reads NaN everywhere, so every plip run fails numerically."""
+    phi = plip.PlipSmooth._phi
+    monkeypatch.setattr(plip.PlipSmooth, "_phi", staticmethod(
+        lambda u, b, value=True: (float("nan"), phi(u, b, value)[1])))
+
+
 class TestGenerate:
     def test_writes_instance_json(self, tmp_path, capsys):
         code = cli.main(["generate", "--problem", "plip", "--m", "20",
@@ -97,6 +104,18 @@ class TestSolve:
                     ("trace_qip_m30_d5_seed4_bpge.csv", "ref.csv"))
         assert (harness.strip_timing_columns(got)
                 == harness.strip_timing_columns(ref))
+
+    def test_numerical_failure_exits_2_with_its_record(self, tmp_path,
+                                                       capsys, monkeypatch):
+        _nan_plip_value(monkeypatch)
+        assert cli.main(["solve", "--problem", "plip", "--m", "20", "--d",
+                         "3", "--seed", "1", "--out", str(tmp_path)]) == 2
+        stem = "plip_m20_d3_seed1_bpge"
+        assert (tmp_path / ("trace_%s.csv" % stem)).exists()
+        doc = json.loads((tmp_path / ("result_%s.json" % stem)).read_text(
+            encoding="utf-8"))
+        assert doc["exit_reason"] == "numerical_failure"
+        assert "numerical_failure" in capsys.readouterr().out
 
     def test_pg_on_either_problem_is_rejected(self, tmp_path, capsys):
         for problem in ("plip", "qip"):
@@ -228,6 +247,16 @@ class TestSweep:
         assert int(row["N_bpge"]) > 0 and row["exit_bpge"]
         for name in ("T_bpg", "T_ratio", "N_ratio"):
             assert row[name] == "nan"
+
+    def test_numerical_failure_exits_2_with_its_row(self, tmp_path, capsys,
+                                                    monkeypatch):
+        _nan_plip_value(monkeypatch)
+        assert self.run_spec(tmp_path, self.spec_doc()) == 2
+        with open(tmp_path / "runs" / "comparison.csv", newline="",
+                  encoding="utf-8") as fh:
+            (row,) = csv.DictReader(fh)
+        assert row["exit_bpge"] == row["exit_bpg"] == "numerical_failure"
+        assert "1 rows" in capsys.readouterr().out
 
     @pytest.fixture
     def two_cpus(self, monkeypatch):

@@ -201,6 +201,18 @@ class TestCubicRootScale:
         with pytest.raises(ValueError):
             cubic_root_scale(-1.0)
 
+    @pytest.mark.parametrize("s", [-np.inf, "2.0", True, None,
+                                   np.array([2.0])], ids=repr)
+    def test_rejects_a_bad_scalar(self, s):
+        with pytest.raises(ValidationError):
+            cubic_root_scale(s)
+
+    @pytest.mark.parametrize("s", [2, np.int64(2), np.uint8(2),
+                                   np.float32(2.0), np.float64(2.0)],
+                             ids=repr)
+    def test_takes_every_kind_of_number(self, s):
+        assert cubic_root_scale(s) == pytest.approx(1.0, abs=1e-6)
+
     @pytest.mark.parametrize("s", [
         1e-300, 1e-20, 1e-4, 0.01, 0.1, 0.7, 2.0, 2.5, 10.0, 100.0, 123.4,
         1e4, 1e8, 1e100, 1e300])
@@ -267,23 +279,22 @@ def test_public_methods_reject_points_outside_the_domain(kernel):
 
 @pytest.mark.parametrize("x", [
     [np.nan], [1.0, np.nan], [np.inf], [2.0, -np.inf], [0.0], [-0.0],
-    [5e-324], [-5e-324, -1.0], [1, 3], [0, 3], [], [0.5, 2.0],
+    [5e-324], [-5e-324, -1.0], [1, 3], [0, 3], [0.5, 2.0],
 ], ids=repr)
 def test_burg_domain_tests_match_elementwise_expressions(x):
     # The reductions must decide as the elementwise tests they replaced,
-    # for x and for -x, the empty vector included.
-    kernel = BurgKernel(1)
-    for v in (x, [-t for t in x]):
-        a = np.asarray(v, dtype=float)
+    # for x and for -x: x in the open orthant, z in (-inf, 0)^d.
+    kernel = BurgKernel(len(x))
+    for v in (np.array(x, dtype=float), -np.array(x, dtype=float)):
         assert kernel.in_interior_domain(v) == bool(
-            np.isfinite(a).all() and (a > 0.0).all())
-        with np.errstate(all="ignore"):
-            if (a < 0.0).all():
+            np.isfinite(v).all() and (v > 0.0).all())
+        if np.isfinite(v).all() and (v < 0.0).all():
+            with np.errstate(over="ignore"):
                 np.testing.assert_array_equal(kernel.inverse_gradient(v),
-                                              -1.0 / a)
-            else:
-                with pytest.raises(DomainError):
-                    kernel.inverse_gradient(v)
+                                              -1.0 / v)
+        else:
+            with pytest.raises(DomainError):
+                kernel.inverse_gradient(v)
 
 
 def test_quartic_inverse_gradient_matches_linalg_norm_form():

@@ -1,4 +1,6 @@
 import ast
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -11,6 +13,7 @@ from bregopt import harness
 SRC = Path(bregopt.__file__).resolve().parent
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 TEST_MODULES = sorted(Path(__file__).resolve().parent.glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_every_exported_name_resolves():
@@ -56,3 +59,13 @@ def test_unused_import_is_found():
 @pytest.mark.parametrize("path", MODULES + TEST_MODULES, ids=lambda p: p.name)
 def test_module_uses_every_name_it_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_benchmark_selftest_passes():
+    # perfbench's tracer wraps bregopt's callables by name, so renaming or
+    # removing one of them breaks every traced benchmark run; this catches it.
+    proc = subprocess.run([sys.executable, "perfbench/selftest.py"],
+                          cwd=ROOT, capture_output=True, text=True,
+                          timeout=600)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    assert "selftest passed" in proc.stdout

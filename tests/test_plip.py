@@ -24,6 +24,14 @@ class TestGeneration:
         assert np.array_equal(a.b, b.b)
         assert plip.to_json(a) == plip.to_json(b)
 
+    def test_one_generator_checks_theta(self):
+        assert plip.generate is plip.generate_plip
+        for theta in (-1.0, np.nan, "1", True):
+            with pytest.raises(ValidationError, match="theta"):
+                plip.generate_plip(6, 3, seed=0, theta=theta)
+        assert plip.to_json(plip.generate_plip(6, 3, 0, theta=2.5)) == \
+            plip.to_json(plip.generate_plip(6, 3, 0))
+
     def test_smad_bound_is_l1_norm_of_data(self):
         inst = plip.generate_plip(20, 4, seed=2)
         assert inst.smad_bound == pytest.approx(np.sum(inst.b))

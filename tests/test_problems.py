@@ -123,6 +123,22 @@ def test_soft_threshold():
         assert np.linalg.norm(soft_threshold(z, tau)) <= np.linalg.norm(z)
 
 
+@pytest.mark.parametrize("z, tau", [
+    ([1.0, -2.0], np.nan), ([1.0], "0.5"), ([1.0], -0.5), ([1.0], True),
+    ([1.0], None), (["1", "-2"], 0.5), ([[1.0, -2.0]], 0.5),
+    ([True, False], 0.5)], ids=repr)
+def test_soft_threshold_rejects_bad_input(z, tau):
+    with pytest.raises(ValidationError):
+        soft_threshold(z, tau)
+
+
+@pytest.mark.parametrize("term", [ZeroTerm(), L1Term(0.5)],
+                         ids=lambda t: "weight=%g" % t.weight)
+def test_prox_reads_z_by_the_vector_rule(term):
+    with pytest.raises(ValidationError):
+        term.prox(QuarticKernel(2), ["1", "-2"], 1.0)
+
+
 class TestProxFirstOrder:
     def test_zero_term_mirror_step(self):
         # g == 0: prox must satisfy grad h(u) = grad h(y) - lam * grad f(y).
