@@ -16,9 +16,9 @@ from .problems import (
     NonsmoothTerm,
     SmoothTerm,
     ZeroTerm,
-    check_smad,
     soft_threshold,
 )
+from .checks import check_smad
 from .solvers import (
     EXIT_MAX_ITERATIONS,
     EXIT_MODES,

@@ -1,4 +1,5 @@
-"""Runtime invariant suite backing the `check` CLI subcommand.
+"""Runtime invariant suite backing the `check` CLI subcommand and
+`bregopt.check_smad`; every check returns a CheckOutcome.
 
 These are the same guards the test suite exercises, packaged so a seeded
 instance can be vetted from the command line: finite-difference gradient
@@ -14,7 +15,7 @@ from typing import List
 import numpy as np
 
 from . import harness
-from .problems import check_smad, default_sampler
+from .kernels import BurgKernel
 from .solvers import SolverConfig, bpge_solve
 
 
@@ -23,6 +24,14 @@ class CheckOutcome:
     name: str
     passed: bool
     detail: str
+
+
+def _sampler(kernel):
+    """Random interior points used by the sampling checks below."""
+    d = kernel.dim
+    if isinstance(kernel, BurgKernel):
+        return lambda rng: rng.uniform(0.05, 3.0, d)
+    return lambda rng: rng.standard_normal(d)
 
 
 def finite_difference_gradient(fn, x, step: float = 1e-6) -> np.ndarray:
@@ -35,7 +44,7 @@ def finite_difference_gradient(fn, x, step: float = 1e-6) -> np.ndarray:
 
 
 def _check_gradient(obj, rng, points: int = 20) -> CheckOutcome:
-    sampler = default_sampler(obj.kernel)
+    sampler = _sampler(obj.kernel)
     worst = 0.0
     for _ in range(points):
         x = sampler(rng)
@@ -47,11 +56,31 @@ def _check_gradient(obj, rng, points: int = 20) -> CheckOutcome:
                         "max relative error %.3e" % worst)
 
 
-def _check_smad(obj, seed: int) -> CheckOutcome:
-    report = check_smad(obj, samples=200, rng_seed=seed)
-    detail = "max upper %.3e, max lower %.3e" % (
-        report.max_upper_violation, report.max_lower_violation)
-    return CheckOutcome("smad_envelopes", not report.failed, detail)
+def check_smad(obj, samples: int = 1000, rng_seed: int = 0) -> CheckOutcome:
+    """Sampling check of the descent envelopes |gap| <= L*D_h and gap >= -mu*D_h.
+
+    gap = f(x) - f(y) - <grad f(y), x - y> over random interior pairs. A
+    sample fails when either envelope is violated by more than
+    1e-8 * (1 + |f(x)|). This is a regression guard, not a certification.
+    """
+    sampler = _sampler(obj.kernel)
+    rng = np.random.default_rng(rng_seed)
+    L, mu = obj.smooth.smad_constant(), obj.smooth.weak_convexity_constant()
+    max_upper = max_lower = -np.inf
+    failures = 0
+    for _ in range(samples):
+        x, y = sampler(rng), sampler(rng)
+        fx = obj.smooth.value(x)
+        gap = fx - obj.smooth.value(y) - float(np.dot(obj.smooth.gradient(y), x - y))
+        dh = obj.kernel.bregman(x, y)
+        upper = abs(gap) - L * dh
+        lower = -gap - mu * dh
+        max_upper = max(max_upper, upper)
+        max_lower = max(max_lower, lower)
+        if max(upper, lower) > 1e-8 * (1.0 + abs(fx)):
+            failures += 1
+    detail = "max upper %.3e, max lower %.3e" % (max_upper, max_lower)
+    return CheckOutcome("smad_envelopes", failures == 0, detail)
 
 
 def _prox_residual(obj, y, lam: float) -> float:
@@ -68,7 +97,7 @@ def _prox_residual(obj, y, lam: float) -> float:
 
 def _check_prox(obj, rng, calls: int = 20) -> CheckOutcome:
     """First-order condition of the prox output at random interior points."""
-    sampler = default_sampler(obj.kernel)
+    sampler = _sampler(obj.kernel)
     lam = 1.0 / obj.smooth.smad_constant()
     worst = max(_prox_residual(obj, sampler(rng), lam) for _ in range(calls))
     return CheckOutcome("prox_first_order", worst < 1e-8,
@@ -91,7 +120,7 @@ def run_invariant_checks(problem: str, m: int, d: int, seed: int,
     rng = np.random.default_rng([seed, 2])
     return [
         _check_gradient(obj, rng),
-        _check_smad(obj, seed),
+        check_smad(obj, samples=200, rng_seed=seed),
         _check_prox(obj, rng),
         _check_lyapunov(obj, x0),
     ]

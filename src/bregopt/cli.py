@@ -133,8 +133,6 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    if args.jobs < 1:
-        raise ValidationError("--jobs must be >= 1")
     try:
         doc = json.loads(Path(args.spec).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:

@@ -232,14 +232,16 @@ def run_cell(spec: ExperimentSpec, m: int, d: int, rule: str, rho: float,
 
 def run_comparison(spec: ExperimentSpec, out_dir=None,
                    jobs: int = 1) -> List[ComparisonRow]:
-    """Run every (size x lambda x rho x rep) cell of the sweep, in order,
-    on min(jobs, cells, usable CPUs) processes: this one runs cell i if
-    i % jobs == 0 and forked workers run the rest, each cell submitted once
-    this one is within 2 jobs cells of it (without fork, this one runs all).
-    Creates out_dir, if given, before the first cell; writes each run's
-    trace CSV when this one reaches its cell and comparison.csv at the end,
-    the files of jobs = 1. A cell's exception is raised at its turn, a dead
-    worker's as BrokenProcessPool; a run's numerical failure is in its row."""
+    """Run every (size x lambda x rho x rep) cell of the sweep, in order, on
+    min(jobs, cells, usable CPUs) processes, jobs an integer >= 1: this one
+    runs cell i if i % jobs == 0 and forked workers run the rest, each cell
+    submitted once this one is within 2 jobs cells of it (without fork, this
+    one runs all). Creates out_dir, if given, before the first cell; writes
+    each run's trace CSV when this one reaches its cell and comparison.csv at
+    the end, the files of jobs = 1. A cell's exception is raised at its turn,
+    a dead worker's as BrokenProcessPool; a numerical failure is in its row."""
+    if not (is_integer(jobs) and jobs >= 1):
+        raise ValidationError("jobs must be an integer >= 1, got %r" % (jobs,))
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)

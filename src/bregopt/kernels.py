@@ -31,6 +31,8 @@ from .errors import DomainError, NumericalError, ValidationError
 # Negative values of D_h up to this size times that of its terms (at least 1)
 # are rounding noise and clamped to zero; anything more negative is a bug.
 _NEGATIVE_SLACK = 1e-12
+# Burg's gradient -1/x ranges over z_j < this bound, where -1/z_j is finite.
+_BURG_Z_MAX = -1.0 / float(np.finfo(float).max)
 
 NUMBER_KINDS = "iuf"  # the numpy dtype kinds of numbers: ints and floats
 # Their scalar types, int and float too: `type(v) in NUMBER_TYPES` is
@@ -157,8 +159,9 @@ class BurgKernel(Kernel):
     def inverse_gradient(self, z):
         z = _as_vector(z, self.dim)
         if not (-np.inf < np.minimum.reduce(z, None)
-                and np.maximum.reduce(z, None) < 0.0):
-            raise DomainError("Burg inverse gradient needs z in (-inf, 0)^d")
+                and np.maximum.reduce(z, None) < _BURG_Z_MAX):
+            raise DomainError("Burg inverse gradient needs z in "
+                              "(-inf, -1/max float)^d")
         return -1.0 / z
 
     def _bregman(self, x, y):
@@ -213,6 +216,8 @@ def cubic_root_scale(s: float) -> float:
     """
     if not (type(s) in NUMBER_TYPES and not s < 0.0):
         raise ValidationError("s must be a number >= 0, got %r" % (s,))
+    if not s < math.inf:  # inf is its own root; NaN stays NaN
+        return s
     t2 = (0.5 * s + math.hypot(0.5 * s, _INV_SQRT27)) ** (2.0 / 3.0)
     r = s / (t2 + 1.0 / 3.0 + 1.0 / (9.0 * t2))
     return r - (r * r * r + r - s) / (3.0 * r * r + 1.0)

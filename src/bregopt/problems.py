@@ -285,53 +285,3 @@ class CompositeObjective:
     def value(self, x: np.ndarray) -> float:
         x = self.kernel.require_interior(x, "x")
         return self.smooth.value(x) + self.nonsmooth.value(x)
-
-
-def default_sampler(kernel: Kernel):
-    """Random interior points used by the sampling checks below."""
-    d = kernel.dim
-    if isinstance(kernel, BurgKernel):
-        return lambda rng: rng.uniform(0.05, 3.0, d)
-    return lambda rng: rng.standard_normal(d)
-
-
-@dataclass(frozen=True)
-class SmadReport:
-    samples: int
-    max_upper_violation: float
-    max_lower_violation: float
-    failures: int
-
-    @property
-    def failed(self) -> bool:
-        return self.failures > 0
-
-
-def check_smad(obj: CompositeObjective, samples: int = 1000,
-               rng_seed: int = 0) -> SmadReport:
-    """Sampling check of the descent envelopes |gap| <= L*D_h and gap >= -mu*D_h.
-
-    gap = f(x) - f(y) - <grad f(y), x - y> over random interior pairs. A
-    sample fails when either envelope is violated by more than
-    1e-8 * (1 + |f(x)|). This is a regression guard, not a certification.
-    """
-    sampler = default_sampler(obj.kernel)
-    rng = np.random.default_rng(rng_seed)
-    L = obj.smooth.smad_constant()
-    mu = obj.smooth.weak_convexity_constant()
-    max_upper = -np.inf
-    max_lower = -np.inf
-    failures = 0
-    for _ in range(samples):
-        x = sampler(rng)
-        y = sampler(rng)
-        fx = obj.smooth.value(x)
-        gap = fx - obj.smooth.value(y) - float(np.dot(obj.smooth.gradient(y), x - y))
-        dh = obj.kernel.bregman(x, y)
-        upper = abs(gap) - L * dh
-        lower = -gap - mu * dh
-        max_upper = max(max_upper, upper)
-        max_lower = max(max_lower, lower)
-        if max(upper, lower) > 1e-8 * (1.0 + abs(fx)):
-            failures += 1
-    return SmadReport(samples, max_upper, max_lower, failures)

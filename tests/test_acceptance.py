@@ -265,12 +265,12 @@ def test_criterion_06_smoothness_envelopes(report):
         inst = plip.generate_plip(80, 8, seed)
         smad = check_smad(plip.make_objective(inst), samples=1000,
                           rng_seed=seed)
-        if smad.failed:
+        if not smad.passed:
             failures.append(("plip", seed, smad))
         inst = qip.generate_qip(80, 8, seed)
         smad = check_smad(qip.make_objective(inst), samples=1000,
                           rng_seed=seed)
-        if smad.failed:
+        if not smad.passed:
             failures.append(("qip", seed, smad))
     ok = not failures
     report(6, "certified smoothness envelopes", ok)

@@ -230,7 +230,8 @@ class TestSweep:
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_nonpositive_jobs_rejected(self, jobs, tmp_path, capsys):
         assert self.run_spec(tmp_path, self.spec_doc(), "--jobs", jobs) == 1
-        assert "--jobs" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: jobs must be an integer >= 1, got %s\n" % jobs)
 
     def test_comparison_columns_of_a_bpge_only_sweep(self, tmp_path, capsys):
         assert self.run_spec(tmp_path, dict(self.spec_doc(),
@@ -435,6 +436,29 @@ class TestCheck:
         out = capsys.readouterr().out
         assert code == 0
         assert "PASS" in out and "FAIL" not in out
+
+    GOLDEN = {
+        "plip": ("gradient_fd        PASS  (max relative error 5.495e-10)\n"
+                 "smad_envelopes     PASS  (max upper -1.147e+01, "
+                 "max lower -1.196e-01)\n"
+                 "prox_first_order   PASS  (max residual 1.776e-15)\n"
+                 "lyapunov_monotone  PASS  (max increase beyond slack "
+                 "0.000e+00)\n"),
+        "qip": ("gradient_fd        PASS  (max relative error 2.852e-10)\n"
+                "smad_envelopes     PASS  (max upper -4.025e+03, "
+                "max lower -1.823e+02)\n"
+                "prox_first_order   PASS  (max residual 8.882e-15)\n"
+                "lyapunov_monotone  PASS  (max increase beyond slack "
+                "0.000e+00)\n"),
+    }
+
+    @pytest.mark.parametrize("problem", ["plip", "qip"])
+    def test_output_is_golden(self, problem, capsys):
+        # Every line, detail included: how the checks are laid out in the
+        # package must not change what `bregopt check` prints.
+        assert cli.main(["check", "--problem", problem, "--m", "30",
+                         "--d", "5", "--seed", "4"]) == 0
+        assert capsys.readouterr().out == self.GOLDEN[problem]
 
     def test_nan_theta_is_rejected(self, capsys):
         code = cli.main(["check", "--problem", "qip", "--m", "30",

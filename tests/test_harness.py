@@ -328,6 +328,24 @@ class TestJobs:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
                             raising=False)
 
+    @pytest.mark.parametrize("jobs", [0, -3, True, 2.5, np.float64(2.0),
+                                      "2", None], ids=repr)
+    def test_jobs_must_be_an_integer_of_at_least_one(self, jobs, pools,
+                                                     monkeypatch, tmp_path):
+        # Rejected before out_dir is made and before any cell runs.
+        monkeypatch.setattr(harness, "run_cell",
+                            lambda *args: pytest.fail("a cell ran"))
+        with pytest.raises(ValidationError, match="jobs must be an integer"):
+            harness.run_comparison(tiny_spec(), out_dir=tmp_path / "out",
+                                   jobs=jobs)
+        assert not (tmp_path / "out").exists() and pools == []
+
+    def test_numpy_integer_jobs_are_integers(self, pools, monkeypatch):
+        self.cpus(monkeypatch, 2)
+        rows = harness.run_comparison(tiny_spec(repetitions=2, k_max=20),
+                                      jobs=np.int64(2))
+        assert len(rows) == 2 and [p.workers for p in pools] == [1]
+
     def test_workers_are_capped_at_cells_and_cpus(self, pools, monkeypatch):
         spec = tiny_spec(repetitions=3, k_max=20)
         self.cpus(monkeypatch, 64)

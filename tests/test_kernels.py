@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -229,6 +230,11 @@ class TestCubicRootScale:
     def test_nan_gives_nan(self):
         assert math.isnan(cubic_root_scale(float("nan")))
 
+    @pytest.mark.parametrize("s", [math.inf, np.float64(np.inf)], ids=repr)
+    def test_inf_gives_inf(self, s):
+        # inf is a number >= 0 and the root of r^3 + r = inf, not NaN.
+        assert cubic_root_scale(s) == math.inf
+
 
 class TestValidation:
     def test_dimension_below_one(self):
@@ -280,18 +286,20 @@ def test_public_methods_reject_points_outside_the_domain(kernel):
 @pytest.mark.parametrize("x", [
     [np.nan], [1.0, np.nan], [np.inf], [2.0, -np.inf], [0.0], [-0.0],
     [5e-324], [-5e-324, -1.0], [1, 3], [0, 3], [0.5, 2.0],
+    # -x is the bound of the Burg gradient's range, then the next float in.
+    [1.0 / sys.float_info.max],
+    [float(np.nextafter(1.0 / sys.float_info.max, 1.0))],
 ], ids=repr)
 def test_burg_domain_tests_match_elementwise_expressions(x):
     # The reductions must decide as the elementwise tests they replaced,
-    # for x and for -x: x in the open orthant, z in (-inf, 0)^d.
+    # for x and for -x: x in the open orthant, z in (-inf, -1/max float)^d,
+    # where -1/z is finite (RuntimeWarnings are errors here).
     kernel = BurgKernel(len(x))
     for v in (np.array(x, dtype=float), -np.array(x, dtype=float)):
         assert kernel.in_interior_domain(v) == bool(
             np.isfinite(v).all() and (v > 0.0).all())
-        if np.isfinite(v).all() and (v < 0.0).all():
-            with np.errstate(over="ignore"):
-                np.testing.assert_array_equal(kernel.inverse_gradient(v),
-                                              -1.0 / v)
+        if np.isfinite(v).all() and (v < -1.0 / sys.float_info.max).all():
+            np.testing.assert_array_equal(kernel.inverse_gradient(v), -1.0 / v)
         else:
             with pytest.raises(DomainError):
                 kernel.inverse_gradient(v)

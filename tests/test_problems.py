@@ -18,6 +18,7 @@ from bregopt import (
     soft_threshold,
 )
 from bregopt import harness, plip, qip
+from bregopt.checks import CheckOutcome
 from bregopt.problems import CompositeObjective, SmoothTerm, _row_blocks
 
 from helpers import (fd_gradient, prox_oracle, reference_plip_draw,
@@ -59,12 +60,19 @@ class TestCheckSmad:
     def test_plip_certified_constant(self):
         inst = plip.generate_plip(100, 8, seed=2)
         report = check_smad(plip.make_objective(inst), samples=1000, rng_seed=0)
-        assert not report.failed
+        assert report.passed
 
     def test_qip_certified_constants(self):
         inst = qip.generate_qip(60, 6, seed=3)
         report = check_smad(qip.make_objective(inst), samples=1000, rng_seed=0)
-        assert not report.failed
+        assert report.passed
+
+    def test_returns_the_suite_outcome(self):
+        inst = plip.generate_plip(20, 3, seed=1)
+        report = check_smad(plip.make_objective(inst), samples=10)
+        assert isinstance(report, CheckOutcome)
+        assert report.name == "smad_envelopes" and report.passed
+        assert report.detail.startswith("max upper ")
 
     def test_inflated_constant_still_passes(self):
         inst = plip.generate_plip(50, 5, seed=4)
@@ -75,7 +83,7 @@ class TestCheckSmad:
 
         obj = CompositeObjective(Inflated(inst), ZeroTerm(), BurgKernel(inst.d))
         report = check_smad(obj, samples=500, rng_seed=0)
-        assert not report.failed
+        assert report.passed
 
     def test_deflated_constant_fails(self):
         inst = qip.generate_qip(40, 4, seed=5)
@@ -86,7 +94,7 @@ class TestCheckSmad:
 
         obj = CompositeObjective(Deflated(inst), L1Term(1.0), QuarticKernel(inst.d))
         report = check_smad(obj, samples=500, rng_seed=0)
-        assert report.failed
+        assert not report.passed
 
 
 class TestGradients:
