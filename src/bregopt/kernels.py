@@ -9,15 +9,15 @@ can be shared freely across threads.
 A kernel class defines `_value(x)`, `_gradient(x)`, `in_interior_domain`
 (an unchecked predicate on a float vector of the kernel's size) and
 `inverse_gradient`, and may override `_bregman`, the three-term formula by
-default, with a closed form of its own, as every shipped kernel does. The
-public `value`, `gradient` and `bregman` are written once, here: each
+default and the only one that clamps, with a closed form of its own, as
+every shipped kernel does (Burg's is `burg_phi_sum`, as is plip's KL fit).
+The public `value`, `gradient` and `bregman` are written once, here: each
 passes its points through `require_interior`, the package's one rule for a
-point (the smooth terms and `plip_prox` apply it too), then calls the
-unchecked hook. A point is a 1-D vector of ints or floats (`NUMBER_KINDS`)
-of the kernel's size, else `ValidationError`, in the interior of dom h,
-else `DomainError`. The z of `inverse_gradient` is read by the same rule,
-but must lie in the range of grad h instead. The solvers check each point
-once and call only hooks.
+point, then calls the unchecked hook with numpy's float warnings off. A
+point is a 1-D vector of ints or floats (`NUMBER_KINDS`) of the kernel's
+size, else `ValidationError`, in the interior of dom h, else `DomainError`.
+The z of `inverse_gradient` is read by the same rule, but must lie in the
+range of grad h instead. The solvers check each point once, call only hooks.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .errors import DomainError, NumericalError, ValidationError
 _NEGATIVE_SLACK = 1e-12
 # Burg's gradient -1/x ranges over z_j < this bound, where -1/z_j is finite.
 _BURG_Z_MAX = -1.0 / float(np.finfo(float).max)
+_BURG_X_MIN = -_BURG_Z_MAX  # Burg's domain is x_j > this, where -1/x_j is finite
 
 NUMBER_KINDS = "iuf"  # the numpy dtype kinds of numbers: ints and floats
 # Their scalar types, int and float too: `type(v) in NUMBER_TYPES` is
@@ -73,15 +74,17 @@ class Kernel:
             raise ValidationError("kernel dimension must be an integer >= 1")
         self.dim = int(dim)
 
+    @np.errstate(all="ignore")
     def value(self, x: np.ndarray) -> float:
         return self._value(self.require_interior(x))
 
+    @np.errstate(all="ignore")
     def gradient(self, x: np.ndarray) -> np.ndarray:
         return self._gradient(self.require_interior(x))
 
+    @np.errstate(all="ignore")
     def bregman(self, x: np.ndarray, y: np.ndarray) -> float:
-        """D_h(x, y); the default and Burg's forms clamp tiny negative
-        rounding noise to zero, the quartic and Euclidean ones have none."""
+        """D_h(x, y); only the default formula clamps rounding noise."""
         return self._bregman(self.require_interior(x, "x"),
                              self.require_interior(y, "y"))
 
@@ -113,14 +116,25 @@ class Kernel:
         h(x) - h(y) - <grad h(y), x - y>, which cancels as x nears y."""
         hx, hy = self._value(x), self._value(y)
         inner = float(np.dot(self._gradient(y), x - y))
-        return _clamp_nonnegative(hx - hy - inner,
-                                  abs(hx) + abs(hy) + abs(inner))
+        d = hx - hy - inner
+        if d < -_NEGATIVE_SLACK * max(1.0, abs(hx) + abs(hy) + abs(inner)):
+            raise NumericalError("Bregman distance is negative beyond rounding: %g" % d)
+        return max(d, 0.0)
 
 
-def _clamp_nonnegative(d: float, scale: float = 1.0) -> float:
-    if d < -_NEGATIVE_SLACK * max(1.0, scale):
-        raise NumericalError("Bregman distance is negative beyond rounding: %g" % d)
-    return max(d, 0.0)
+def burg_phi_sum(x: np.ndarray, y: np.ndarray, w=None) -> float:
+    """sum_j w_j phi(s_j) (w = 1 if None), phi(s) = s - log1p(s) >= 0 in floats,
+    s = (x - y)/y: Burg's D_h(x, y), and the KL fit at (u, b, b). Where x_j < y_j/2
+    or s_j overflows, log x_j - log y_j stands for log1p(s_j), spoilt near -1."""
+    s = (x - y) / y
+    phi = s - np.log1p(s)
+    d = float(np.add.reduce(phi, None) if w is None else np.dot(w, phi))
+    if not (d < math.inf and np.minimum.reduce(s, None) >= -0.5):
+        with np.errstate(all="ignore"):
+            phi = s - np.where((s >= -0.5) & (s < math.inf), np.log1p(s),
+                               np.log(x) - np.log(y))
+            d = float(np.add.reduce(phi, None) if w is None else np.dot(w, phi))
+    return d
 
 
 class EuclideanKernel(Kernel):
@@ -153,7 +167,7 @@ class BurgKernel(Kernel):
         return -1.0 / x
 
     def in_interior_domain(self, x):
-        return bool(0.0 < np.minimum.reduce(x, None)
+        return bool(_BURG_X_MIN < np.minimum.reduce(x, None)
                     and np.maximum.reduce(x, None) < np.inf)
 
     def inverse_gradient(self, z):
@@ -165,8 +179,7 @@ class BurgKernel(Kernel):
         return -1.0 / z
 
     def _bregman(self, x, y):
-        t = x / y
-        return _clamp_nonnegative(float((t - np.log(t) - 1.0).sum()))
+        return burg_phi_sum(x, y)
 
 
 class QuarticKernel(Kernel):
@@ -177,7 +190,9 @@ class QuarticKernel(Kernel):
         return 0.25 * s * s + 0.5 * s
 
     def _gradient(self, x):
-        return (float(np.dot(x, x)) + 1.0) * x
+        s = float(np.dot(x, x))  # where it overflows: +-inf, and 0 at x_j = 0
+        return ((s + 1.0) * x if s < math.inf
+                else np.where(x == 0.0, 0.0, np.copysign(np.inf, x)))
 
     def _bregman(self, x, y):
         """||d||^2 (1 + ||y||^2) / 2 + t^2 / 4, where d = x - y and

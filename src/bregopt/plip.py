@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .kernels import BurgKernel, EuclideanKernel
+from .kernels import BurgKernel, EuclideanKernel, burg_phi_sum
 from .problems import (CompositeObjective, Instance, LinearModelSmooth,
                        ZeroTerm, check_seed, check_size, check_theta)
 
@@ -81,10 +81,8 @@ class PlipSmooth(LinearModelSmooth):
 
     @staticmethod
     def _phi(u, b, value=True):
-        """sum_i { b_i log(b_i / u_i) + u_i - b_i } and 1 - b/u."""
-        ratio = b / u
-        return (float((b * np.log(ratio) + u - b).sum()) if value else None,
-                1.0 - ratio)
+        """KL(b, u), the b-weighted Burg D_h `burg_phi_sum(u, b, b)`; 1 - b/u."""
+        return burg_phi_sum(u, b, b) if value else None, 1.0 - b / u
 
     _in_domain = staticmethod(lambda u: u.min() > 0.0)
 

@@ -201,6 +201,7 @@ class LinearModelSmooth(SmoothTerm):
             grad_y = self.gradient(y)
         return u, phi(u, b)[0], G[0], grad_y
 
+    @np.errstate(all="ignore")
     def value(self, x):
         x = self.kernel.require_interior(x)
         return self._phi(self.M @ x, self.inst.b)[0]

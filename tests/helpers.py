@@ -4,16 +4,33 @@ These deliberately avoid the closed-form code paths they are used to
 check: gradients come from central finite differences, prox solutions
 from a dense grid plus Nelder-Mead refinement, the scalar cubic from
 plain bisection, the three-point identity from the public kernel
-methods, and trace CSVs from csv.writer over the records.
+methods, the Burg distance from 80-digit decimal logarithms, and trace
+CSVs from csv.writer over the records.
 """
 
 import csv
+import decimal
 import inspect
+from decimal import Decimal
 
 import numpy as np
 from scipy.optimize import minimize
 
-from bregopt import BurgKernel, NumericalError, harness
+from bregopt import BurgKernel, Kernel, NumericalError, harness
+
+
+def burg_decimal(x, y, w=None, digits=80) -> Decimal:
+    """sum_j w_j (t_j - ln t_j - 1), t = x/y, in `digits`-digit decimal
+    arithmetic on the exact values of the floats: Burg's D_h(x, y), and at
+    (u, b, b) the KL fit sum_i b_i log(b_i / u_i) + u_i - b_i."""
+    w = np.ones(len(x)) if w is None else w
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        total = Decimal(0)
+        for a, c, weight in zip(x, y, w):
+            t = Decimal(float(a)) / Decimal(float(c))
+            total += Decimal(float(weight)) * (t - t.ln() - 1)
+        return total
 
 
 def fd_gradient(fn, x, step=1e-6):
@@ -89,6 +106,25 @@ class FailingBurgKernel(BurgKernel):
             self.failed_in = inspect.stack()[1].function
             raise NumericalError("boom")
         return super().in_interior_domain(x)
+
+
+class TiltedConstantKernel(Kernel):
+    """h = h0 on R with its gradient reported as c instead of 0, so that the
+    default three-term formula gives D_h(x, y) = -c (x - y): rounding noise
+    for a tiny c, a bug for a larger one."""
+
+    def __init__(self, c, h0=0.0):
+        super().__init__(1)
+        self.c, self.h0 = c, h0
+
+    def _value(self, x):
+        return self.h0
+
+    def _gradient(self, x):
+        return np.full(1, self.c)
+
+    def in_interior_domain(self, x):
+        return bool(np.isfinite(x).all())
 
 
 def _fmt(v):

@@ -438,7 +438,7 @@ class TestCheck:
         assert "PASS" in out and "FAIL" not in out
 
     GOLDEN = {
-        "plip": ("gradient_fd        PASS  (max relative error 5.495e-10)\n"
+        "plip": ("gradient_fd        PASS  (max relative error 7.180e-10)\n"
                  "smad_envelopes     PASS  (max upper -1.147e+01, "
                  "max lower -1.196e-01)\n"
                  "prox_first_order   PASS  (max residual 1.776e-15)\n"

@@ -1,5 +1,6 @@
 import math
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -10,13 +11,15 @@ from bregopt import (
     DomainError,
     EuclideanKernel,
     Kernel,
+    NumericalError,
     QuarticKernel,
     ValidationError,
     cubic_root_scale,
 )
+from bregopt.kernels import _NEGATIVE_SLACK
 
-from helpers import (bisect_cubic, fd_gradient,
-                     three_point_identity_residual)
+from helpers import (TiltedConstantKernel, bisect_cubic, burg_decimal,
+                     fd_gradient, three_point_identity_residual)
 
 
 def all_kernels(d):
@@ -87,6 +90,33 @@ class TestBregman:
         with pytest.raises(DomainError):
             k.value(np.array([0.0, 1.0]))
 
+    @pytest.mark.parametrize("eps", [10.0 ** -k for k in range(1, 11)])
+    def test_burg_is_accurate_near_the_diagonal(self, eps):
+        # x = y (1 + eps v): t - log t - 1 at t = x/y loses every digit by
+        # eps = 1e-8; the phi form keeps a relative error below 1e-15 / eps.
+        rng = np.random.default_rng(7)
+        k = BurgKernel(10)
+        for _ in range(20):
+            y, v = rng.uniform(0.1, 10.0, 10), rng.uniform(-1.0, 1.0, 10)
+            x = y * (1.0 + eps * v)
+            exact = burg_decimal(x, y)
+            assert abs(Decimal(k.bregman(x, y)) - exact) <= (
+                Decimal(1e-15 / eps) * exact)
+
+    @pytest.mark.parametrize("x,y", [
+        ([1e300], [1e-300]), ([1e308], [1e-10]),
+        ([1e-200], [1e200]), ([1e-300], [1e300]), ([1.0, 1e-300], [1e300, 1.0])],
+        ids=repr)
+    def test_burg_at_the_float_extremes(self, x, y):
+        # inf only where the exact value passes the largest float; never NaN
+        # and no RuntimeWarning (an error in this module).
+        exact = burg_decimal(x, y)
+        got = BurgKernel(len(x)).bregman(x, y)
+        if exact > Decimal(sys.float_info.max):
+            assert got == math.inf
+        else:
+            assert got == pytest.approx(float(exact), rel=1e-14)
+
 
 class TestGradients:
     @pytest.mark.parametrize("kernel", all_kernels(5), ids=lambda k: type(k).__name__)
@@ -97,6 +127,27 @@ class TestGradients:
             g = kernel.gradient(x)
             fd = fd_gradient(kernel.value, x)
             assert np.linalg.norm(g - fd) <= 1e-5 * max(1.0, np.linalg.norm(g))
+
+    @pytest.mark.parametrize("x,expect", [
+        ([1e160, 0.0], [np.inf, 0.0]), ([-1e160, 0.0, 3.0], [-np.inf, 0.0, np.inf]),
+        ([1e308, -1e308], [np.inf, -np.inf]), ([0.0, -0.0, 1e155], [0.0, 0.0, np.inf])],
+        ids=repr)
+    def test_quartic_where_the_squared_norm_overflows(self, x, expect):
+        # (||x||^2 + 1) x: +-inf where x_j != 0 and 0 where x_j = 0, not NaN.
+        np.testing.assert_array_equal(QuarticKernel(len(x)).gradient(x), expect)
+
+    def test_burg_domain_ends_where_the_gradient_is_finite(self):
+        # x_j > 1/max float: the subnormal 5e-324 is outside, and at the
+        # smallest float inside -1/x is finite (RuntimeWarnings are errors).
+        k = BurgKernel(1)
+        for x in ([5e-324], [1.0 / sys.float_info.max]):
+            assert not k.in_interior_domain(np.array(x))
+            with pytest.raises(DomainError):
+                k.gradient(x)
+        x = float(np.nextafter(1.0 / sys.float_info.max, 1.0))
+        assert k.in_interior_domain(np.array([x]))
+        g = k.gradient([x])
+        assert np.isfinite(g).all() and g[0] == -1.0 / x
 
 
 class TestThreePointIdentity:
@@ -129,6 +180,24 @@ class _ScaledSumKernel(Kernel):
 
     def in_interior_domain(self, x):
         return self.k1.in_interior_domain(x) and self.k2.in_interior_domain(x)
+
+
+class TestDefaultFormulaClamp:
+    def test_rounding_noise_is_zero(self):
+        assert TiltedConstantKernel(1e-15).bregman([1.0], [0.0]) == 0.0
+
+    def test_negative_beyond_rounding_raises(self):
+        with pytest.raises(NumericalError, match="negative beyond rounding"):
+            TiltedConstantKernel(1e-6).bregman([1.0], [0.0])
+
+    def test_slack_scales_with_the_terms(self):
+        # |h(x)| + |h(y)| + |inner| is about 2e6: D_h down to -2e6 times the
+        # slack is noise, and clamped; below it, it raises.
+        scale = 2e6
+        noise = 0.5 * _NEGATIVE_SLACK * scale
+        assert TiltedConstantKernel(noise, 1e6).bregman([1.0], [0.0]) == 0.0
+        with pytest.raises(NumericalError):
+            TiltedConstantKernel(4.0 * noise, 1e6).bregman([1.0], [0.0])
 
 
 def test_linear_additivity():
@@ -292,12 +361,13 @@ def test_public_methods_reject_points_outside_the_domain(kernel):
 ], ids=repr)
 def test_burg_domain_tests_match_elementwise_expressions(x):
     # The reductions must decide as the elementwise tests they replaced,
-    # for x and for -x: x in the open orthant, z in (-inf, -1/max float)^d,
-    # where -1/z is finite (RuntimeWarnings are errors here).
+    # for x and for -x: x in (1/max float, inf)^d, where -1/x is finite,
+    # z in (-inf, -1/max float)^d, where -1/z is finite (RuntimeWarnings
+    # are errors here).
     kernel = BurgKernel(len(x))
     for v in (np.array(x, dtype=float), -np.array(x, dtype=float)):
         assert kernel.in_interior_domain(v) == bool(
-            np.isfinite(v).all() and (v > 0.0).all())
+            np.isfinite(v).all() and (v > 1.0 / sys.float_info.max).all())
         if np.isfinite(v).all() and (v < -1.0 / sys.float_info.max).all():
             np.testing.assert_array_equal(kernel.inverse_gradient(v), -1.0 / v)
         else:

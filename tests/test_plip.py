@@ -1,4 +1,6 @@
 import json
+import sys
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -7,7 +9,13 @@ from bregopt import (BurgKernel, DomainError, NumericalError, SolverConfig,
                      ValidationError, bpge_solve)
 from bregopt import plip
 
-from helpers import fd_gradient, prox_oracle
+from helpers import burg_decimal, fd_gradient, prox_oracle
+
+
+def _identity_instance(b):
+    """A = I, so that f(x) is the KL fit at u = x exactly."""
+    b = np.asarray(b, dtype=float)
+    return plip.PlipInstance(A=np.eye(b.size), b=b, seed=0, x_true=b)
 
 
 class TestGeneration:
@@ -60,6 +68,31 @@ class TestKlValue:
         inst = plip.generate_plip(10, 3, seed=6)
         with pytest.raises(DomainError):
             plip.PlipSmooth(inst).value(np.array([1.0, 0.0, 1.0]))
+
+    @pytest.mark.parametrize("eps", [10.0 ** -k for k in range(1, 11)])
+    def test_accurate_near_the_data(self, eps):
+        # u = b (1 + eps v), where the consistent data put plip's iterates:
+        # relative error below 1e-15 / eps of an 80-digit evaluation.
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            b, v = rng.uniform(0.1, 10.0, 10), rng.uniform(-1.0, 1.0, 10)
+            u = b * (1.0 + eps * v)
+            exact = burg_decimal(u, b, b)
+            got = plip.PlipSmooth(_identity_instance(b)).value(u)
+            assert abs(Decimal(got) - exact) <= Decimal(1e-15 / eps) * exact
+
+    @pytest.mark.parametrize("scale", [1e-20, 1e-300, 1e20, 1e300])
+    def test_finite_where_the_ratio_leaves_the_float_range(self, scale):
+        # At u = 1e-20 b, (u - b)/b rounds to -1; the value stays finite
+        # (112.63 at b = [0.5, 2]), inf only past the largest float, and
+        # no RuntimeWarning (an error in this module).
+        b = np.array([0.5, 2.0])
+        exact = burg_decimal(scale * b, b, b)
+        got = plip.PlipSmooth(_identity_instance(b)).value(scale * b)
+        if exact > Decimal(sys.float_info.max):
+            assert got == np.inf
+        else:
+            assert got == pytest.approx(float(exact), rel=1e-14)
 
 
 class TestKlGradient:

@@ -22,6 +22,7 @@ from bregopt import (
     qip,
 )
 from bregopt.checks import _prox_residual
+from bregopt.kernels import burg_phi_sum
 
 from helpers import three_point_identity_residual
 
@@ -95,6 +96,25 @@ def test_quartic_bregman_is_exact_at_nearby_points(pair):
     # A few ulps of D_h itself; below the normal range floats have no
     # relative precision.
     assert abs(Fraction(got) - exact) <= 8 * EPS * exact + Fraction(TINY)
+
+
+@SETTINGS
+@given(st.floats(-300.0, 300.0), st.booleans(), st.floats(-300.0, 300.0))
+def test_phi_is_nonnegative_in_floats(log_s, negative, log_y):
+    # phi(s) = s - log1p(s) >= 0 at every float s > -1, since a faithfully
+    # rounded log1p(s) never exceeds s; so Burg's D_h needs no clamp. |s| is
+    # log-uniform; s > -1 needs |s| < 1 when s < 0.
+    s = 10.0 ** log_s
+    if negative:
+        s = -min(s, float(np.nextafter(1.0, 0.0)))
+    assert s - np.log1p(np.array([s]))[0] >= 0.0
+    # s as the shared sum forms it, rounded, from a pair (x, y).
+    y = 10.0 ** log_y
+    with np.errstate(over="ignore", under="ignore"):
+        x = y * (1.0 + s)
+    if BurgKernel(2).in_interior_domain(np.array([x, y])):
+        assert burg_phi_sum(np.array([x]), np.array([y])) >= 0.0
+        assert BurgKernel(1).bregman([x], [y]) >= 0.0
 
 
 PROBLEMS = {

@@ -19,12 +19,12 @@ from bregopt import (
     soft_threshold,
 )
 from bregopt import checks, plip, problems, qip, solvers
-from bregopt.kernels import Kernel, QuarticKernel
+from bregopt.kernels import Kernel, QuarticKernel, _NEGATIVE_SLACK
 from bregopt.problems import NonsmoothTerm, SmoothTerm
 from bregopt.solvers import IterationRecord, Trace
 
-from helpers import (FailingBurgKernel, lyapunov_increase_loop,
-                     rate_check_loop)
+from helpers import (FailingBurgKernel, TiltedConstantKernel,
+                     lyapunov_increase_loop, rate_check_loop)
 
 
 class QuadraticSmooth(SmoothTerm):
@@ -105,6 +105,22 @@ class TestLineSearch:
         assert np.all(trial > 0)
         assert (kernel.bregman(x_curr, trial)
                 <= 0.99 * kernel.bregman(x_prev, x_curr) + 1e-15)
+
+    def test_a_raising_distance_is_a_failed_trial(self):
+        # The default formula gives D_h(x_curr, trial) = -c beta here, which
+        # raises NumericalError while c beta passes the slack. Each raise
+        # shrinks beta; the first trial inside the slack is clamped to 0
+        # and accepted.
+        c = 1e-9
+        cfg = LineSearchConfig(beta0=0.99, eta=0.5, rho=0.5)
+        beta, shrinks, trial, _ = line_search_beta(
+            TiltedConstantKernel(c), np.array([2.0]), np.array([1.0]), cfg,
+            1.0, 1.0)
+        expect = next(k for k in range(cfg.max_shrinks)
+                      if c * 0.99 * 0.5 ** k <= _NEGATIVE_SLACK)
+        assert expect >= 1
+        assert (beta, shrinks) == (0.99 * 0.5 ** expect, expect)
+        np.testing.assert_array_equal(trial, [1.0 - beta])
 
     def test_domain_violating_trials_shrink(self):
         # Trial 1 + 0.99*(1 - 5) < 0 leaves the Burg domain; beta must shrink
@@ -279,6 +295,19 @@ class TestDescentDiagnostics:
         # Each run goes on to k_max or to an exact fixed point, thousands of
         # steps past its tol 1e-6 exit.
         assert result.iterations > 3000
+        assert lyapunov_increase_loop(result.trace) == 0.0
+
+    @pytest.mark.parametrize("solve,m,d,seed", [
+        (bpge_solve, 1000, 10, 0), (bpg_solve, 1000, 10, 0),
+        (bpge_solve, 100, 10, 1)], ids=["bpge-10-0", "bpg-10-0", "bpge-100x10-1"])
+    def test_plip_lyapunov_nonincreasing_past_tolerance_exit(self, solve, m, d,
+                                                             seed):
+        # Past the exit D_h and psi are near their floors; the phi forms keep
+        # their digits there, so H_k = psi + D_h / lam must not rise.
+        obj, x0 = _shipped("plip", m, d, seed=seed)
+        cfg = SolverConfig(lam=1.0 / obj.smooth.smad_constant(), tol=1e-300)
+        result = solve(obj, x0, cfg)
+        assert result.iterations > 1000
         assert lyapunov_increase_loop(result.trace) == 0.0
 
     def test_dh_step_small_at_tolerance_exit(self):
