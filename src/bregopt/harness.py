@@ -230,21 +230,20 @@ def run_cell(spec: ExperimentSpec, m: int, d: int, rule: str, rho: float,
     return row, results
 
 
-def run_comparison(spec: ExperimentSpec, out_dir=None,
+def run_comparison(spec: ExperimentSpec, out_dir,
                    jobs: int = 1) -> List[ComparisonRow]:
     """Run every (size x lambda x rho x rep) cell of the sweep, in order, on
     min(jobs, cells, usable CPUs) processes, jobs an integer >= 1: this one
     runs cell i if i % jobs == 0 and forked workers run the rest, each cell
     submitted once this one is within 2 jobs cells of it (without fork, this
-    one runs all). Creates out_dir, if given, before the first cell; writes
-    each run's trace CSV when this one reaches its cell and comparison.csv at
-    the end, the files of jobs = 1. A cell's exception is raised at its turn,
+    one runs all). Creates out_dir before the first cell; writes each run's
+    trace CSV when this one reaches its cell and comparison.csv at the end,
+    the files of jobs = 1. A cell's exception is raised at its turn,
     a dead worker's as BrokenProcessPool; a numerical failure is in its row."""
     if not (is_integer(jobs) and jobs >= 1):
         raise ValidationError("jobs must be an integer >= 1, got %r" % (jobs,))
-    if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     cells = [("trace_%s_m%d_d%d_lam%d_rho%d_rep%d_" % (spec.problem, m, d,
                                                         li, ri, rep),
               (spec, m, d, spec.lambdas[li], spec.rhos[ri],
@@ -269,15 +268,13 @@ def run_comparison(spec: ExperimentSpec, out_dir=None,
             row, results = (futures.pop(i).result() if i in futures
                             else run_cell(*args))
             rows.append(row)
-            if out_dir is not None:
-                for solver, result in results.items():
-                    write_trace_csv(result, out_dir / (stem + solver + ".csv"))
+            for solver, result in results.items():
+                write_trace_csv(result, out_dir / (stem + solver + ".csv"))
             del results  # before the next cell runs
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
-    if out_dir is not None:
-        write_comparison_csv(rows, out_dir / "comparison.csv")
+    write_comparison_csv(rows, out_dir / "comparison.csv")
     return rows
 
 

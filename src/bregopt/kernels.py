@@ -31,9 +31,11 @@ from .errors import DomainError, NumericalError, ValidationError
 # Negative values of D_h up to this size times that of its terms (at least 1)
 # are rounding noise and clamped to zero; anything more negative is a bug.
 _NEGATIVE_SLACK = 1e-12
-# Burg's gradient -1/x ranges over z_j < this bound, where -1/z_j is finite.
+# Burg's domain is x_j > _BURG_X_MIN, where -1/x_j is finite, and its gradient's
+# range is _BURG_Z_MIN <= z_j < _BURG_Z_MAX, where -1/z_j lies in that domain.
 _BURG_Z_MAX = -1.0 / float(np.finfo(float).max)
-_BURG_X_MIN = -_BURG_Z_MAX  # Burg's domain is x_j > this, where -1/x_j is finite
+_BURG_X_MIN = -_BURG_Z_MAX
+_BURG_Z_MIN = -1.7976931348623151e308  # -1/z is _BURG_X_MIN for the 3 floats below
 
 NUMBER_KINDS = "iuf"  # the numpy dtype kinds of numbers: ints and floats
 # Their scalar types, int and float too: `type(v) in NUMBER_TYPES` is
@@ -172,10 +174,10 @@ class BurgKernel(Kernel):
 
     def inverse_gradient(self, z):
         z = _as_vector(z, self.dim)
-        if not (-np.inf < np.minimum.reduce(z, None)
+        if not (_BURG_Z_MIN <= np.minimum.reduce(z, None)
                 and np.maximum.reduce(z, None) < _BURG_Z_MAX):
             raise DomainError("Burg inverse gradient needs z in "
-                              "(-inf, -1/max float)^d")
+                              "[%r, -1/max float)^d" % _BURG_Z_MIN)
         return -1.0 / z
 
     def _bregman(self, x, y):

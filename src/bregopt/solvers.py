@@ -19,7 +19,7 @@ import time
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
-from typing import ClassVar, List, Optional
+from typing import ClassVar
 
 import numpy as np
 
@@ -61,7 +61,6 @@ class SolverConfig:
     tol: float = 1e-6
     k_max: int = 5000
     exit_mode: str = "iterate_relative"
-    keep_iterates: bool = False
 
     def __post_init__(self):
         for name in ("lam", "tol"):
@@ -76,8 +75,6 @@ class SolverConfig:
             )
         if not isinstance(self.line_search, LineSearchConfig):
             raise ValidationError("line_search must be a LineSearchConfig")
-        if not isinstance(self.keep_iterates, bool):
-            raise ValidationError("keep_iterates must be a bool")
 
 
 @dataclass(frozen=True)
@@ -138,7 +135,6 @@ class SolveResult:
     exit_reason: str
     trace: Trace
     config: SolverConfig
-    iterates: Optional[List[np.ndarray]] = None
 
 
 def line_search_beta(kernel: Kernel, x_prev: np.ndarray, x_curr: np.ndarray,
@@ -171,6 +167,7 @@ def line_search_beta(kernel: Kernel, x_prev: np.ndarray, x_curr: np.ndarray,
     return 0.0, cfg.max_shrinks, None, None
 
 
+@np.errstate(all="ignore")
 def bpge_solve(obj: CompositeObjective, x0: np.ndarray,
                cfg: SolverConfig, _extrapolate: bool = True) -> SolveResult:
     """Run the extrapolated Bregman proximal gradient iteration from x0.
@@ -183,6 +180,8 @@ def bpge_solve(obj: CompositeObjective, x0: np.ndarray,
     the start of the step it was for, after the tolerance test. Each new
     point gets one domain check (x0 here, each trial, each prox output);
     grad h is computed at x0, each prox output and each accepted trial.
+    Float warnings are off, as in the public kernel methods: a step that
+    overflows fails the loop's domain or finiteness test (numerical_failure).
     """
     kernel = obj.kernel
     smooth, nonsmooth = obj.smooth, obj.nonsmooth
@@ -203,7 +202,6 @@ def bpge_solve(obj: CompositeObjective, x0: np.ndarray,
     ahead = (cfg.line_search.beta0 if _extrapolate else 0.0, 0, None, None)
     failed = False
     rows = array("d", (0, psi_curr, 0.0, psi_curr, 0.0, 0, np.nan, 0.0))
-    iterates = [x0.copy()] if cfg.keep_iterates else None
     exit_reason = EXIT_MAX_ITERATIONS
     start = time.perf_counter()
 
@@ -240,8 +238,6 @@ def bpge_solve(obj: CompositeObjective, x0: np.ndarray,
             break
         rows.extend((k + 1, psi_next, dh, psi_next + inv_lam * dh, beta,
                      shrinks, residual, time.perf_counter() - start))
-        if iterates is not None:
-            iterates.append(x_next.copy())
         if cfg.exit_mode == "iterate_relative":
             step = x_next - x_curr
             gap = (math.sqrt(float(np.dot(step, step)))
@@ -262,7 +258,6 @@ def bpge_solve(obj: CompositeObjective, x0: np.ndarray,
         exit_reason=exit_reason,
         trace=trace,
         config=cfg,
-        iterates=iterates,
     )
 
 

@@ -4,11 +4,13 @@ These deliberately avoid the closed-form code paths they are used to
 check: gradients come from central finite differences, prox solutions
 from a dense grid plus Nelder-Mead refinement, the scalar cubic from
 plain bisection, the three-point identity from the public kernel
-methods, the Burg distance from 80-digit decimal logarithms, and trace
-CSVs from csv.writer over the records.
+methods, the Burg distance from 80-digit decimal logarithms, trace
+CSVs from csv.writer over the records, and a run's iterates from its
+prox outputs.
 """
 
 import csv
+import dataclasses
 import decimal
 import inspect
 from decimal import Decimal
@@ -17,6 +19,33 @@ import numpy as np
 from scipy.optimize import minimize
 
 from bregopt import BurgKernel, Kernel, NumericalError, harness
+from bregopt.problems import NonsmoothTerm
+
+
+class ProxRecorder(NonsmoothTerm):
+    """The nonsmooth term `inner`, keeping a copy of each prox output."""
+
+    def __init__(self, inner):
+        self.inner, self.outputs = inner, []
+
+    def value(self, x):
+        return self.inner.value(x)
+
+    def prox(self, kernel, z, lam):
+        x = self.inner.prox(kernel, z, lam)
+        self.outputs.append(x.copy())
+        return x
+
+
+def solve_recording(solve, obj, x0, cfg):
+    """(result, iterates) of solve(obj, x0, cfg), with obj's nonsmooth term
+    wrapped in a ProxRecorder. The solvers call prox once per step, so the
+    iterates are x0 and the first result.iterations prox outputs; a prox
+    output that its step then rejected comes after them and is left out."""
+    recorder = ProxRecorder(obj.nonsmooth)
+    result = solve(dataclasses.replace(obj, nonsmooth=recorder), x0, cfg)
+    x0 = np.array(x0, dtype=float)
+    return result, [x0] + recorder.outputs[:result.iterations]
 
 
 def burg_decimal(x, y, w=None, digits=80) -> Decimal:

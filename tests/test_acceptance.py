@@ -30,7 +30,7 @@ from bregopt import (
 )
 from bregopt.problems import SmoothTerm
 
-from helpers import fd_gradient, prox_oracle, rate_check_loop
+from helpers import fd_gradient, prox_oracle, rate_check_loop, solve_recording
 
 PLIP_SIZES = ((100, 10), (100, 50), (1000, 10), (1000, 50))
 QIP_SIZES = ((200, 10), (200, 50), (1000, 10), (1000, 50))
@@ -57,9 +57,10 @@ class Run:
     obj: object
     x0: np.ndarray
     result: object
+    iterates: list
 
 
-def _run_one(problem, m, d, seed, solve=bpge_solve, keep_iterates=True):
+def _run_one(problem, m, d, seed, solve=bpge_solve):
     if problem == "plip":
         inst = plip.generate_plip(m, d, seed)
         obj, x0 = plip.make_objective(inst), plip.default_x0(inst)
@@ -67,8 +68,9 @@ def _run_one(problem, m, d, seed, solve=bpge_solve, keep_iterates=True):
         inst = qip.generate_qip(m, d, seed)
         obj, x0 = qip.make_objective(inst), qip.default_x0(inst)
     cfg = SolverConfig(lam=1.0 / obj.smooth.smad_constant(), tol=1e-6,
-                       k_max=5000, keep_iterates=keep_iterates)
-    return Run(problem, m, d, seed, obj, x0, solve(obj, x0, cfg))
+                       k_max=5000)
+    return Run(problem, m, d, seed, obj, x0,
+               *solve_recording(solve, obj, x0, cfg))
 
 
 @pytest.fixture(scope="module")
@@ -199,10 +201,9 @@ def test_criterion_04_reduction_identities(report):
                              EuclideanKernel(6))
     lam = 1.0 / obj.smooth.smad_constant()
     ls = LineSearchConfig(beta0=0.95, eta=0.5, rho=0.9)
-    cfg = SolverConfig(lam=lam, k_max=100, tol=1e-300, line_search=ls,
-                       keep_iterates=True)
+    cfg = SolverConfig(lam=lam, k_max=100, tol=1e-300, line_search=ls)
     x0 = np.zeros(6)
-    result = bpge_solve(obj, x0, cfg)
+    result, recorded = solve_recording(bpge_solve, obj, x0, cfg)
 
     x_prev = x0.copy()
     x_curr = x0.copy()
@@ -223,8 +224,8 @@ def test_criterion_04_reduction_identities(report):
         iterates.append(x_next.copy())
         x_prev, x_curr = x_curr, x_next
 
-    ok = ok and len(result.iterates) == len(iterates)
-    for a, b in zip(result.iterates, iterates):
+    ok = ok and len(recorded) == len(iterates)
+    for a, b in zip(recorded, iterates):
         ok = ok and np.linalg.norm(a - b) <= 1e-12
 
     report(4, "reduction identities", ok)
@@ -338,7 +339,7 @@ def test_criterion_09_line_search_safety(benchmark_runs, report):
         inv_lam = 1.0 / run.result.config.lam
         mu = run.obj.smooth.weak_convexity_constant()
         C_k = inv_lam / (inv_lam + mu)
-        iterates = run.result.iterates
+        iterates = run.iterates
         for i, rec in enumerate(run.result.trace):
             if i == 0:
                 continue

@@ -126,7 +126,8 @@ class TestRunComparison:
         rows = harness.run_comparison(spec, out_dir=tmp_path)
         assert len(rows) == 2
         rows2 = harness.run_comparison(tiny_spec(repetitions=2,
-                                                 solvers=("bpge",)))
+                                                 solvers=("bpge",)),
+                                       out_dir=tmp_path / "again")
         assert [(r.N_bpge, r.rep) for r in rows] == \
             [(r.N_bpge, r.rep) for r in rows2]
 
@@ -340,19 +341,21 @@ class TestJobs:
                                    jobs=jobs)
         assert not (tmp_path / "out").exists() and pools == []
 
-    def test_numpy_integer_jobs_are_integers(self, pools, monkeypatch):
+    def test_numpy_integer_jobs_are_integers(self, pools, monkeypatch,
+                                             tmp_path):
         self.cpus(monkeypatch, 2)
         rows = harness.run_comparison(tiny_spec(repetitions=2, k_max=20),
-                                      jobs=np.int64(2))
+                                      out_dir=tmp_path, jobs=np.int64(2))
         assert len(rows) == 2 and [p.workers for p in pools] == [1]
 
-    def test_workers_are_capped_at_cells_and_cpus(self, pools, monkeypatch):
+    def test_workers_are_capped_at_cells_and_cpus(self, pools, monkeypatch,
+                                                  tmp_path):
         spec = tiny_spec(repetitions=3, k_max=20)
         self.cpus(monkeypatch, 64)
-        harness.run_comparison(spec, jobs=64)
+        harness.run_comparison(spec, out_dir=tmp_path / "a", jobs=64)
         self.cpus(monkeypatch, 2)
-        harness.run_comparison(spec, jobs=64)
-        harness.run_comparison(spec, jobs=1)
+        harness.run_comparison(spec, out_dir=tmp_path / "b", jobs=64)
+        harness.run_comparison(spec, out_dir=tmp_path / "c", jobs=1)
         assert [p.workers for p in pools] == [2, 1]
         assert all(p.cancelled for p in pools)
 

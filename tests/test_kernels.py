@@ -375,6 +375,27 @@ def test_burg_domain_tests_match_elementwise_expressions(x):
                 kernel.inverse_gradient(v)
 
 
+# The floats from -max float up: -1/z rounds to 1/max float, outside the
+# domain, for the first three, and lands inside it from the fourth on.
+@pytest.mark.parametrize("z", [-1.7976931348623157e308, -1.7976931348623155e308,
+                               -1.7976931348623153e308], ids=repr)
+def test_burg_inverse_gradient_rejects_z_whose_preimage_leaves_the_domain(z):
+    kernel = BurgKernel(2)
+    assert not kernel.in_interior_domain(-1.0 / np.array([z, -1.0]))
+    with pytest.raises(DomainError):
+        kernel.inverse_gradient([z, -1.0])
+
+
+def test_burg_inverse_gradient_accepts_the_next_float():
+    z = -1.7976931348623151e308
+    assert float(np.nextafter(-sys.float_info.max, 0.0)) == -1.7976931348623155e308
+    assert float(np.nextafter(-1.7976931348623153e308, 0.0)) == z
+    kernel = BurgKernel(2)
+    x = kernel.inverse_gradient([z, -1.0])
+    np.testing.assert_array_equal(x, [-1.0 / z, 1.0])
+    assert kernel.in_interior_domain(x)
+
+
 def test_quartic_inverse_gradient_matches_linalg_norm_form():
     def with_linalg_norm(z):
         s = float(np.linalg.norm(z))

@@ -9,7 +9,7 @@ from bregopt import (BurgKernel, DomainError, NumericalError, SolverConfig,
                      ValidationError, bpge_solve)
 from bregopt import plip
 
-from helpers import burg_decimal, fd_gradient, prox_oracle
+from helpers import burg_decimal, fd_gradient, prox_oracle, solve_recording
 
 
 def _identity_instance(b):
@@ -182,10 +182,9 @@ class TestProx:
 def test_iterates_stay_positive_along_solve():
     inst = plip.generate_plip(60, 5, seed=12)
     obj, x0 = plip.make_objective(inst), plip.default_x0(inst)
-    cfg = SolverConfig(lam=1.0 / obj.smooth.smad_constant(), k_max=300,
-                       keep_iterates=True)
-    result = bpge_solve(obj, x0, cfg)
-    for x in result.iterates:
+    cfg = SolverConfig(lam=1.0 / obj.smooth.smad_constant(), k_max=300)
+    _, iterates = solve_recording(bpge_solve, obj, x0, cfg)
+    for x in iterates:
         assert np.all(x > 0.0)
 
 

@@ -11,6 +11,7 @@ from bregopt import (
     EuclideanKernel,
     L1Term,
     LineSearchConfig,
+    NumericalError,
     SolverConfig,
     ValidationError,
     bpg_solve,
@@ -24,7 +25,7 @@ from bregopt.problems import NonsmoothTerm, SmoothTerm
 from bregopt.solvers import IterationRecord, Trace
 
 from helpers import (FailingBurgKernel, TiltedConstantKernel,
-                     lyapunov_increase_loop, rate_check_loop)
+                     lyapunov_increase_loop, rate_check_loop, solve_recording)
 
 
 class QuadraticSmooth(SmoothTerm):
@@ -170,10 +171,9 @@ class TestReductions:
         d = obj.dim
         lam = 1.0 / obj.smooth.smad_constant()
         ls = LineSearchConfig(beta0=0.95, eta=0.5, rho=0.9)
-        cfg = SolverConfig(lam=lam, k_max=100, tol=1e-300,
-                           line_search=ls, keep_iterates=True)
+        cfg = SolverConfig(lam=lam, k_max=100, tol=1e-300, line_search=ls)
         x0 = np.zeros(d)
-        result = bpge_solve(obj, x0, cfg)
+        result, recorded = solve_recording(bpge_solve, obj, x0, cfg)
 
         # Independent extrapolated proximal gradient loop.
         weight = obj.nonsmooth.weight
@@ -197,8 +197,8 @@ class TestReductions:
             iterates.append(x_next.copy())
             x_prev, x_curr = x_curr, x_next
 
-        assert len(result.iterates) == len(iterates)
-        for a, b in zip(result.iterates, iterates):
+        assert len(recorded) == len(iterates)
+        for a, b in zip(recorded, iterates):
             assert np.linalg.norm(a - b) <= 1e-12
 
     def test_pg_matches_gradient_descent_on_smooth_problem(self):
@@ -209,11 +209,11 @@ class TestReductions:
         obj = CompositeObjective(QuadraticSmooth(B, c), ZeroTerm(),
                                  EuclideanKernel(4))
         lam = 1.0 / obj.smooth.smad_constant()
-        cfg = SolverConfig(lam=lam, k_max=50, tol=1e-300, keep_iterates=True)
+        cfg = SolverConfig(lam=lam, k_max=50, tol=1e-300)
         # With the Euclidean kernel BPG is the proximal gradient method.
-        result = bpg_solve(obj, np.zeros(4), cfg)
+        _, recorded = solve_recording(bpg_solve, obj, np.zeros(4), cfg)
         x = np.zeros(4)
-        for a in result.iterates[1:]:
+        for a in recorded[1:]:
             x = x - lam * obj.smooth.gradient(x)
             assert np.linalg.norm(a - x) <= 1e-12
 
@@ -268,13 +268,12 @@ class TestDescentDiagnostics:
         inst = qip.generate_qip(40, 5, seed=8)
         obj, x0 = qip.make_objective(inst), qip.default_x0(inst)
         lam = 1.0 / obj.smooth.smad_constant()
-        cfg = SolverConfig(lam=lam, k_max=400, keep_iterates=True)
-        result = bpge_solve(obj, x0, cfg)
+        cfg = SolverConfig(lam=lam, k_max=400)
+        result, xs = solve_recording(bpge_solve, obj, x0, cfg)
         mu = obj.smooth.weak_convexity_constant()
         C = (1.0 / lam) / (1.0 / lam + mu)
         rho = cfg.line_search.rho
         kernel = obj.kernel
-        xs = result.iterates
         for k in range(1, len(xs) - 1):
             rec = result.trace[k + 1]
             trial = xs[k] + rec.beta_accepted * (xs[k] - xs[k - 1])
@@ -386,8 +385,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("field,value", [
         ("k_max", 2.5), ("k_max", True), ("k_max", "5"), ("tol", "1"),
         ("lam", "0.1"), ("lam", True), ("line_search", None),
-        ("line_search", {"beta0": 0.5}), ("keep_iterates", "no"),
-        ("keep_iterates", 1),
+        ("line_search", {"beta0": 0.5}),
     ])
     def test_rejects_mistyped_field(self, field, value):
         with pytest.raises(ValidationError):
@@ -730,14 +728,13 @@ class TestFusedIteration:
         smooth = QuadraticSmooth(B, rng.standard_normal(12))
         kernel = WeightedEuclideanKernel(rng.uniform(1.0, 2.0, 5))
         obj = CompositeObjective(smooth, WeightedMirrorStep(), kernel)
-        cfg = SolverConfig(lam=1.0 / smooth.smad_constant(), tol=1e-8,
-                           keep_iterates=True)
-        result = bpge_solve(obj, rng.standard_normal(5), cfg)
+        cfg = SolverConfig(lam=1.0 / smooth.smad_constant(), tol=1e-8)
+        result, xs = solve_recording(bpge_solve, obj,
+                                     rng.standard_normal(5), cfg)
         assert result.exit_reason == "tolerance"
         assert any(rec.beta_accepted > 0.0 for rec in result.trace[2:])
         lyap = [rec.lyapunov for rec in result.trace[1:]]
         assert all(b <= a + 1e-12 for a, b in zip(lyap, lyap[1:]))
-        xs = result.iterates
         for k in range(1, len(xs)):
             assert result.trace[k].dh_step == kernel.bregman(xs[k - 1], xs[k])
 
@@ -779,16 +776,15 @@ class TestForwardCarry:
                                              ("qip", 200, 10)])
     def test_carried_matches_recomputed(self, problem, m, d):
         obj, x0 = _shipped(problem, m, d, seed=22)
-        cfg = SolverConfig(lam=1.0 / obj.smooth.smad_constant(), k_max=400,
-                           keep_iterates=True)
+        cfg = SolverConfig(lam=1.0 / obj.smooth.smad_constant(), k_max=400)
         carried = bpge_solve(obj, x0, cfg)
         recomputing = _recomputing(obj.smooth)
-        recomputed = bpge_solve(dataclasses.replace(obj, smooth=recomputing),
-                                x0, cfg)
+        recomputed, xs = solve_recording(
+            bpge_solve, dataclasses.replace(obj, smooth=recomputing), x0, cfg)
         # One test per extrapolated y: every step after the first (which
         # extrapolates from x_prev = x0, so y = x0) with beta != 0, and
         # the look-ahead after the last step if its beta is not 0.
-        trace, xs = recomputed.trace, recomputed.iterates
+        trace = recomputed.trace
         mu = obj.smooth.weak_convexity_constant()
         last_beta = line_search_beta(
             obj.kernel, xs[-2], xs[-1], cfg.line_search,
@@ -935,3 +931,55 @@ class TestFailureContainment:
         result = solve(obj, np.ones(3), SolverConfig(lam=1.0, k_max=50))
         assert result.exit_reason == "numerical_failure"
         assert result.iterations == 0
+
+    @pytest.mark.parametrize("solve", [bpge_solve, bpg_solve],
+                             ids=["bpge", "bpg"])
+    def test_overflowing_burg_step_is_recorded_not_raised(self, solve):
+        class Linear(SmoothTerm):
+            """f(x) = sum x, smooth adaptable to any kernel for every L > 0."""
+
+            def value(self, x):
+                return float(np.sum(x))
+
+            def gradient(self, x):
+                return np.ones_like(x)
+
+            def smad_constant(self):
+                return 1e-300
+
+        # From x0 = 1e300 the mirror point -1/x0 - lam is -1e300, so the
+        # step lands on 1e-300 and D_h(x0, x1) overflows in x0 / x1 (a
+        # RuntimeWarning is an error in this suite): D_h = inf ends the run.
+        obj = CompositeObjective(Linear(), problems.ZeroTerm(), BurgKernel(1))
+        result = solve(obj, np.array([1e300]),
+                       SolverConfig(lam=1e300, k_max=50))
+        assert result.exit_reason == "numerical_failure"
+        assert result.iterations == 0
+
+    @pytest.mark.parametrize("solve", [bpge_solve, bpg_solve],
+                             ids=["bpge", "bpg"])
+    def test_recorded_iterates_end_at_the_last_accepted_step(self, solve):
+        obj, x0 = _shipped("plip", 40, 4, seed=24)
+
+        class FailingEvaluate(type(obj.smooth)):
+            """Raises at its sixth evaluate: x0, four steps, then the fifth
+            prox output, which the step rejects."""
+            calls, rejected = 0, None
+
+            def evaluate(self, x, u_prev, beta, y):
+                self.calls += 1
+                if self.calls == 6:
+                    self.rejected = x.copy()
+                    raise NumericalError("boom")
+                return super().evaluate(x, u_prev, beta, y)
+
+        smooth = FailingEvaluate(obj.smooth.inst)
+        cfg = SolverConfig(lam=1.0 / smooth.smad_constant(), k_max=50)
+        _, reference = solve_recording(solve, obj, x0, cfg)
+        result, iterates = solve_recording(
+            solve, dataclasses.replace(obj, smooth=smooth), x0, cfg)
+        assert result.exit_reason == "numerical_failure"
+        assert result.iterations == 4 and len(iterates) == 5
+        assert iterates[-1].tobytes() == result.x_final.tobytes()
+        assert all(np.array_equal(a, b) for a, b in zip(iterates, reference))
+        assert np.array_equal(smooth.rejected, reference[5])
