@@ -15,7 +15,9 @@ from typing import List
 import numpy as np
 
 from . import harness
-from .kernels import BurgKernel
+from .errors import ValidationError
+from .kernels import BurgKernel, is_integer
+from .problems import check_seed
 from .solvers import SolverConfig, bpge_solve
 
 
@@ -62,7 +64,11 @@ def check_smad(obj, samples: int = 1000, rng_seed: int = 0) -> CheckOutcome:
     gap = f(x) - f(y) - <grad f(y), x - y> over random interior pairs. A
     sample fails when either envelope is violated by more than
     1e-8 * (1 + |f(x)|). This is a regression guard, not a certification.
+    It needs an integer samples >= 1 and an integer rng_seed >= 0.
     """
+    if not (is_integer(samples) and samples >= 1):
+        raise ValidationError("samples must be an integer >= 1")
+    check_seed(rng_seed)
     sampler = _sampler(obj.kernel)
     rng = np.random.default_rng(rng_seed)
     L, mu = obj.smooth.smad_constant(), obj.smooth.weak_convexity_constant()

@@ -34,11 +34,6 @@ class PlipInstance(Instance):
         if not (np.isfinite(self.b).all() and (self.b > 0.0).all()):
             raise ValidationError("b must be finite and positive")
 
-    @property
-    def smad_bound(self) -> float:
-        """Tightest certified envelope constant, ||b||_1."""
-        return float(np.sum(np.abs(self.b)))
-
 
 def generate_plip(m: int, d: int, seed: int, theta: float = 1.0) -> PlipInstance:
     """Seeded instance: A and x_true entrywise uniform, b = A x_true, and
@@ -75,7 +70,8 @@ def plip_prox(inst: PlipInstance, y, grad, lam: float) -> np.ndarray:
 
 
 class PlipSmooth(LinearModelSmooth):
-    """KL data fit of u = A x; convex, hence mu = 0, with L = ||b||_1."""
+    """KL data fit of u = A x; convex (mu = 0) and smooth adaptable relative
+    to Burg with L = ||b||_1 (Bauschke, Bolte and Teboulle 2017)."""
 
     KERNEL = BurgKernel
 
@@ -85,6 +81,9 @@ class PlipSmooth(LinearModelSmooth):
         return burg_phi_sum(u, b, b) if value else None, 1.0 - b / u
 
     _in_domain = staticmethod(lambda u: u.min() > 0.0)
+
+    def smad_constant(self):
+        return float(np.sum(np.abs(self.inst.b)))
 
 
 def make_objective(inst: PlipInstance) -> CompositeObjective:

@@ -147,7 +147,7 @@ class LinearModelSmooth(SmoothTerm):
     """f(x) = phi(Mx) = sum_i phi_i((Mx)_i) with M the instance matrix.
 
     A subclass defines `_phi(u, b, value=True)`, giving phi(u) (None unless
-    value) and the elementwise phi'(u) from the terms they share, the kernel
+    value) and the elementwise phi'(u) in one call, the kernel
     class `KERNEL` whose domain f shares (`value` and `gradient` check x by
     `self.kernel`, a `KERNEL` of size d) and, if phi needs it, `_in_domain(u)`.
     M is cut once into the row blocks of `_row_blocks`, so that blocked
@@ -209,9 +209,6 @@ class LinearModelSmooth(SmoothTerm):
     def gradient(self, x):
         return self.evaluate(self.kernel.require_interior(x), None, 0.0,
                              None)[2]
-
-    def smad_constant(self):
-        return self.inst.smad_bound
 
 
 class NonsmoothTerm:

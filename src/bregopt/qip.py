@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -38,27 +37,6 @@ class QipInstance(Instance):
             raise ValidationError("b must be finite")
         check_theta(self.theta)
 
-    @cached_property
-    def _bounds(self) -> tuple:
-        """Both bounds from one row-norm pass over the row blocks of
-        `_row_blocks`, so that no m x d temporary is made; each row is
-        still summed alone. Caching n2 raised peak RSS."""
-        a = self.a
-        n2 = np.concatenate([np.sum(a[rows] * a[rows], axis=1)
-                             for rows in _row_blocks(a)])
-        return (float(np.sum(3.0 * n2 * n2 + n2 * np.abs(self.b))),
-                float(np.sum(n2 * np.abs(self.b))))
-
-    @property
-    def smad_bound(self) -> float:
-        """sum_i (3 ||A_i||^2 + ||A_i|| |b_i|) with ||A_i|| = ||a_i||^2."""
-        return self._bounds[0]
-
-    @property
-    def weak_convexity_bound(self) -> float:
-        """sum_i ||A_i|| |b_i|; always <= the envelope constant above."""
-        return self._bounds[1]
-
 
 def generate_qip(m: int, d: int, seed: int, theta: float = 1.0) -> QipInstance:
     """Seeded instance: Gaussian a_i, 5%-sparse ground truth, b = <a_i, x*>^2.
@@ -68,6 +46,7 @@ def generate_qip(m: int, d: int, seed: int, theta: float = 1.0) -> QipInstance:
     """
     check_size(m, d)
     check_seed(seed)
+    check_theta(theta)
     rng = np.random.default_rng([seed, 0])
     a = rng.standard_normal((m, d))
     nnz = math.ceil(0.05 * d)
@@ -82,9 +61,21 @@ generate = generate_qip
 
 
 class QipSmooth(LinearModelSmooth):
-    """Quartic data fit of u = a x with its certified envelope constants."""
+    """Quartic data fit of u = a x. With n2_i = ||a_i||^2 = ||A_i||, its
+    certified constants (Bolte, Sabach, Teboulle and Vaisbourd 2018) are
+    L = sum_i (3 n2_i^2 + n2_i |b_i|) and mu = sum_i n2_i |b_i| <= L, from one
+    pass at construction over the row blocks of `_row_blocks` (no m x d
+    temporary, each row summed alone; keeping n2 raised peak RSS)."""
 
     KERNEL = QuarticKernel
+
+    def __init__(self, inst: QipInstance):
+        super().__init__(inst)
+        a, abs_b = self.M, np.abs(inst.b)
+        n2 = np.concatenate([np.sum(a[rows] * a[rows], axis=1)
+                             for rows in _row_blocks(a)])
+        self._L = float(np.sum(3.0 * n2 * n2 + n2 * abs_b))
+        self._mu = float(np.sum(n2 * abs_b))
 
     @staticmethod
     def _phi(u, b, value=True):
@@ -92,8 +83,11 @@ class QipSmooth(LinearModelSmooth):
         r = u * u - b
         return 0.25 * float(np.dot(r, r)) if value else None, r * u
 
+    def smad_constant(self):
+        return self._L
+
     def weak_convexity_constant(self):
-        return self.inst.weak_convexity_bound
+        return self._mu
 
 
 def make_objective(inst: QipInstance) -> CompositeObjective:

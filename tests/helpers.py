@@ -219,8 +219,8 @@ def reference_plip_draw(m, d, seed):
 
 
 def reference_qip_bounds(a, b):
-    """(smad_bound, weak_convexity_bound) of a qip instance from one
-    unblocked row-norm pass, n2 = sum(a * a, axis=1)."""
+    """(smad_constant(), weak_convexity_constant()) of a qip instance's
+    `QipSmooth` from one unblocked row-norm pass, n2 = sum(a * a, axis=1)."""
     n2 = np.sum(a * a, axis=1)
     return (float(np.sum(3.0 * n2 * n2 + n2 * np.abs(b))),
             float(np.sum(n2 * np.abs(b))))

@@ -142,14 +142,16 @@ def test_criterion_03_prox_matches_grid_oracle(report):
     for seed in SEEDS:
         inst = plip.generate_plip(12, 2, seed)
         rng = np.random.default_rng([seed, 7])
-        check(("plip", seed), plip.make_objective(inst), 1.0 / inst.smad_bound,
+        obj = plip.make_objective(inst)
+        check(("plip", seed), obj, 1.0 / obj.smooth.smad_constant(),
               lambda u: 0.0, (rng.uniform(0.3, 1.5, 2) for _ in range(10)),
               lo=1e-3, hi=4.0)
 
     for seed in SEEDS:
         inst = qip.generate_qip(8, 2, seed)
         rng = np.random.default_rng([seed, 8])
-        check(("qip", seed), qip.make_objective(inst), 1.0 / inst.smad_bound,
+        obj = qip.make_objective(inst)
+        check(("qip", seed), obj, 1.0 / obj.smooth.smad_constant(),
               lambda u: inst.theta * float(np.sum(np.abs(u))),
               (rng.standard_normal(2) for _ in range(10)), lo=-3.0, hi=3.0)
 

@@ -42,7 +42,8 @@ class TestGeneration:
 
     def test_smad_bound_is_l1_norm_of_data(self):
         inst = plip.generate_plip(20, 4, seed=2)
-        assert inst.smad_bound == pytest.approx(np.sum(inst.b))
+        assert plip.PlipSmooth(inst).smad_constant() == pytest.approx(
+            np.sum(inst.b))
 
 
 class TestKlValue:
@@ -132,7 +133,7 @@ class TestProx:
     def test_mirror_step_residual(self):
         inst = plip.generate_plip(50, 6, seed=10)
         kernel = BurgKernel(6)
-        lam = 1.0 / inst.smad_bound
+        lam = 1.0 / plip.PlipSmooth(inst).smad_constant()
         rng = np.random.default_rng(2)
         for _ in range(50):
             y = rng.uniform(0.2, 2.0, 6)
@@ -146,7 +147,7 @@ class TestProx:
     def test_matches_grid_oracle(self):
         inst = plip.generate_plip(12, 2, seed=11)
         kernel = BurgKernel(2)
-        lam = 1.0 / inst.smad_bound
+        lam = 1.0 / plip.PlipSmooth(inst).smad_constant()
         rng = np.random.default_rng(3)
         for _ in range(10):
             y = rng.uniform(0.3, 1.5, 2)
@@ -161,7 +162,7 @@ class TestProx:
         # y/(1 + lam*y*grad). They agree to a few ulps.
         inst = plip.generate_plip(40, 6, seed=13)
         obj = plip.make_objective(inst)
-        lam = 1.0 / inst.smad_bound
+        lam = 1.0 / plip.PlipSmooth(inst).smad_constant()
         rng = np.random.default_rng(4)
         for _ in range(100):
             y = rng.uniform(0.05, 3.0, 6)

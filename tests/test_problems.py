@@ -74,6 +74,17 @@ class TestCheckSmad:
         assert report.name == "smad_envelopes" and report.passed
         assert report.detail.startswith("max upper ")
 
+    @pytest.mark.parametrize("kwargs,name", [
+        ({"samples": 0}, "samples"), ({"samples": -5}, "samples"),
+        ({"samples": True}, "samples"), ({"samples": 2.5}, "samples"),
+        ({"rng_seed": -1}, "seed"), ({"rng_seed": 1.5}, "seed"),
+    ], ids=["samples-0", "samples-negative", "samples-bool",
+            "samples-float", "seed-negative", "seed-float"])
+    def test_rejects_what_it_cannot_check(self, kwargs, name):
+        # Raised before the objective is read, so no sample is drawn.
+        with pytest.raises(ValidationError, match=name):
+            check_smad(object(), **kwargs)
+
     def test_inflated_constant_still_passes(self):
         inst = plip.generate_plip(50, 5, seed=4)
 
@@ -304,7 +315,8 @@ class TestOneMatrixCopy:
         A, b, x_true = reference_plip_draw(m, d, seed)
         for got, want in ((inst.A, A), (inst.b, b), (inst.x_true, x_true)):
             assert got.tobytes() == want.tobytes()
-        assert inst.smad_bound == float(np.sum(np.abs(b)))
+        assert plip.PlipSmooth(inst).smad_constant() == \
+            float(np.sum(np.abs(b)))
 
     @pytest.mark.parametrize("m,d", SIZES)
     @pytest.mark.parametrize("seed", [0, 1, 17])
@@ -319,7 +331,8 @@ class TestOneMatrixCopy:
         x_true[support] = rng.standard_normal(nnz)
         assert inst.x_true.tobytes() == x_true.tobytes()
         assert inst.b.tobytes() == ((a @ x_true) ** 2).tobytes()
-        assert (inst.smad_bound, inst.weak_convexity_bound) == \
+        smooth = qip.QipSmooth(inst)
+        assert (smooth.smad_constant(), smooth.weak_convexity_constant()) == \
             reference_qip_bounds(a, inst.b)
 
     @pytest.mark.parametrize("name", sorted(harness.PROBLEM_MODULES))

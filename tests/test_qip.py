@@ -44,8 +44,9 @@ class TestGeneration:
         n2 = np.sum(inst.a ** 2, axis=1)
         L = np.sum(3.0 * n2 ** 2 + n2 * np.abs(inst.b))
         mu = np.sum(n2 * np.abs(inst.b))
-        assert inst.smad_bound == pytest.approx(L)
-        assert inst.weak_convexity_bound == pytest.approx(mu)
+        smooth = qip.QipSmooth(inst)
+        assert smooth.smad_constant() == pytest.approx(L)
+        assert smooth.weak_convexity_constant() == pytest.approx(mu)
         assert mu <= L
 
 
@@ -113,7 +114,7 @@ class TestProx:
     def test_norm_equals_cubic_root_of_thresholded_norm(self):
         inst = qip.generate_qip(20, 6, seed=16)
         kernel = QuarticKernel(6)
-        lam = 1.0 / inst.smad_bound
+        lam = 1.0 / qip.QipSmooth(inst).smad_constant()
         rng = np.random.default_rng(1)
         for _ in range(50):
             y = rng.standard_normal(6)
@@ -127,7 +128,7 @@ class TestProx:
     def test_first_order_inclusion(self):
         inst = qip.generate_qip(20, 6, seed=17)
         kernel = QuarticKernel(6)
-        lam = 1.0 / inst.smad_bound
+        lam = 1.0 / qip.QipSmooth(inst).smad_constant()
         rng = np.random.default_rng(2)
         for _ in range(50):
             y = rng.standard_normal(6)
@@ -145,7 +146,7 @@ class TestProx:
     def test_matches_grid_oracle(self):
         inst = qip.generate_qip(8, 2, seed=18)
         kernel = QuarticKernel(2)
-        lam = 1.0 / inst.smad_bound
+        lam = 1.0 / qip.QipSmooth(inst).smad_constant()
         rng = np.random.default_rng(3)
 
         def g_value(u):
@@ -243,11 +244,12 @@ class TestValidation:
             qip.QipInstance(a=a, b=b, theta=1.0, seed=0, x_true=x_true)
 
     def test_generate_rejects_bad_theta(self):
-        for theta in (-1.0, np.nan, np.inf):
-            with pytest.raises(ValidationError):
+        for theta in (-1.0, np.nan, np.inf, "1", True, None, [1.0]):
+            with pytest.raises(ValidationError, match="theta"):
                 qip.generate_qip(10, 3, seed=0, theta=theta)
 
     def test_bounds_are_computed_once(self):
-        inst = qip.generate_qip(25, 6, seed=10)
-        assert inst.smad_bound is inst.smad_bound
-        assert inst.weak_convexity_bound is inst.weak_convexity_bound
+        smooth = qip.QipSmooth(qip.generate_qip(25, 6, seed=10))
+        assert smooth.smad_constant() is smooth.smad_constant()
+        assert smooth.weak_convexity_constant() is \
+            smooth.weak_convexity_constant()
