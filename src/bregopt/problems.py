@@ -104,7 +104,8 @@ class SmoothTerm:
     The solvers read f through one `evaluate` per iterate x, called after
     the line search has chosen the next step's beta and y from x and D_h
     (it never reads f), so that call also returns grad f(y). The default
-    uses `value` and `gradient`; `LinearModelSmooth` makes one pass over M.
+    uses `value` and `gradient`; `LinearModelSmooth` forms M x once and
+    carries M y.
     """
 
     def value(self, x: np.ndarray) -> float:
@@ -130,8 +131,9 @@ class SmoothTerm:
         return 0.0
 
 
-# Row blocks of M of at most this size stay in a core's L2 cache from the
-# product M_B x to the products with M_B^T that follow it.
+# Row blocks of M of at most this size fix the order in which the blocked
+# products W M = sum_B W_B M_B sum, and were the fastest way measured to form
+# them (CHANGES.md); u = M x and every elementwise pass take all of M at once.
 _BLOCK_BYTES = 512 * 1024
 
 
@@ -150,10 +152,10 @@ class LinearModelSmooth(SmoothTerm):
     value) and the elementwise phi'(u) in one call, the kernel
     class `KERNEL` whose domain f shares (`value` and `gradient` check x by
     `self.kernel`, a `KERNEL` of size d) and, if phi needs it, `_in_domain(u)`.
-    M is cut once into the row blocks of `_row_blocks`, so that blocked
-    M x is M @ x bit for bit (unless the last block is one row); one block
-    keeps the unblocked products. The line search, which never reads f,
-    fixes the next y before `evaluate` runs.
+    M is cut once into the `(rows, M_B)` pairs of `_row_blocks`, which only
+    the transposed products use; one block keeps the unblocked `M.T @ w`.
+    The line search, which never reads f, fixes the next y before
+    `evaluate` runs.
     """
 
     def __init__(self, inst: Instance):
@@ -162,50 +164,46 @@ class LinearModelSmooth(SmoothTerm):
         self.M = M = getattr(inst, inst.MATRIX)
         blocks = _row_blocks(M)
         self._blocks = None if len(blocks) == 1 else [
-            (rows, M[rows], inst.b[rows]) for rows in blocks]
+            (rows, M[rows]) for rows in blocks]
 
     _in_domain = staticmethod(lambda u: True)
 
     def evaluate(self, x, u_prev, beta, y):
-        """One pass over M: per row block, u_B = M_B x, then, while M_B is
-        in cache, M_B^T phi'(u_B) and M_B^T phi'(u_B + beta (u_B - u_prev_B))
-        for grad f at x and y; grad f(y) is `gradient(y)` where rounding
-        leaves that carried M y outside `_in_domain`."""
+        """u = M x, then phi and phi' once over all of u, and with a y the
+        carried u_y = u + beta (u - u_prev) standing in for M y, with phi'
+        of it if u_y passes `_in_domain`; then M^T phi'(u) and M^T phi'(u_y)
+        for grad f at x and y. grad f(y) is `gradient(y)` where rounding
+        leaves u_y outside `_in_domain`."""
         M, b, phi = self.M, self.inst.b, self._phi
+        u = M @ x
+        f, w = phi(u, b)
+        w_y = None
+        if y is not None:
+            u_y = u + beta * (u - u_prev)
+            if self._in_domain(u_y):
+                w_y = phi(u_y, b, False)[1]
         if self._blocks is None:
-            u = M @ x
-            f, w = phi(u, b)
-            grad, grad_y = M.T @ w, None
-            if y is not None:
-                u_y = u + beta * (u - u_prev)
-                grad_y = (M.T @ phi(u_y, b, False)[1] if self._in_domain(u_y)
-                          else self.gradient(y))
-            return u, f, grad, grad_y
-        # Row 0 of W holds phi'(u_B), row 1 phi' of the carried u_B (G[1] is
-        # dropped once a block fails), so that W_B M_B reads M_B once.
-        carried = y is not None
-        u = np.empty(M.shape[0])
-        W = np.empty((1 + carried, M.shape[0]))
-        G = np.zeros((len(W), M.shape[1]))
-        for rows, M_B, b_B in self._blocks:
-            u_B = np.matmul(M_B, x, out=u[rows])
-            W_B = W[:, rows]
-            W_B[0] = phi(u_B, b_B, False)[1]
-            if carried:
-                u_y = u_B + beta * (u_B - u_prev[rows])
-                carried = self._in_domain(u_y)
-                W_B[1] = phi(u_y, b_B, False)[1]
-            G += W_B @ M_B
-        grad_y = G[1] if carried else None
-        if y is not None and not carried:
+            grad, grad_y = M.T @ w, None if w_y is None else M.T @ w_y
+        else:
+            # W holds w and, with a y, w_y as rows, so that each W_B M_B
+            # reads M_B once. A failed carry leaves zeros in row 1: W keeps
+            # its 2 rows, and G[0] its bits.
+            W = w[None] if y is None else np.array(
+                (w, np.zeros(len(w)) if w_y is None else w_y))
+            G = np.zeros((len(W), M.shape[1]))
+            for rows, M_B in self._blocks:
+                G += W[:, rows] @ M_B
+            grad, grad_y = G[0], None if w_y is None else G[1]
+        if y is not None and w_y is None:
             grad_y = self.gradient(y)
-        return u, phi(u, b)[0], G[0], grad_y
+        return u, f, grad, grad_y
 
     @np.errstate(all="ignore")
     def value(self, x):
         x = self.kernel.require_interior(x)
         return self._phi(self.M @ x, self.inst.b)[0]
 
+    @np.errstate(all="ignore")
     def gradient(self, x):
         return self.evaluate(self.kernel.require_interior(x), None, 0.0,
                              None)[2]

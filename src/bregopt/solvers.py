@@ -175,8 +175,8 @@ def bpge_solve(obj: CompositeObjective, x0: np.ndarray,
     A step from y (x_curr when beta = 0) runs the prox to x_next, then
     grad h(x_next), D_h(x_curr, x_next), the line search for the next
     beta and y (it reads D_h, never f), one `smooth.evaluate` for f and
-    grad f at x_next and grad f at that y (one pass over M for phi(Mx),
-    M y carried), and the record. A failed line search ends the run at
+    grad f at x_next and grad f at that y (one product for Mx, M y
+    carried), and the record. A failed line search ends the run at
     the start of the step it was for, after the tolerance test. Each new
     point gets one domain check (x0 here, each trial, each prox output);
     grad h is computed at x0, each prox output and each accepted trial.

@@ -6,7 +6,7 @@ from a dense grid plus Nelder-Mead refinement, the scalar cubic from
 plain bisection, the three-point identity from the public kernel
 methods, the Burg distance from 80-digit decimal logarithms, trace
 CSVs from csv.writer over the records, and a run's iterates from its
-prox outputs.
+prox outputs, and the blocked data-fit pass from its per-block loop.
 """
 
 import csv
@@ -19,7 +19,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from bregopt import BurgKernel, Kernel, NumericalError, harness
-from bregopt.problems import NonsmoothTerm
+from bregopt.problems import NonsmoothTerm, _row_blocks
 
 
 class ProxRecorder(NonsmoothTerm):
@@ -224,6 +224,33 @@ def reference_qip_bounds(a, b):
     n2 = np.sum(a * a, axis=1)
     return (float(np.sum(3.0 * n2 * n2 + n2 * np.abs(b))),
             float(np.sum(n2 * np.abs(b))))
+
+
+def blocked_evaluate_loop(smooth, x, u_prev, beta, y):
+    """`smooth.evaluate(x, u_prev, beta, y)` of a `LinearModelSmooth` by the
+    per-block loop: per row block of `_row_blocks`, u_B = M_B x, phi'(u_B),
+    the carry u_B + beta (u_B - u_prev_B), its domain test and phi' of it,
+    then G += W_B M_B; phi(u) at the end. W starts at zeros, so the row of a
+    failed carry holds no uninitialised memory."""
+    M, b, phi = smooth.M, smooth.inst.b, smooth._phi
+    carried = y is not None
+    u = np.empty(M.shape[0])
+    W = np.zeros((1 + carried, M.shape[0]))
+    G = np.zeros((len(W), M.shape[1]))
+    for rows in _row_blocks(M):
+        M_B, b_B = M[rows], b[rows]
+        u_B = np.matmul(M_B, x, out=u[rows])
+        W_B = W[:, rows]
+        W_B[0] = phi(u_B, b_B, False)[1]
+        if carried:
+            u_y = u_B + beta * (u_B - u_prev[rows])
+            carried = smooth._in_domain(u_y)
+            W_B[1] = phi(u_y, b_B, False)[1]
+        G += W_B @ M_B
+    grad_y = G[1] if carried else None
+    if y is not None and not carried:
+        grad_y = smooth.gradient(y)
+    return u, phi(u, b)[0], G[0], grad_y
 
 
 def lyapunov_increase_loop(trace):

@@ -73,6 +73,14 @@ class TestValueAndGradient:
         assert np.array_equal(qip.QipSmooth(inst).gradient(np.zeros(5)),
                               np.zeros(5))
 
+    def test_overflow_is_silent(self):
+        # u^2 overflows at x = 1e200: value and gradient are non-finite, and
+        # raise no RuntimeWarning (an error in this suite).
+        smooth = qip.make_objective(qip.generate_qip(20, 4, 1)).smooth
+        x = np.full(4, 1e200)
+        assert smooth.value(x) == np.inf
+        assert not np.isfinite(smooth.gradient(x)).all()
+
     def test_gradient_matches_finite_differences(self):
         inst = qip.generate_qip(15, 5, seed=14)
         smooth = qip.QipSmooth(inst)

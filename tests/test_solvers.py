@@ -25,7 +25,8 @@ from bregopt.problems import NonsmoothTerm, SmoothTerm
 from bregopt.solvers import IterationRecord, Trace
 
 from helpers import (FailingBurgKernel, TiltedConstantKernel,
-                     lyapunov_increase_loop, rate_check_loop, solve_recording)
+                     blocked_evaluate_loop, lyapunov_increase_loop,
+                     rate_check_loop, solve_recording)
 
 
 class QuadraticSmooth(SmoothTerm):
@@ -815,7 +816,7 @@ class TestBlockedPass:
     def test_blocked_evaluate_matches_one_block(self, problem):
         obj, x = _shipped(problem, 2000, 200, seed=25)
         blocked = obj.smooth
-        sizes = [M_B.shape[0] for _, M_B, _ in blocked._blocks]
+        sizes = [M_B.shape[0] for _, M_B in blocked._blocks]
         assert sizes == [320] * 6 + [80]
         single = _one_block(blocked)
         rng = np.random.default_rng(25)
@@ -833,6 +834,52 @@ class TestBlockedPass:
         assert _relative_gap(alone[2], ref[2]) <= 1e-13
         assert alone[3] is None
         assert _relative_gap(blocked.gradient(y), ref[3]) <= 1e-13
+
+    @pytest.mark.parametrize("problem, case", [
+        ("plip", "y"), ("plip", "no y"), ("plip", "carry fails"),
+        ("qip", "y"), ("qip", "no y")])
+    def test_blocked_evaluate_is_the_per_block_loop(self, problem, case):
+        obj, x = _shipped(problem, 2000, 200, seed=25)
+        smooth = obj.smooth
+        rng = np.random.default_rng(25)
+        x_prev = x * rng.uniform(0.9, 1.1, x.size)
+        u_prev = smooth.M @ x_prev
+        y = x + 0.5 * (x - x_prev)
+        if case == "carry fails":
+            # u + 0.5 (u - 4u) = -u/2 at one row of the fourth block only.
+            u_prev = smooth.M @ x
+            row = smooth._blocks[3][0].start + 5
+            u_prev[row] *= 4.0
+        args = (x, None, 0.0, None) if case == "no y" else (x, u_prev, 0.5, y)
+        got = smooth.evaluate(*args)
+        ref = blocked_evaluate_loop(smooth, *args)
+        assert got[0].tobytes() == ref[0].tobytes()
+        assert np.float64(got[1]).tobytes() == np.float64(ref[1]).tobytes()
+        assert got[2].tobytes() == ref[2].tobytes()
+        if case == "no y":
+            assert got[3] is None and ref[3] is None
+        else:
+            assert got[3].tobytes() == ref[3].tobytes()
+
+    @pytest.mark.parametrize("problem", ["plip", "qip"])
+    def test_blocked_evaluate_forms_phi_once(self, problem):
+        obj, x = _shipped(problem, 2000, 200, seed=25)
+
+        class Counting(type(obj.smooth)):
+            phi_calls = domain_calls = 0
+
+            def _phi(self, u, b, value=True):
+                self.phi_calls += 1
+                return super()._phi(u, b, value)
+
+            def _in_domain(self, u):
+                self.domain_calls += 1
+                return super()._in_domain(u)
+
+        smooth = Counting(obj.smooth.inst)
+        assert len(smooth._blocks) == 7
+        smooth.evaluate(x, smooth.M @ (0.9 * x), 0.5, 1.05 * x)
+        assert smooth.phi_calls <= 2 and smooth.domain_calls <= 1
 
     def test_plip_carry_outside_domain_in_one_block(self):
         obj, x = _shipped("plip", 2000, 200, seed=26)
