@@ -144,13 +144,7 @@ def _cmd_sweep(args) -> int:
         raise ValidationError("spec %s is not UTF-8: %s"
                               % (args.spec, exc)) from exc
     spec = harness.ExperimentSpec.from_dict(doc)
-    broken = ()  # a dead worker's error; its module loads only for a pool
-    if args.jobs > 1:
-        from concurrent.futures.process import BrokenProcessPool as broken
-    try:
-        rows = harness.run_comparison(spec, out_dir=args.out, jobs=args.jobs)
-    except broken as exc:
-        raise OSError("a sweep worker died: %s" % exc) from exc
+    rows = harness.run_comparison(spec, out_dir=args.out, jobs=args.jobs)
     failures = sum(
         1 for r in rows
         if EXIT_NUMERICAL_FAILURE in (r.exit_bpge, r.exit_bpg)

@@ -239,7 +239,7 @@ def run_comparison(spec: ExperimentSpec, out_dir,
     one runs all). Creates out_dir before the first cell; writes each run's
     trace CSV when this one reaches its cell and comparison.csv at the end,
     the files of jobs = 1. A cell's exception is raised at its turn,
-    a dead worker's as BrokenProcessPool; a numerical failure is in its row."""
+    a dead worker's as OSError; a numerical failure is in its row."""
     if not (is_integer(jobs) and jobs >= 1):
         raise ValidationError("jobs must be an integer >= 1, got %r" % (jobs,))
     out_dir = Path(out_dir)
@@ -256,17 +256,23 @@ def run_comparison(spec: ExperimentSpec, out_dir,
     jobs, pool = min(jobs, len(cells), cpus), None
     if jobs > 1:  # fork: workers start without importing numpy again and
         import multiprocessing as mp  # leave no tracker or server running
-        from concurrent.futures import ProcessPoolExecutor as Pool
+        from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
         if "fork" in mp.get_all_start_methods():
-            pool = Pool(jobs - 1, mp_context=mp.get_context("fork"))
+            pool = ProcessPoolExecutor(jobs - 1,
+                                       mp_context=mp.get_context("fork"))
     rows, futures = [], {}
     try:
         for i, (stem, args) in enumerate(cells):
             for j in range(i, min(i + 2 * jobs, len(cells))):
                 if pool is not None and j % jobs and j not in futures:
                     futures[j] = pool.submit(run_cell, *cells[j][1])
-            row, results = (futures.pop(i).result() if i in futures
-                            else run_cell(*args))
+            if i not in futures:
+                row, results = run_cell(*args)
+            else:
+                try:
+                    row, results = futures.pop(i).result()
+                except BrokenExecutor as exc:
+                    raise OSError("a sweep worker died: %s" % exc) from exc
             rows.append(row)
             for solver, result in results.items():
                 write_trace_csv(result, out_dir / (stem + solver + ".csv"))

@@ -95,7 +95,3 @@ def default_x0(inst: PlipInstance) -> np.ndarray:
     """Strictly positive start, entrywise uniform on (0.5, 1.5), seeded."""
     rng = np.random.default_rng([inst.seed, 1])
     return rng.uniform(0.5, 1.5, inst.d)
-
-
-to_json = PlipInstance.to_json
-from_json = PlipInstance.from_json

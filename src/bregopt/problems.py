@@ -45,8 +45,8 @@ class Instance:
     the field each subclass names as MATRIX, b with m entries, x_true with
     d, all three numpy arrays of ints or floats, and a seed; subclasses add
     their data checks after this `__post_init__`, which reads types and
-    shapes only. The JSON document is every field plus m and d, the arrays
-    as lists (the matrix as rows)."""
+    shapes only. `to_json` exports the fields plus m and d (the matrix as
+    rows); `generate(m, d, seed, theta)` of those values rebuilds it."""
 
     def __post_init__(self):
         check_seed(self.seed)
@@ -74,28 +74,6 @@ class Instance:
         doc = {f.name: np.asarray(getattr(self, f.name)).tolist()
                for f in fields(self)}
         return json.dumps(dict(doc, m=self.m, d=self.d), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Instance":
-        """The instance of a `to_json` document. A malformed document, or an
-        m and d that disagree with the matrix, raises ValidationError."""
-        try:
-            doc = json.loads(text)
-            args = {f.name: doc[f.name] for f in fields(cls)}
-            header = (doc["m"], doc["d"])
-            for name, value in args.items():
-                if isinstance(value, list):
-                    value = np.asarray(value)
-                    if value.dtype.kind not in NUMBER_KINDS:
-                        raise TypeError("%s holds a non-number" % name)
-                    args[name] = value.astype(float, copy=False)
-        except (ValueError, TypeError, KeyError) as exc:
-            raise ValidationError("malformed %s document: %s: %s" % (
-                cls.__name__, type(exc).__name__, exc)) from exc
-        inst = cls(**args)
-        if header != (inst.m, inst.d):
-            raise ValidationError("m and d disagree with %s" % cls.MATRIX)
-        return inst
 
 
 class SmoothTerm:
@@ -172,8 +150,8 @@ class LinearModelSmooth(SmoothTerm):
         """u = M x, then phi and phi' once over all of u, and with a y the
         carried u_y = u + beta (u - u_prev) standing in for M y, with phi'
         of it if u_y passes `_in_domain`; then M^T phi'(u) and M^T phi'(u_y)
-        for grad f at x and y. grad f(y) is `gradient(y)` where rounding
-        leaves u_y outside `_in_domain`."""
+        for grad f at x and y. Where rounding leaves u_y outside
+        `_in_domain`, grad f(y) comes from M y, as `gradient(y)` unchecked."""
         M, b, phi = self.M, self.inst.b, self._phi
         u = M @ x
         f, w = phi(u, b)
@@ -195,7 +173,7 @@ class LinearModelSmooth(SmoothTerm):
                 G += W[:, rows] @ M_B
             grad, grad_y = G[0], None if w_y is None else G[1]
         if y is not None and w_y is None:
-            grad_y = self.gradient(y)
+            grad_y = self.evaluate(y, None, 0.0, None)[2]
         return u, f, grad, grad_y
 
     @np.errstate(all="ignore")
@@ -273,10 +251,6 @@ class CompositeObjective:
     smooth: SmoothTerm
     nonsmooth: NonsmoothTerm
     kernel: Kernel
-
-    @property
-    def dim(self) -> int:
-        return self.kernel.dim
 
     def value(self, x: np.ndarray) -> float:
         x = self.kernel.require_interior(x, "x")

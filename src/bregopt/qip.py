@@ -100,7 +100,3 @@ def default_x0(inst: QipInstance) -> np.ndarray:
     rng = np.random.default_rng([inst.seed, 1])
     v = rng.standard_normal(inst.d)
     return v / np.linalg.norm(v)
-
-
-to_json = QipInstance.to_json
-from_json = QipInstance.from_json

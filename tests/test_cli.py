@@ -6,7 +6,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from bregopt import cli, harness, plip, qip, solvers
@@ -39,17 +38,15 @@ class TestGenerate:
         path = tmp_path / "plip_m20_d4_seed3.json"
         assert path.exists()
         assert str(path) in capsys.readouterr().out
-        inst = plip.from_json(path.read_text(encoding="utf-8"))
-        ref = plip.generate_plip(20, 4, seed=3)
-        assert np.array_equal(inst.A, ref.A)
-        assert np.array_equal(inst.b, ref.b)
+        assert path.read_bytes() == \
+            plip.generate_plip(20, 4, seed=3).to_json().encode()
 
     def test_qip_round_trip(self, tmp_path):
         cli.main(["generate", "--problem", "qip", "--m", "15", "--d", "5",
                   "--seed", "2", "--theta", "0.5", "--out", str(tmp_path)])
-        inst = qip.from_json(
-            (tmp_path / "qip_m15_d5_seed2.json").read_text(encoding="utf-8"))
-        assert inst.theta == 0.5
+        text = (tmp_path / "qip_m15_d5_seed2.json").read_bytes()
+        assert text == qip.generate_qip(15, 5, 2, theta=0.5).to_json().encode()
+        assert json.loads(text)["theta"] == 0.5
 
     @pytest.mark.parametrize("theta", ["nan", "-1"])
     @pytest.mark.parametrize("problem", ["qip", "plip"])
@@ -290,12 +287,23 @@ class TestSweep:
         doc = dict(self.spec_doc(), repetitions=3)
         assert self.run_spec(tmp_path, doc, "--jobs", "2") == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "Traceback" not in err
+        assert err.startswith("error: a sweep worker died")
+        assert "Traceback" not in err
         assert multiprocessing.active_children() == []
         # Cell 0 ran here; cell 1, the worker's, ended the sweep.
         assert sorted(p.name for p in (tmp_path / "runs").iterdir()) == [
             "trace_plip_m20_d3_lam0_rho0_rep0_bpg.csv",
             "trace_plip_m20_d3_lam0_rho0_rep0_bpge.csv"]
+
+    @needs_fork
+    def test_run_comparison_reports_a_dead_worker(self, tmp_path, two_cpus,
+                                                  monkeypatch):
+        monkeypatch.setattr(harness, "run_cell", _die_in_worker)
+        spec = harness.ExperimentSpec.from_dict(
+            dict(self.spec_doc(), repetitions=3))
+        with pytest.raises(OSError, match="a sweep worker died"):
+            harness.run_comparison(spec, out_dir=tmp_path, jobs=2)
+        assert multiprocessing.active_children() == []
 
     def test_a_cells_memory_error_ends_both_settings_alike(self, tmp_path,
                                                            capsys, two_cpus):

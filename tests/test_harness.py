@@ -74,7 +74,7 @@ class TestGenerateInstance:
     def test_deterministic_json(self):
         a = harness.generate_instance("plip", 100, 10, 42)
         b = harness.generate_instance("plip", 100, 10, 42)
-        assert plip.to_json(a) == plip.to_json(b)
+        assert a.to_json() == b.to_json()
 
     def test_qip_sparsity(self):
         inst = harness.generate_instance("qip", 100, 20, 7)
@@ -142,9 +142,8 @@ def exit_runs():
         "tolerance": bpge_solve(obj, x0, cfg),
         "max_iterations": bpg_solve(obj, x0, dataclasses.replace(cfg,
                                                                  k_max=7)),
-        "numerical_failure": bpge_solve(
-            dataclasses.replace(obj, kernel=FailingBurgKernel(obj.dim, 4)),
-            x0, cfg),
+        "numerical_failure": bpge_solve(dataclasses.replace(
+            obj, kernel=FailingBurgKernel(obj.kernel.dim, 4)), x0, cfg),
         "numpy_beta0": bpge_solve(obj, x0, dataclasses.replace(
             cfg, line_search=LineSearchConfig(beta0=np.float64(0.9)))),
     }

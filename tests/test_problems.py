@@ -373,21 +373,3 @@ class TestSizeCheck:
         inst = module.generate(np.int64(6), np.int32(3), 0)
         assert (inst.m, inst.d) == (6, 3)
         assert inst.to_json() == module.generate(6, 3, 0).to_json()
-
-
-@pytest.mark.parametrize("name", sorted(harness.PROBLEM_MODULES))
-def test_from_json_round_trip_is_byte_identical(name):
-    module = harness.PROBLEM_MODULES[name]
-    inst = module.generate(7, 4, seed=2)
-    text = module.to_json(inst)
-    back = module.from_json(text)
-    assert module.to_json(back) == text
-    matrix = getattr(back, back.MATRIX)
-    assert matrix.tobytes() == getattr(inst, inst.MATRIX).tobytes()
-    # An integer document loads as float64.
-    doc = json.loads(text)
-    doc[inst.MATRIX] = [[1] * 4] * 7
-    doc["b"], doc["x_true"] = [2] * 7, [1] * 4
-    ints = module.from_json(json.dumps(doc))
-    assert all(getattr(ints, f).dtype == np.float64
-               for f in (inst.MATRIX, "b", "x_true"))

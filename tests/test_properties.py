@@ -129,7 +129,7 @@ PROBLEMS = {
 @given(st.sampled_from(sorted(PROBLEMS)), st.data())
 def test_prox_first_order_condition(problem, data):
     obj, entries = PROBLEMS[problem]
-    y = data.draw(arrays(float, obj.dim, elements=entries))
+    y = data.draw(arrays(float, obj.kernel.dim, elements=entries))
     lam = 1.0 / obj.smooth.smad_constant()
     assert _prox_residual(obj, y, lam) < 1e-8
 

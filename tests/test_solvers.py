@@ -169,7 +169,7 @@ class TestReductions:
 
     def test_matches_hand_coded_pge_on_lasso(self):
         obj = lasso_objective(seed=2)
-        d = obj.dim
+        d = obj.kernel.dim
         lam = 1.0 / obj.smooth.smad_constant()
         ls = LineSearchConfig(beta0=0.95, eta=0.5, rho=0.9)
         cfg = SolverConfig(lam=lam, k_max=100, tol=1e-300, line_search=ls)
@@ -656,7 +656,7 @@ class TestFusedIteration:
     def test_kernel_gradient_once_per_new_point(self, problem, m, d, solve,
                                                 monkeypatch):
         obj, x0 = _shipped(problem, m, d, seed=21)
-        kernel = _counting_kernel(type(obj.kernel))(obj.dim)
+        kernel = _counting_kernel(type(obj.kernel))(obj.kernel.dim)
         obj = dataclasses.replace(obj, kernel=kernel)
         accepted = _count_accepted_trials(monkeypatch)
         cfg = SolverConfig(lam=1.0 / obj.smooth.smad_constant(), k_max=300)
@@ -697,7 +697,7 @@ class TestFusedIteration:
     def test_quartic_bregman_reuses_kernel_gradient(self):
         obj, x0 = _shipped("qip", 200, 10, seed=21)
         obj = dataclasses.replace(
-            obj, kernel=_counting_kernel(QuarticKernel)(obj.dim))
+            obj, kernel=_counting_kernel(QuarticKernel)(obj.kernel.dim))
         cfg = SolverConfig(lam=1.0 / obj.smooth.smad_constant(), k_max=300)
         result = bpg_solve(obj, x0, cfg)
         assert result.exit_reason != "numerical_failure"
@@ -710,7 +710,7 @@ class TestFusedIteration:
     def test_bpge_quartic_gradient_once_per_trial(self, monkeypatch):
         obj, x0 = _shipped("qip", 200, 10, seed=21)
         obj = dataclasses.replace(
-            obj, kernel=_counting_kernel(QuarticKernel)(obj.dim))
+            obj, kernel=_counting_kernel(QuarticKernel)(obj.kernel.dim))
         accepted = _count_accepted_trials(monkeypatch)
         cfg = SolverConfig(lam=1.0 / obj.smooth.smad_constant(), k_max=300)
         result = bpge_solve(obj, x0, cfg)
@@ -920,7 +920,7 @@ class TestFailureContainment:
         reference = bpge_solve(obj, x0, cfg)
         # Domain tests run on x0, on the first prox output, then on the
         # first line-search trial of iteration 2.
-        kernel = FailingBurgKernel(obj.dim, fail_at=3)
+        kernel = FailingBurgKernel(obj.kernel.dim, fail_at=3)
         result = bpge_solve(dataclasses.replace(obj, kernel=kernel), x0, cfg)
         assert kernel.failed_in == "line_search_beta"
         assert result.exit_reason == "numerical_failure"
@@ -941,8 +941,8 @@ class TestFailureContainment:
                     inspect.currentframe().f_back.f_code.co_name)
                 return super().in_interior_domain(x)
 
-        bpge_solve(dataclasses.replace(obj, kernel=Recording(obj.dim)), x0,
-                   cfg)
+        bpge_solve(dataclasses.replace(obj, kernel=Recording(obj.kernel.dim)),
+                   x0, cfg)
         # The solver tests each prox output; after the last one, the line
         # search for a step that is never taken tests its trials.
         callers = Recording.callers
@@ -950,7 +950,7 @@ class TestFailureContainment:
                         if name == "bpge_solve")
         assert callers[last_prox + 1:]
         assert set(callers[last_prox + 1:]) == {"line_search_beta"}
-        kernel = FailingBurgKernel(obj.dim, fail_at=last_prox + 2)
+        kernel = FailingBurgKernel(obj.kernel.dim, fail_at=last_prox + 2)
         result = bpge_solve(dataclasses.replace(obj, kernel=kernel), x0, cfg)
         assert kernel.failed_in == "line_search_beta"
         # The tolerance test on the last step runs before the failure ends
