@@ -6,18 +6,18 @@ the inverse gradient map where h is of Legendre type. Instances are
 immutable and every method is a pure function of its inputs, so kernels
 can be shared freely across threads.
 
-A kernel class defines `_value(x)`, `_gradient(x)`, `in_interior_domain`
-(an unchecked predicate on a float vector of the kernel's size) and
-`inverse_gradient`, and may override `_bregman`, the three-term formula by
+A kernel class defines `_value(x)`, `_gradient(x)`, `_inverse_gradient(z)`
+and `in_interior_domain` (an unchecked predicate on a float vector of the
+kernel's size), and may override `_bregman`, the three-term formula by
 default and the only one that clamps, with a closed form of its own, as
 every shipped kernel does (Burg's is `burg_phi_sum`, as is plip's KL fit).
-The public `value`, `gradient` and `bregman` are written once, here: each
-passes its points through `require_interior`, the package's one rule for a
-point, then calls the unchecked hook with numpy's float warnings off. A
-point is a 1-D vector of ints or floats (`NUMBER_KINDS`) of the kernel's
-size, else `ValidationError`, in the interior of dom h, else `DomainError`.
-The z of `inverse_gradient` is read by the same rule, but must lie in the
-range of grad h instead. The solvers check each point once, call only hooks.
+The public `value`, `gradient`, `bregman` and `inverse_gradient` are written
+once, here: each checks by `require_interior`, the package's one rule for a
+point, then calls the unchecked hook with numpy's float warnings off. A point
+is a 1-D vector of ints or floats (`NUMBER_KINDS`) of the kernel's size, else
+`ValidationError`, in the interior of dom h, else `DomainError`. The rule
+reads the z of `inverse_gradient` as a vector and holds its preimage to dom h:
+z must lie in the range of grad h. The solvers check once, call only hooks.
 """
 
 from __future__ import annotations
@@ -31,11 +31,11 @@ from .errors import DomainError, NumericalError, ValidationError
 # Negative values of D_h up to this size times that of its terms (at least 1)
 # are rounding noise and clamped to zero; anything more negative is a bug.
 _NEGATIVE_SLACK = 1e-12
-# Burg's domain is x_j > _BURG_X_MIN, where -1/x_j is finite, and its gradient's
-# range is _BURG_Z_MIN <= z_j < _BURG_Z_MAX, where -1/z_j lies in that domain.
-_BURG_Z_MAX = -1.0 / float(np.finfo(float).max)
-_BURG_X_MIN = -_BURG_Z_MAX
-_BURG_Z_MIN = -1.7976931348623151e308  # -1/z is _BURG_X_MIN for the 3 floats below
+# Burg's domain is x_j > _BURG_X_MIN, where -1/x_j is finite.
+_BURG_X_MIN = 1.0 / float(np.finfo(float).max)
+# phi(s) >= 0 in floats, and phi(s) > phi(-1/2) = 0.19315 where s < -1/2: an
+# unweighted sum below this holds no s_j < -1/2 (nor inf nor NaN).
+_PHI_HALF = 0.193
 
 NUMBER_KINDS = "iuf"  # the numpy dtype kinds of numbers: ints and floats
 # Their scalar types, int and float too: `type(v) in NUMBER_TYPES` is
@@ -94,9 +94,11 @@ class Kernel:
         """True iff x lies in the interior of dom h."""
         raise NotImplementedError
 
+    @np.errstate(all="ignore")
     def inverse_gradient(self, z: np.ndarray) -> np.ndarray:
-        """The map (grad h)^{-1}; defined where h is of Legendre type."""
-        raise NotImplementedError
+        """(grad h)^{-1}(z), h of Legendre type: z in the range of grad h."""
+        x = self._inverse_gradient(_as_vector(z, self.dim, "z"))
+        return self.require_interior(x, "(grad h)^-1(z)")
 
     def require_interior(self, x: np.ndarray, name: str = "x") -> np.ndarray:
         x = _as_vector(x, self.dim, name)
@@ -113,11 +115,15 @@ class Kernel:
         """grad h(x) for an interior float vector."""
         raise NotImplementedError
 
+    def _inverse_gradient(self, z: np.ndarray) -> np.ndarray:
+        """(grad h)^{-1}(z) for a float z; outside dom h where z is too."""
+        raise NotImplementedError
+
     def _bregman(self, x: np.ndarray, y: np.ndarray) -> float:
         """`bregman` for interior float vectors by the defining formula
         h(x) - h(y) - <grad h(y), x - y>, which cancels as x nears y."""
         hx, hy = self._value(x), self._value(y)
-        inner = float(np.dot(self._gradient(y), x - y))
+        inner = float(self._gradient(y).dot(x - y))
         d = hx - hy - inner
         if d < -_NEGATIVE_SLACK * max(1.0, abs(hx) + abs(hy) + abs(inner)):
             raise NumericalError("Bregman distance is negative beyond rounding: %g" % d)
@@ -130,12 +136,13 @@ def burg_phi_sum(x: np.ndarray, y: np.ndarray, w=None) -> float:
     or s_j overflows, log x_j - log y_j stands for log1p(s_j), spoilt near -1."""
     s = (x - y) / y
     phi = s - np.log1p(s)
-    d = float(np.add.reduce(phi, None) if w is None else np.dot(w, phi))
-    if not (d < math.inf and np.minimum.reduce(s, None) >= -0.5):
+    d = float(np.add.reduce(phi, None) if w is None else w.dot(phi))
+    if not ((w is None and d < _PHI_HALF)
+            or (d < math.inf and np.minimum.reduce(s, None) >= -0.5)):
         with np.errstate(all="ignore"):
             phi = s - np.where((s >= -0.5) & (s < math.inf), np.log1p(s),
                                np.log(x) - np.log(y))
-            d = float(np.add.reduce(phi, None) if w is None else np.dot(w, phi))
+            d = float(np.add.reduce(phi, None) if w is None else w.dot(phi))
     return d
 
 
@@ -143,27 +150,26 @@ class EuclideanKernel(Kernel):
     """h(x) = ||x||^2 / 2 on all of R^d; D_h is half the squared distance."""
 
     def _value(self, x):
-        return 0.5 * float(np.dot(x, x))
+        return 0.5 * float(x.dot(x))
 
     def _gradient(self, x):
         return x.copy()
 
     def in_interior_domain(self, x):
-        return bool(np.isfinite(x).all())
+        return bool(np.logical_and.reduce(np.isfinite(x), None))
 
-    def inverse_gradient(self, z):
-        return self.require_interior(z, "z").copy()
+    _inverse_gradient = _gradient  # the identity
 
     def _bregman(self, x, y):
         r = x - y
-        return 0.5 * float(np.dot(r, r))
+        return 0.5 * float(r.dot(r))
 
 
 class BurgKernel(Kernel):
     """Burg entropy h(x) = -sum log x_j on the open positive orthant."""
 
     def _value(self, x):
-        return -float(np.sum(np.log(x)))
+        return -float(np.add.reduce(np.log(x), None))
 
     def _gradient(self, x):
         return -1.0 / x
@@ -172,13 +178,7 @@ class BurgKernel(Kernel):
         return bool(_BURG_X_MIN < np.minimum.reduce(x, None)
                     and np.maximum.reduce(x, None) < np.inf)
 
-    def inverse_gradient(self, z):
-        z = _as_vector(z, self.dim)
-        if not (_BURG_Z_MIN <= np.minimum.reduce(z, None)
-                and np.maximum.reduce(z, None) < _BURG_Z_MAX):
-            raise DomainError("Burg inverse gradient needs z in "
-                              "[%r, -1/max float)^d" % _BURG_Z_MIN)
-        return -1.0 / z
+    _inverse_gradient = _gradient  # -1/z: grad h is its own inverse
 
     def _bregman(self, x, y):
         return burg_phi_sum(x, y)
@@ -188,11 +188,11 @@ class QuarticKernel(Kernel):
     """h(x) = ||x||^4 / 4 + ||x||^2 / 2 on all of R^d."""
 
     def _value(self, x):
-        s = float(np.dot(x, x))
+        s = float(x.dot(x))
         return 0.25 * s * s + 0.5 * s
 
     def _gradient(self, x):
-        s = float(np.dot(x, x))  # where it overflows: +-inf, and 0 at x_j = 0
+        s = float(x.dot(x))  # where it overflows: +-inf, and 0 at x_j = 0
         return ((s + 1.0) * x if s < math.inf
                 else np.where(x == 0.0, 0.0, np.copysign(np.inf, x)))
 
@@ -201,20 +201,18 @@ class QuarticKernel(Kernel):
         t = ||x||^2 - ||y||^2 = <x + y, d>: put t and <y, d> = (t - ||d||^2)/2
         into the three-term formula. Both terms are >= 0; nothing cancels."""
         d = x - y
-        s, t = float(np.dot(d, d)), float(np.dot(x + y, d))
-        return 0.5 * s * (1.0 + float(np.dot(y, y))) + 0.25 * t * t
+        s, t = float(d.dot(d)), float((x + y).dot(d))
+        return 0.5 * s * (1.0 + float(y.dot(y))) + 0.25 * t * t
 
-    def in_interior_domain(self, x):
-        return bool(np.isfinite(x).all())
+    in_interior_domain = EuclideanKernel.in_interior_domain
 
-    def inverse_gradient(self, z):
+    def _inverse_gradient(self, z):
         """z / (r^2 + 1) with r^3 + r = ||z||, the norm of the preimage."""
-        z = _as_vector(z, self.dim)
-        s = math.sqrt(float(np.dot(z, z)))
+        s = math.sqrt(z.dot(z))
         if not s < math.inf:  # ||z||^2 overflowed, or z is not finite
             s = math.hypot(*z.tolist())  # scaled by max |z_j|, no overflow
-            if not s < math.inf:
-                raise DomainError("quartic inverse gradient needs finite ||z||")
+            if not s < math.inf:  # inf or NaN, as is the preimage's norm
+                return np.full_like(z, s)
         if s == 0.0:
             return np.zeros_like(z)
         r = cubic_root_scale(s)

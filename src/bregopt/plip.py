@@ -80,7 +80,7 @@ class PlipSmooth(LinearModelSmooth):
         """KL(b, u), the b-weighted Burg D_h `burg_phi_sum(u, b, b)`; 1 - b/u."""
         return burg_phi_sum(u, b, b) if value else None, 1.0 - b / u
 
-    _in_domain = staticmethod(lambda u: u.min() > 0.0)
+    _in_domain = staticmethod(lambda u: np.minimum.reduce(u, None) > 0.0)
 
     def smad_constant(self):
         return float(np.sum(np.abs(self.inst.b)))

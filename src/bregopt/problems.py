@@ -201,13 +201,20 @@ class NonsmoothTerm:
         """
         raise NotImplementedError
 
+    def _prox(self, kernel: Kernel, z: np.ndarray, lam: float) -> np.ndarray:
+        """`prox` of a float z of the kernel's size; the solvers check x+."""
+        return self.prox(kernel, z, lam)
+
+
+def _shrink(z: np.ndarray, tau: float) -> np.ndarray:
+    return np.sign(z) * np.maximum(np.abs(z) - tau, 0.0)
+
 
 def soft_threshold(z: np.ndarray, tau: float) -> np.ndarray:
     """Shrinkage sign(z_j) * max(|z_j| - tau, 0) of a vector z by tau >= 0."""
     if not (type(tau) in NUMBER_TYPES and tau >= 0.0):
         raise ValidationError("threshold must be a number >= 0")
-    z = _as_vector(z)
-    return np.sign(z) * np.maximum(np.abs(z) - tau, 0.0)
+    return _shrink(_as_vector(z), tau)
 
 
 class L1Term(NonsmoothTerm):
@@ -224,7 +231,7 @@ class L1Term(NonsmoothTerm):
         self.weight = float(weight)
 
     def value(self, x):
-        return self.weight * float(np.abs(x).sum())
+        return self.weight * float(np.add.reduce(np.abs(x), None))
 
     def prox(self, kernel, z, lam):
         if self.weight > 0.0:
@@ -232,6 +239,13 @@ class L1Term(NonsmoothTerm):
                 raise ValidationError("no closed-form l1 prox for BurgKernel")
             z = soft_threshold(z, lam * self.weight)
         return kernel.inverse_gradient(z)
+
+    def _prox(self, kernel, z, lam):
+        if self.weight > 0.0:
+            if isinstance(kernel, BurgKernel):
+                raise ValidationError("no closed-form l1 prox for BurgKernel")
+            z = _shrink(z, lam * self.weight)
+        return kernel._inverse_gradient(z)
 
 
 class ZeroTerm(L1Term):

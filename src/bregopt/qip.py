@@ -81,7 +81,7 @@ class QipSmooth(LinearModelSmooth):
     def _phi(u, b, value=True):
         """(1/4)||u^2 - b||^2 and (u^2 - b) u."""
         r = u * u - b
-        return 0.25 * float(np.dot(r, r)) if value else None, r * u
+        return 0.25 * float(r.dot(r)) if value else None, r * u
 
     def smad_constant(self):
         return self._L

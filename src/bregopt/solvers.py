@@ -183,23 +183,25 @@ def bpge_solve(obj: CompositeObjective, x0: np.ndarray,
     Float warnings are off, as in the public kernel methods: a step that
     overflows fails the loop's domain or finiteness test (numerical_failure).
     """
-    kernel = obj.kernel
-    smooth, nonsmooth = obj.smooth, obj.nonsmooth
+    kernel, smooth, nonsmooth = obj.kernel, obj.smooth, obj.nonsmooth
     x0 = kernel.require_interior(x0, "x0")
-    L = smooth.smad_constant()
-    if cfg.lam > (1.0 / L) * (1.0 + 1e-12):
-        raise ValidationError(
-            "step size %g exceeds 1/L = %g" % (cfg.lam, 1.0 / L)
-        )
-    inv_lam = 1.0 / cfg.lam
-    mu = smooth.weak_convexity_constant()
+    L, mu = smooth.smad_constant(), smooth.weak_convexity_constant()
+    if not (is_number(L) and 0.0 < L < math.inf
+            and is_number(mu) and 0.0 <= mu < math.inf):
+        raise ValidationError("the smooth term's constants must be finite, "
+                              "L > 0 and mu >= 0, got %r and %r" % (L, mu))
+    lam, ls, tol = cfg.lam, cfg.line_search, cfg.tol
+    if lam > (1.0 / L) * (1.0 + 1e-12):
+        raise ValidationError("step size %g exceeds 1/L = %g" % (lam, 1.0 / L))
+    inv_lam = 1.0 / lam
     C_k = inv_lam / (inv_lam + mu)
+    relative = cfg.exit_mode == "iterate_relative"
 
     x_curr = x0.copy()
     u_curr, f_curr, grad_curr, _ = smooth.evaluate(x_curr, None, 0.0, None)
     psi_curr = f_curr + nonsmooth.value(x_curr)
     hgrad_curr = kernel._gradient(x_curr)
-    ahead = (cfg.line_search.beta0 if _extrapolate else 0.0, 0, None, None)
+    ahead = (ls.beta0 if _extrapolate else 0.0, 0, None, None)
     failed = False
     rows = array("d", (0, psi_curr, 0.0, psi_curr, 0.0, 0, np.nan, 0.0))
     exit_reason = EXIT_MAX_ITERATIONS
@@ -213,8 +215,7 @@ def bpge_solve(obj: CompositeObjective, x0: np.ndarray,
         if y is None:
             grad_y, hgrad_y = grad_curr, hgrad_curr
         try:
-            x_next = nonsmooth.prox(kernel, hgrad_y - cfg.lam * grad_y,
-                                    cfg.lam)
+            x_next = nonsmooth._prox(kernel, hgrad_y - lam * grad_y, lam)
             if not kernel.in_interior_domain(x_next):
                 raise NumericalError("prox left the kernel domain")
             hgrad_next = kernel._gradient(x_next)
@@ -222,15 +223,15 @@ def bpge_solve(obj: CompositeObjective, x0: np.ndarray,
             ahead = (0.0, 0, None, None)
             if _extrapolate:
                 try:
-                    ahead = line_search_beta(kernel, x_curr, x_next,
-                                             cfg.line_search, C_k, dh)
+                    ahead = line_search_beta(kernel, x_curr, x_next, ls,
+                                             C_k, dh)
                 except (DomainError, NumericalError):
                     failed = True
             u_next, f_next, grad_next, grad_y_next = smooth.evaluate(
                 x_next, u_curr, ahead[0], ahead[2])
             psi_next = f_next + nonsmooth.value(x_next)
             r = grad_next - grad_y - inv_lam * (hgrad_next - hgrad_y)
-            residual = math.sqrt(float(np.dot(r, r)))
+            residual = math.sqrt(r.dot(r))
             if not (math.isfinite(psi_next) and math.isfinite(dh)):
                 raise NumericalError("non-finite objective or Bregman step")
         except (DomainError, NumericalError):
@@ -238,27 +239,22 @@ def bpge_solve(obj: CompositeObjective, x0: np.ndarray,
             break
         rows.extend((k + 1, psi_next, dh, psi_next + inv_lam * dh, beta,
                      shrinks, residual, time.perf_counter() - start))
-        if cfg.exit_mode == "iterate_relative":
+        if relative:
             step = x_next - x_curr
-            gap = (math.sqrt(float(np.dot(step, step)))
-                   / max(1.0, math.sqrt(float(np.dot(x_next, x_next)))))
+            gap = (math.sqrt(step.dot(step))
+                   / max(1.0, math.sqrt(x_next.dot(x_next))))
         else:
             gap = abs(psi_next - psi_curr) / max(1.0, abs(psi_next))
         x_curr, psi_curr, u_curr = x_next, psi_next, u_next
         grad_curr, hgrad_curr, grad_y = grad_next, hgrad_next, grad_y_next
-        if gap <= cfg.tol:
+        if gap <= tol:
             exit_reason = EXIT_TOLERANCE
             break
 
     trace = Trace(np.frombuffer(rows).reshape(-1, len(_FIELDS)))
-    return SolveResult(
-        x_final=x_curr,
-        psi_final=psi_curr,
-        iterations=len(trace) - 1,
-        exit_reason=exit_reason,
-        trace=trace,
-        config=cfg,
-    )
+    return SolveResult(x_final=x_curr, psi_final=psi_curr,
+                       iterations=len(trace) - 1, exit_reason=exit_reason,
+                       trace=trace, config=cfg)
 
 
 def bpg_solve(obj: CompositeObjective, x0, cfg: SolverConfig) -> SolveResult:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 from decimal import Decimal
@@ -16,7 +17,8 @@ from bregopt import (
     ValidationError,
     cubic_root_scale,
 )
-from bregopt.kernels import _NEGATIVE_SLACK
+from bregopt import kernels
+from bregopt.kernels import _NEGATIVE_SLACK, burg_phi_sum
 
 from helpers import (TiltedConstantKernel, bisect_cubic, burg_decimal,
                      fd_gradient, three_point_identity_residual)
@@ -411,3 +413,67 @@ def test_quartic_inverse_gradient_matches_linalg_norm_form():
             z = scale * rng.standard_normal(7)
             assert np.array_equal(kernel.inverse_gradient(z),
                                   with_linalg_norm(z))
+
+
+@pytest.mark.parametrize("kernel", all_kernels(6), ids=lambda k: type(k).__name__)
+def test_inverse_gradient_hook_is_the_public_map(kernel):
+    rng = np.random.default_rng(8)
+    zs = [kernel.gradient(sample_interior(kernel, rng)) for _ in range(100)]
+    if isinstance(kernel, BurgKernel):  # the range's ends, as floats go
+        zs += [np.full(6, -1.7976931348623151e308),
+               np.full(6, np.nextafter(-1.0 / sys.float_info.max, -1.0))]
+    else:  # ||z||^2 overflows, and z = 0
+        zs += [1e200 * rng.standard_normal(6), np.zeros(6)]
+    for z in zs:
+        with np.errstate(all="ignore"):  # as the solvers call the hook
+            hook = kernel._inverse_gradient(z)
+        assert hook.tobytes() == kernel.inverse_gradient(z).tobytes()
+
+
+def _phi_crossing(lo, hi, target):
+    """Adjacent floats x, on either side of the x in [lo, hi] where
+    phi(x - 1) = x - 1 - log1p(x - 1), monotone there, reaches target."""
+    below = lambda x: (x - 1.0) - math.log1p(x - 1.0) < target
+    lo_below = below(lo)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return [lo, hi]
+        if below(mid) == lo_below:
+            lo = mid
+        else:
+            hi = mid
+
+
+# (x_j, y_j) pairs: s_j = -1/2 and its neighbouring floats, phi(s_j) on
+# either side of 0.193 and of half of it, s_j < -1/2, and entries with
+# inf, NaN, zero, a negative x or an overflowing s_j.
+_PHI_ENTRIES = [(x, 1.0) for x in (
+    [0.5, float(np.nextafter(0.5, 0.0)), float(np.nextafter(0.5, 1.0)), 0.25,
+     1.0, 1.5, 0.0, -1.0, math.inf, math.nan]
+    + _phi_crossing(1.0, 2.0, 0.193) + _phi_crossing(0.5, 1.0, 0.193)
+    + _phi_crossing(1.0, 2.0, 0.0965) + _phi_crossing(0.5, 1.0, 0.0965))] + [
+    # At y = 3, s_j is rounded, so log x_j - log y_j and log1p(s_j) differ.
+    (x, 3.0) for x in (1.5, float(np.nextafter(1.5, 0.0)), 1.4999, 1.4, 0.3)
+] + [(1e300, 1e-300), (1e-300, 1e300), (1e308, 1e-10), (1.0, 0.0)]
+
+
+def test_burg_phi_sum_short_circuit_is_the_full_path(monkeypatch):
+    # Below -inf no sum is, so the patched function always reads min s.
+    pairs = [[e] for e in _PHI_ENTRIES] + [
+        list(p) for p in itertools.product(_PHI_ENTRIES, repeat=2)]
+    sides = set()
+    for entries in pairs:
+        x, y = (np.array(v) for v in zip(*entries))
+        n = len(x)
+        for w in (None, np.ones(n), np.full(n, 0.01), np.array([2.0, 0.5][:n])):
+            with np.errstate(all="ignore"):
+                got = burg_phi_sum(x, y, w)
+                with monkeypatch.context() as m:
+                    m.setattr(kernels, "_PHI_HALF", -math.inf)
+                    full = burg_phi_sum(x, y, w)
+            assert np.float64(got).tobytes() == np.float64(full).tobytes(), (
+                entries, w)
+            if w is None:
+                sides.add(got < kernels._PHI_HALF)
+    assert sides == {True, False}
