@@ -109,9 +109,9 @@ class SmoothTerm:
         return 0.0
 
 
-# Row blocks of M of at most this size fix the order in which the blocked
-# products W M = sum_B W_B M_B sum, and were the fastest way measured to form
-# them (CHANGES.md); u = M x and every elementwise pass take all of M at once.
+# Row blocks of M of at most this size fix the order in which the two-row
+# product W M = sum_B W_B M_B sums, the fastest way measured to form it
+# (README); u = M x, a one-row M^T w and every elementwise pass take all of M.
 _BLOCK_BYTES = 512 * 1024
 
 
@@ -131,7 +131,8 @@ class LinearModelSmooth(SmoothTerm):
     class `KERNEL` whose domain f shares (`value` and `gradient` check x by
     `self.kernel`, a `KERNEL` of size d) and, if phi needs it, `_in_domain(u)`.
     M is cut once into the `(rows, M_B)` pairs of `_row_blocks`, which only
-    the transposed products use; one block keeps the unblocked `M.T @ w`.
+    the two-row product of grad f(x) and a carried grad f(y) uses; every
+    other gradient, and any gradient of a one-block M, is one `M.T @ w`.
     The line search, which never reads f, fixes the next y before
     `evaluate` runs.
     """
@@ -160,18 +161,13 @@ class LinearModelSmooth(SmoothTerm):
             u_y = u + beta * (u - u_prev)
             if self._in_domain(u_y):
                 w_y = phi(u_y, b, False)[1]
-        if self._blocks is None:
+        if w_y is None or self._blocks is None:
             grad, grad_y = M.T @ w, None if w_y is None else M.T @ w_y
-        else:
-            # W holds w and, with a y, w_y as rows, so that each W_B M_B
-            # reads M_B once. A failed carry leaves zeros in row 1: W keeps
-            # its 2 rows, and G[0] its bits.
-            W = w[None] if y is None else np.array(
-                (w, np.zeros(len(w)) if w_y is None else w_y))
-            G = np.zeros((len(W), M.shape[1]))
+        else:  # each W_B M_B reads M_B once for both rows
+            W, G = np.array((w, w_y)), np.zeros((2, M.shape[1]))
             for rows, M_B in self._blocks:
                 G += W[:, rows] @ M_B
-            grad, grad_y = G[0], None if w_y is None else G[1]
+            grad, grad_y = G
         if y is not None and w_y is None:
             grad_y = self.evaluate(y, None, 0.0, None)[2]
         return u, f, grad, grad_y
@@ -233,12 +229,14 @@ class L1Term(NonsmoothTerm):
     def value(self, x):
         return self.weight * float(np.add.reduce(np.abs(x), None))
 
+    @np.errstate(all="ignore")
     def prox(self, kernel, z, lam):
-        if self.weight > 0.0:
-            if isinstance(kernel, BurgKernel):
-                raise ValidationError("no closed-form l1 prox for BurgKernel")
-            z = soft_threshold(z, lam * self.weight)
-        return kernel.inverse_gradient(z)
+        """`_prox` with lam checked as `SolverConfig.lam` is, z as a vector of
+        the kernel's size and the output by `kernel.require_interior`."""
+        if not (is_number(lam) and math.isfinite(lam) and lam > 0.0):
+            raise ValidationError("lam must be positive and finite")
+        x = self._prox(kernel, _as_vector(z, kernel.dim, "z"), lam)
+        return kernel.require_interior(x, "prox output")
 
     def _prox(self, kernel, z, lam):
         if self.weight > 0.0:

@@ -230,8 +230,9 @@ def blocked_evaluate_loop(smooth, x, u_prev, beta, y):
     """`smooth.evaluate(x, u_prev, beta, y)` of a `LinearModelSmooth` by the
     per-block loop: per row block of `_row_blocks`, u_B = M_B x, phi'(u_B),
     the carry u_B + beta (u_B - u_prev_B), its domain test and phi' of it,
-    then G += W_B M_B; phi(u) at the end. W starts at zeros, so the row of a
-    failed carry holds no uninitialised memory."""
+    then G += W_B M_B; phi(u) at the end. A one-row gradient, with no y or
+    after a failed carry, is M^T phi'(u) instead, and grad f(y) after a
+    failed carry M^T phi'(M y)."""
     M, b, phi = smooth.M, smooth.inst.b, smooth._phi
     carried = y is not None
     u = np.empty(M.shape[0])
@@ -247,10 +248,10 @@ def blocked_evaluate_loop(smooth, x, u_prev, beta, y):
             carried = smooth._in_domain(u_y)
             W_B[1] = phi(u_y, b_B, False)[1]
         G += W_B @ M_B
-    grad_y = G[1] if carried else None
-    if y is not None and not carried:
-        grad_y = smooth.gradient(y)
-    return u, phi(u, b)[0], G[0], grad_y
+    if carried:
+        return u, phi(u, b)[0], G[0], G[1]
+    grad_y = None if y is None else M.T @ phi(M @ y, b, False)[1]
+    return u, phi(u, b)[0], M.T @ W[0], grad_y
 
 
 def lyapunov_increase_loop(trace):

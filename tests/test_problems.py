@@ -8,9 +8,11 @@ import pytest
 
 from bregopt import (
     BurgKernel,
+    DomainError,
     EuclideanKernel,
     L1Term,
     QuarticKernel,
+    SolverConfig,
     ValidationError,
     ZeroTerm,
     check_smad,
@@ -156,6 +158,28 @@ def test_soft_threshold_rejects_bad_input(z, tau):
 def test_prox_reads_z_by_the_vector_rule(term):
     with pytest.raises(ValidationError):
         term.prox(QuarticKernel(2), ["1", "-2"], 1.0)
+
+
+@pytest.mark.parametrize("weight", [0.0, 1.0])
+@pytest.mark.parametrize("lam", ["0.1", None, [0.1], True, -1.0, 0.0, np.nan,
+                                 np.inf], ids=repr)
+def test_prox_checks_lam_as_solver_config_does(lam, weight):
+    # The rule of SolverConfig.lam: a number, finite and > 0; at weight 0
+    # too, where lam enters no formula.
+    kernel, term = QuarticKernel(3), L1Term(weight)
+    z = np.array([0.5, -2.0, 0.05])
+    with pytest.raises(ValidationError):
+        SolverConfig(lam=lam)
+    with pytest.raises(ValidationError):
+        term.prox(kernel, z, lam)
+    assert (term.prox(kernel, z, 0.1).tobytes()
+            == term._prox(kernel, z, 0.1).tobytes())
+
+
+def test_prox_output_is_held_to_the_domain():
+    # Burg's (grad h)^-1(z) = -1/z leaves dom h where z > 0.
+    with pytest.raises(DomainError):
+        ZeroTerm().prox(BurgKernel(2), np.array([-1.0, 1.0]), 0.1)
 
 
 class TestProxFirstOrder:

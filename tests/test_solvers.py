@@ -886,6 +886,29 @@ class TestBlockedPass:
         else:
             assert got[3].tobytes() == ref[3].tobytes()
 
+    @pytest.mark.parametrize("problem, case", [
+        ("plip", "no y"), ("plip", "carry fails"), ("qip", "no y")])
+    def test_one_row_gradient_never_reads_the_blocks(self, problem, case):
+        obj, x = _shipped(problem, 2000, 200, seed=25)
+        smooth = obj.smooth
+        row = smooth._blocks[3][0].start + 5
+
+        class Unreadable:
+            def __iter__(self):
+                raise AssertionError("the per-block loop ran")
+
+        smooth._blocks = Unreadable()
+        u_prev = smooth.M @ x
+        u_prev[row] *= 4.0  # u + 0.5 (u - 4u) = -u/2 at one row
+        y = 1.01 * x
+        args = (x, None, 0.0, None) if case == "no y" else (x, u_prev, 0.5, y)
+        got = smooth.evaluate(*args)
+        assert got[2].tobytes() == (smooth.M.T @ smooth._phi(
+            got[0], smooth.inst.b)[1]).tobytes()
+        assert (got[3] is None) == (case == "no y")
+        with pytest.raises(AssertionError, match="per-block loop"):
+            smooth.evaluate(x, smooth.M @ (0.9 * x), 0.5, 1.05 * x)
+
     @pytest.mark.parametrize("problem", ["plip", "qip"])
     def test_blocked_evaluate_forms_phi_once(self, problem):
         obj, x = _shipped(problem, 2000, 200, seed=25)
@@ -1104,3 +1127,22 @@ class TestHotPath:
             assert result.iterations == 2000
             calls = pstats.Stats(profile).total_calls
             assert calls <= self.CALL_BUDGET[problem, name], name
+
+    # The same at 2000 x 200, where M is 7 row blocks, over 300 iterations
+    # (40.51, 26.14, 51.11 and 32.11 per iteration): only the two-row
+    # product of a carried grad f(y) runs the per-block loop.
+    BLOCKED_CALL_BUDGET = {("plip", "bpge"): 12154, ("plip", "bpg"): 7841,
+                           ("qip", "bpge"): 15332, ("qip", "bpg"): 9633}
+
+    @pytest.mark.parametrize("problem", ["plip", "qip"])
+    def test_blocked_calls_per_iteration_within_budget(self, problem):
+        obj, x0 = _shipped(problem, 2000, 200, seed=0)
+        assert len(obj.smooth._blocks) == 7
+        cfg = SolverConfig(lam=1.0 / obj.smooth.smad_constant(),
+                           k_max=300, tol=1e-300)
+        for name, solve in (("bpge", bpge_solve), ("bpg", bpg_solve)):
+            profile = cProfile.Profile()
+            result = profile.runcall(solve, obj, x0, cfg)
+            assert result.iterations == 300
+            calls = pstats.Stats(profile).total_calls
+            assert calls <= self.BLOCKED_CALL_BUDGET[problem, name], name
