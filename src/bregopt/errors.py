@@ -14,4 +14,4 @@ class ValidationError(BregoptError, ValueError):
 
 
 class NumericalError(BregoptError):
-    """A numerical invariant broke down (non-finite values, bad denominators)."""
+    """A numerical invariant broke down (non-finite values, negative D_h)."""

@@ -2,8 +2,7 @@
 
 The data fit is the Kullback-Leibler divergence between the measurements b
 and the forward model A x, minimized without regularization over the open
-positive orthant. The matching kernel is the Burg entropy, under which the
-mirror step has the closed form x_j = y_j / (1 + lam * y_j * grad_j).
+positive orthant under the Burg kernel, whose mirror step is `ZeroTerm`'s prox.
 """
 
 from __future__ import annotations
@@ -12,10 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import ValidationError
 from .kernels import BurgKernel, EuclideanKernel, burg_phi_sum
 from .problems import (CompositeObjective, Instance, LinearModelSmooth,
-                       ZeroTerm, check_seed, check_size, check_theta)
+                       ZeroTerm, check_positive, check_seed, check_size,
+                       check_theta)
 
 
 @dataclass(frozen=True)
@@ -53,20 +53,15 @@ def generate_plip(m: int, d: int, seed: int, theta: float = 1.0) -> PlipInstance
 generate = generate_plip
 
 
+@np.errstate(all="ignore")
 def plip_prox(inst: PlipInstance, y, grad, lam: float) -> np.ndarray:
-    """Closed-form mirror step x_j = y_j / (1 + lam * y_j * grad_j).
-
-    Valid for lam <= 1 / ||b||_1, which keeps every denominator positive;
-    a nonpositive denominator signals an inadmissible step size or
-    inconsistent inputs. The solvers take the same step through
-    `ZeroTerm.prox` as -1 / (-1/y - lam * grad), which agrees to a few ulps.
-    """
-    y = BurgKernel(inst.d).require_interior(y, "y")
+    """The solvers' Burg step, `ZeroTerm`'s prox of grad h(y) - lam * grad;
+    y a point of `BurgKernel(d)`, grad of `EuclideanKernel(d)`, lam > 0."""
+    kernel = BurgKernel(inst.d)
+    y = kernel.require_interior(y, "y")
     grad = EuclideanKernel(inst.d).require_interior(grad, "grad")
-    denom = 1.0 + lam * y * grad
-    if not (denom > 0.0).all():
-        raise NumericalError("nonpositive denominator in the Burg mirror step")
-    return y / denom
+    check_positive(lam, "lam")
+    return ZeroTerm().prox(kernel, kernel._gradient(y) - lam * grad, lam)
 
 
 class PlipSmooth(LinearModelSmooth):

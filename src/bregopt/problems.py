@@ -40,6 +40,11 @@ def check_theta(theta) -> None:
         raise ValidationError("theta must be finite and >= 0")
 
 
+def check_positive(value, name: str) -> None:
+    if not (is_number(value) and math.isfinite(value) and value > 0.0):
+        raise ValidationError("%s must be positive and finite" % name)
+
+
 class Instance:
     """Base of the frozen instance dataclasses: a nonempty m x d matrix in
     the field each subclass names as MATRIX, b with m entries, x_true with
@@ -233,8 +238,7 @@ class L1Term(NonsmoothTerm):
     def prox(self, kernel, z, lam):
         """`_prox` with lam checked as `SolverConfig.lam` is, z as a vector of
         the kernel's size and the output by `kernel.require_interior`."""
-        if not (is_number(lam) and math.isfinite(lam) and lam > 0.0):
-            raise ValidationError("lam must be positive and finite")
+        check_positive(lam, "lam")
         x = self._prox(kernel, _as_vector(z, kernel.dim, "z"), lam)
         return kernel.require_interior(x, "prox output")
 

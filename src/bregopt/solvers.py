@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DomainError, NumericalError, ValidationError
 from .kernels import Kernel
-from .problems import CompositeObjective, is_integer, is_number
+from .problems import CompositeObjective, check_positive, is_integer, is_number
 
 EXIT_TOLERANCE = "tolerance"
 EXIT_MAX_ITERATIONS = "max_iterations"
@@ -63,10 +63,8 @@ class SolverConfig:
     exit_mode: str = "iterate_relative"
 
     def __post_init__(self):
-        for name in ("lam", "tol"):
-            v = getattr(self, name)
-            if not (is_number(v) and math.isfinite(v) and v > 0.0):
-                raise ValidationError("%s must be positive and finite" % name)
+        check_positive(self.lam, "lam")
+        check_positive(self.tol, "tol")
         if not (is_integer(self.k_max) and self.k_max >= 1):
             raise ValidationError("k_max must be a positive integer")
         if self.exit_mode not in EXIT_MODES:
@@ -183,6 +181,8 @@ def bpge_solve(obj: CompositeObjective, x0: np.ndarray,
     Float warnings are off, as in the public kernel methods: a step that
     overflows fails the loop's domain or finiteness test (numerical_failure).
     """
+    if type(cfg) is not SolverConfig:
+        raise ValidationError("cfg must be a SolverConfig, got %r" % (cfg,))
     kernel, smooth, nonsmooth = obj.kernel, obj.smooth, obj.nonsmooth
     x0 = kernel.require_interior(x0, "x0")
     L, mu = smooth.smad_constant(), smooth.weak_convexity_constant()

@@ -5,8 +5,8 @@ from decimal import Decimal
 import numpy as np
 import pytest
 
-from bregopt import (BurgKernel, DomainError, NumericalError, SolverConfig,
-                     ValidationError, bpge_solve)
+from bregopt import (BurgKernel, DomainError, SolverConfig, ValidationError,
+                     bpge_solve)
 from bregopt import plip
 
 from helpers import burg_decimal, fd_gradient, prox_oracle, solve_recording
@@ -158,25 +158,60 @@ class TestProx:
             assert np.linalg.norm(x - x_star) < 1e-5
 
     def test_objective_prox_matches_closed_form(self):
-        # The solvers' prox is -1/(-1/y - lam*grad); plip_prox is
-        # y/(1 + lam*y*grad). They agree to a few ulps.
+        # An independent oracle, the closed form y/(1 + lam*y*grad) of
+        # Bauschke, Bolte and Teboulle (2017), against the step
+        # -1/(-1/y - lam*grad): they agree to a few ulps.
         inst = plip.generate_plip(40, 6, seed=13)
-        obj = plip.make_objective(inst)
         lam = 1.0 / plip.PlipSmooth(inst).smad_constant()
         rng = np.random.default_rng(4)
         for _ in range(100):
             y = rng.uniform(0.05, 3.0, 6)
             grad = plip.PlipSmooth(inst).gradient(y)
-            ref = plip.plip_prox(inst, y, grad, lam)
             np.testing.assert_allclose(
-                obj.nonsmooth.prox(
-                    obj.kernel, obj.kernel.gradient(y) - lam * grad, lam), ref,
+                plip.plip_prox(inst, y, grad, lam), y / (1.0 + lam * y * grad),
                 rtol=1e-14, atol=0.0)
+
+    def test_is_the_solvers_step_bit_for_bit(self):
+        # The solvers' step from y: the nonsmooth term's unchecked prox of
+        # the mirror point, as `bpge_solve` forms it.
+        inst = plip.generate_plip(10, 4, seed=9)
+        obj = plip.make_objective(inst)
+        lam = 1.0 / obj.smooth.smad_constant()
+        rng = np.random.default_rng(5)
+        for _ in range(1000):
+            y = rng.uniform(0.05, 3.0, 4)
+            grad = obj.smooth.gradient(y)
+            step = obj.nonsmooth._prox(
+                obj.kernel, obj.kernel._gradient(y) - lam * grad, lam)
+            assert plip.plip_prox(inst, y, grad, lam).tobytes() == \
+                step.tobytes()
+
+    @pytest.mark.parametrize("lam", [-0.01, 0.0, np.inf, np.nan, True, "0.1",
+                                     None])
+    def test_rejects_bad_step_size(self, lam):
+        inst = plip.generate_plip(10, 4, seed=9)
+        with pytest.raises(ValidationError, match="lam"):
+            plip.plip_prox(inst, np.ones(4), np.ones(4), lam)
+
+    def test_step_past_one_over_L_leaving_the_domain_raises(self):
+        # At y = x_true / 2, A y = b / 2 and grad f(y) = -A^T 1 < 0; the step
+        # 2 / max(-y * grad) > 1/L puts a denominator 1 + lam*y*grad at -1.
+        inst = plip.generate_plip(10, 4, seed=9)
+        y = inst.x_true / 2.0
+        grad = plip.PlipSmooth(inst).gradient(y)
+        lam = 2.0 / np.max(-y * grad)
+        assert lam > 1.0 / plip.PlipSmooth(inst).smad_constant()
+        assert np.min(1.0 + lam * y * grad) <= 0.0
+        with pytest.raises(DomainError, match="prox output"):
+            plip.plip_prox(inst, y, grad, lam)
+        # Where lam * grad overflows, the same error and no float warning.
+        with pytest.raises(DomainError, match="prox output"):
+            plip.plip_prox(inst, y, grad, 1e308)
 
     def test_nonpositive_denominator_raises(self):
         inst = plip.PlipInstance(A=np.array([[1.0]]), b=np.array([1.0]),
                                  seed=0, x_true=np.array([1.0]))
-        with pytest.raises(NumericalError):
+        with pytest.raises(DomainError, match="prox output"):
             plip.plip_prox(inst, np.array([1.0]), np.array([-2.0]), 1.0)
 
 

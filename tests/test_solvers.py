@@ -402,6 +402,16 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("solve", [bpge_solve, bpg_solve],
                              ids=["bpge", "bpg"])
+    @pytest.mark.parametrize("cfg", [None, {"lam": 0.01}, LineSearchConfig()],
+                             ids=["none", "dict", "line_search"])
+    def test_rejects_cfg_that_is_not_a_solver_config(self, solve, cfg):
+        inst = plip.generate_plip(10, 3, seed=14)
+        obj, x0 = plip.make_objective(inst), plip.default_x0(inst)
+        with pytest.raises(ValidationError, match="SolverConfig"):
+            solve(obj, x0, cfg)
+
+    @pytest.mark.parametrize("solve", [bpge_solve, bpg_solve],
+                             ids=["bpge", "bpg"])
     @pytest.mark.parametrize("L,mu", [
         (0.0, 0.0), (-1.0, 0.0), (np.nan, 0.0), (np.inf, 0.0),
         (1.0, -5.0), (1.0, np.nan), (1.0, np.inf),
