@@ -15,7 +15,7 @@ from .errors import ValidationError
 from .kernels import BurgKernel, EuclideanKernel, burg_phi_sum
 from .problems import (CompositeObjective, Instance, LinearModelSmooth,
                        ZeroTerm, check_positive, check_seed, check_size,
-                       check_theta)
+                       check_theta, empty_aligned)
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,7 @@ def generate_plip(m: int, d: int, seed: int, theta: float = 1.0) -> PlipInstance
     check_seed(seed)
     check_theta(theta)
     rng = np.random.default_rng([seed, 0])
-    A = rng.random((m, d))
+    A = rng.random(out=empty_aligned(m, d))
     np.subtract(1.0, A, out=A)
     x_true = rng.random(d)
     return PlipInstance(A=A, b=A @ x_true, seed=int(seed), x_true=x_true)

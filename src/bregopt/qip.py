@@ -16,7 +16,8 @@ import numpy as np
 from .errors import ValidationError
 from .kernels import QuarticKernel
 from .problems import (CompositeObjective, Instance, L1Term, LinearModelSmooth,
-                       _row_blocks, check_seed, check_size, check_theta)
+                       _row_blocks, check_seed, check_size, check_theta,
+                       empty_aligned)
 
 
 @dataclass(frozen=True)
@@ -48,7 +49,7 @@ def generate_qip(m: int, d: int, seed: int, theta: float = 1.0) -> QipInstance:
     check_seed(seed)
     check_theta(theta)
     rng = np.random.default_rng([seed, 0])
-    a = rng.standard_normal((m, d))
+    a = rng.standard_normal(out=empty_aligned(m, d))
     nnz = math.ceil(0.05 * d)
     support = rng.choice(d, size=nnz, replace=False)
     x_true = np.zeros(d)

@@ -183,6 +183,8 @@ def bpge_solve(obj: CompositeObjective, x0: np.ndarray,
     """
     if type(cfg) is not SolverConfig:
         raise ValidationError("cfg must be a SolverConfig, got %r" % (cfg,))
+    if type(obj) is not CompositeObjective:
+        raise ValidationError("obj must be a CompositeObjective: %r" % (obj,))
     kernel, smooth, nonsmooth = obj.kernel, obj.smooth, obj.nonsmooth
     x0 = kernel.require_interior(x0, "x0")
     L, mu = smooth.smad_constant(), smooth.weak_convexity_constant()

@@ -13,6 +13,7 @@ import csv
 import dataclasses
 import decimal
 import inspect
+import math
 from decimal import Decimal
 
 import numpy as np
@@ -216,6 +217,18 @@ def reference_plip_draw(m, d, seed):
     while np.min(A @ x_true) <= 0.0:
         x_true = rng.random(d)
     return A, A @ x_true, x_true
+
+
+def reference_qip_draw(m, d, seed):
+    """(a, b, x_true) of qip.generate_qip drawn into fresh arrays: a from
+    `standard_normal((m, d))`, then x_true's support and values."""
+    rng = np.random.default_rng([seed, 0])
+    a = rng.standard_normal((m, d))
+    nnz = math.ceil(0.05 * d)
+    support = rng.choice(d, size=nnz, replace=False)
+    x_true = np.zeros(d)
+    x_true[support] = rng.standard_normal(nnz)
+    return a, (a @ x_true) ** 2, x_true
 
 
 def reference_qip_bounds(a, b):

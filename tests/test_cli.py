@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import multiprocessing
 import os
@@ -47,6 +48,22 @@ class TestGenerate:
         text = (tmp_path / "qip_m15_d5_seed2.json").read_bytes()
         assert text == qip.generate_qip(15, 5, 2, theta=0.5).to_json().encode()
         assert json.loads(text)["theta"] == 0.5
+
+    # SHA-256 of the files that generators drawing into fresh numpy arrays
+    # wrote; drawing into 64-byte-aligned ones must not move a byte.
+    @pytest.mark.parametrize("argv,name,sha256", [
+        (["plip", "--m", "50", "--d", "8", "--seed", "3"],
+         "plip_m50_d8_seed3.json",
+         "cd619838ffbb2f4fc9bda2cd1f8b50ed35691525e49e9b46759693aeeca9fe56"),
+        (["qip", "--m", "40", "--d", "20", "--seed", "5", "--theta", "0.5"],
+         "qip_m40_d20_seed5.json",
+         "bb70c3b6b1fe542b65986ae5fa2ea1713ff1d9aaaf7b664cd10ab51b3fd1e72d"),
+    ], ids=["plip", "qip"])
+    def test_writes_the_golden_bytes(self, argv, name, sha256, tmp_path):
+        assert cli.main(["generate", "--problem"] + argv
+                        + ["--out", str(tmp_path)]) == 0
+        data = (tmp_path / name).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == sha256
 
     @pytest.mark.parametrize("theta", ["nan", "-1"])
     @pytest.mark.parametrize("problem", ["qip", "plip"])

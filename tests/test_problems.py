@@ -1,7 +1,6 @@
 import json
-import math
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -21,10 +20,11 @@ from bregopt import (
 )
 from bregopt import harness, plip, qip
 from bregopt.checks import CheckOutcome
-from bregopt.problems import CompositeObjective, SmoothTerm, _row_blocks
+from bregopt.problems import (CompositeObjective, SmoothTerm, _row_blocks,
+                              empty_aligned)
 
 from helpers import (fd_gradient, prox_oracle, reference_plip_draw,
-                     reference_qip_bounds)
+                     reference_qip_bounds, reference_qip_draw)
 
 
 @pytest.mark.parametrize("name", sorted(harness.PROBLEM_MODULES))
@@ -346,15 +346,9 @@ class TestOneMatrixCopy:
     @pytest.mark.parametrize("seed", [0, 1, 17])
     def test_qip_bounds_are_the_unblocked_formula(self, m, d, seed):
         inst = qip.generate_qip(m, d, seed, theta=0.5)
-        rng = np.random.default_rng([seed, 0])
-        a = rng.standard_normal((m, d))
-        assert inst.a.tobytes() == a.tobytes()
-        nnz = math.ceil(0.05 * d)
-        support = rng.choice(d, size=nnz, replace=False)
-        x_true = np.zeros(d)
-        x_true[support] = rng.standard_normal(nnz)
-        assert inst.x_true.tobytes() == x_true.tobytes()
-        assert inst.b.tobytes() == ((a @ x_true) ** 2).tobytes()
+        a, b, x_true = reference_qip_draw(m, d, seed)
+        for got, want in ((inst.a, a), (inst.b, b), (inst.x_true, x_true)):
+            assert got.tobytes() == want.tobytes()
         smooth = qip.QipSmooth(inst)
         assert (smooth.smad_constant(), smooth.weak_convexity_constant()) == \
             reference_qip_bounds(a, inst.b)
@@ -377,6 +371,60 @@ class TestOneMatrixCopy:
         matrix = 8 * m * d
         assert held - base >= matrix
         assert peak - base <= held - base + matrix // 4
+
+
+REFERENCE_DRAWS = {"plip": reference_plip_draw, "qip": reference_qip_draw}
+
+
+class TestAlignedMatrix:
+    """Generated matrices, and so their row blocks, start on a 64-byte
+    boundary and hold the bytes of a fresh-array draw; an instance built
+    from the caller's arrays keeps the caller's array."""
+
+    SIZES = [(1, 1), (7, 3), (1000, 50), (10000, 200)]
+
+    @pytest.mark.parametrize("m,d", SIZES)
+    @pytest.mark.parametrize("name", sorted(harness.PROBLEM_MODULES))
+    def test_generated_matrix_and_its_blocks_are_aligned(self, name, m, d):
+        module = harness.PROBLEM_MODULES[name]
+        smooth = module.make_objective(module.generate(m, d, 1)).smooth
+        M = getattr(smooth.inst, smooth.inst.MATRIX)
+        assert smooth.M is M
+        assert M.ctypes.data % 64 == 0
+        assert M.flags.c_contiguous and M.flags.writeable
+        blocks = smooth._blocks or []
+        assert bool(blocks) == (m * d * 8 > 512 * 1024)
+        for _, M_B in blocks:
+            assert M_B.ctypes.data % 64 == 0
+
+    @pytest.mark.parametrize("m,d", SIZES)
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("name", sorted(harness.PROBLEM_MODULES))
+    def test_draw_is_byte_equal_to_the_reference(self, name, m, d, seed):
+        inst = harness.PROBLEM_MODULES[name].generate(m, d, seed)
+        want = REFERENCE_DRAWS[name](m, d, seed)
+        got = (getattr(inst, inst.MATRIX), inst.b, inst.x_true)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(harness.PROBLEM_MODULES))
+    def test_size_check_counts_the_spare_bytes(self, name):
+        # 8 m d = 2**63 - 8 bytes fit in np.intp, but not with 64 more.
+        with pytest.raises(ValidationError, match="too big"):
+            harness.PROBLEM_MODULES[name].generate(2 ** 60 - 1, 1, 0)
+
+    @pytest.mark.parametrize("name", sorted(harness.PROBLEM_MODULES))
+    def test_caller_array_is_kept_where_it_lies(self, name):
+        module = harness.PROBLEM_MODULES[name]
+        inst = module.generate(9, 4, 2)
+        # A copy 16 bytes past a 64-byte boundary, which the generators avoid.
+        buf = empty_aligned(1, 9 * 4 + 2).reshape(-1)
+        A = buf[2:].reshape(9, 4)
+        A[:] = getattr(inst, inst.MATRIX)
+        own = replace(inst, **{inst.MATRIX: A})
+        smooth = module.make_objective(own).smooth
+        assert getattr(own, own.MATRIX) is A and smooth.M is A
+        assert smooth.M.ctypes.data % 64 == 16
 
 
 class TestSizeCheck:

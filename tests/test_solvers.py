@@ -412,6 +412,18 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("solve", [bpge_solve, bpg_solve],
                              ids=["bpge", "bpg"])
+    @pytest.mark.parametrize("make", [
+        lambda obj: None, lambda obj: {"smooth": obj.smooth},
+        lambda obj: obj.smooth], ids=["none", "dict", "smooth_term"])
+    def test_rejects_obj_that_is_not_a_composite_objective(self, solve, make):
+        inst = plip.generate_plip(10, 3, seed=14)
+        obj, x0 = plip.make_objective(inst), plip.default_x0(inst)
+        cfg = SolverConfig(lam=1.0 / obj.smooth.smad_constant())
+        with pytest.raises(ValidationError, match="CompositeObjective"):
+            solve(make(obj), x0, cfg)
+
+    @pytest.mark.parametrize("solve", [bpge_solve, bpg_solve],
+                             ids=["bpge", "bpg"])
     @pytest.mark.parametrize("L,mu", [
         (0.0, 0.0), (-1.0, 0.0), (np.nan, 0.0), (np.inf, 0.0),
         (1.0, -5.0), (1.0, np.nan), (1.0, np.inf),
