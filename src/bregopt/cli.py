@@ -76,8 +76,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--spec", required=True, help="experiment JSON file")
     p_sweep.add_argument("--out", default=".", help="output directory")
     p_sweep.add_argument("--jobs", type=int, default=1,
-                         help="processes running cells (>= 1): this one and "
-                         "jobs - 1 forked workers, capped at cells and CPUs")
+                         help="processes (>= 1), capped at cells and CPUs: "
+                         "this one, writing every file in cell order, and "
+                         "jobs - 1 forked workers; each formats its traces")
 
     p_check = sub.add_parser("check", help="run the invariant suite")
     _add_instance_flags(p_check)

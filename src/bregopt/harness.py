@@ -196,16 +196,18 @@ def _fmt(v) -> str:
 _TRACE_ROW = "%d,%r,%r,%r,%r,%r,%d,%r,%r\r\n"
 
 
-def write_trace_csv(result: SolveResult, path) -> None:
-    """Per-iteration trace with the objective gap taken against the run's
-    own terminal objective value."""
+def format_trace_csv(result: SolveResult) -> str:
+    """Per-iteration trace CSV text, psi_gap taken against the final psi."""
     psi_final = float(result.psi_final)  # np.float64 would print its type
-    rows = "".join(_TRACE_ROW % (k, psi, abs(psi - psi_final), dh, h, beta,
-                                 shrinks, residual, t)
-                   for k, psi, dh, h, beta, shrinks, residual, t
-                   in result.trace.data.tolist())
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(TRACE_HEADER) + "\r\n" + rows)
+    return ",".join(TRACE_HEADER) + "\r\n" + "".join(
+        _TRACE_ROW % (k, psi, abs(psi - psi_final), dh, h, beta, shrinks,
+                      residual, t)
+        for k, psi, dh, h, beta, shrinks, residual, t
+        in result.trace.data.tolist())
+
+
+def write_trace_csv(result: SolveResult, path) -> None:
+    Path(path).write_text(format_trace_csv(result), "utf-8", newline="")
 
 
 def run_cell(spec: ExperimentSpec, m: int, d: int, rule: str, rho: float,
@@ -230,16 +232,22 @@ def run_cell(spec: ExperimentSpec, m: int, d: int, rule: str, rho: float,
     return row, results
 
 
+def _sweep_cell(*args):
+    """`run_cell` with each run's trace as CSV text, formatted here."""
+    row, results = run_cell(*args)
+    return row, {s: format_trace_csv(r) for s, r in results.items()}
+
+
 def run_comparison(spec: ExperimentSpec, out_dir,
                    jobs: int = 1) -> List[ComparisonRow]:
-    """Run every (size x lambda x rho x rep) cell of the sweep, in order, on
+    """Run every (size x lambda x rho x rep) cell of the sweep on
     min(jobs, cells, usable CPUs) processes, jobs an integer >= 1: this one
-    runs cell i if i % jobs == 0 and forked workers run the rest, each cell
-    submitted once this one is within 2 jobs cells of it (without fork, this
-    one runs all). Creates out_dir before the first cell; writes each run's
-    trace CSV when this one reaches its cell and comparison.csv at the end,
-    the files of jobs = 1. A cell's exception is raised at its turn,
-    a dead worker's as OSError; a numerical failure is in its row."""
+    runs cells i % jobs == 0 back to back, forked workers the rest (without
+    fork, this one all), each formatting its cells' trace CSVs. No cell is
+    run or submitted 2 jobs cells past the oldest unwritten one. Creates
+    out_dir first; writes trace CSVs in cell order as cells finish, then
+    comparison.csv: the files of jobs = 1. A cell's exception is raised at
+    its turn, a dead worker's as OSError; a numerical failure is in its row."""
     if not (is_integer(jobs) and jobs >= 1):
         raise ValidationError("jobs must be an integer >= 1, got %r" % (jobs,))
     out_dir = Path(out_dir)
@@ -257,26 +265,32 @@ def run_comparison(spec: ExperimentSpec, out_dir,
     if jobs > 1:  # fork: workers start without importing numpy again and
         import multiprocessing as mp  # leave no tracker or server running
         from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-        if "fork" in mp.get_all_start_methods():
-            pool = ProcessPoolExecutor(jobs - 1,
-                                       mp_context=mp.get_context("fork"))
-    rows, futures = [], {}
+        jobs = jobs if "fork" in mp.get_all_start_methods() else 1
+    if jobs > 1:
+        pool = ProcessPoolExecutor(jobs - 1, mp_context=mp.get_context("fork"))
+    rows, futures, held, ahead = [], {}, {}, 0  # held: own results, unwritten
     try:
-        for i, (stem, args) in enumerate(cells):
+        for i, (stem, _) in enumerate(cells):
             for j in range(i, min(i + 2 * jobs, len(cells))):
-                if pool is not None and j % jobs and j not in futures:
-                    futures[j] = pool.submit(run_cell, *cells[j][1])
-            if i not in futures:
-                row, results = run_cell(*args)
-            else:
+                if j % jobs and j not in futures:
+                    futures[j] = pool.submit(_sweep_cell, *cells[j][1])
+            # Run this one's next cells in the window until cell i is done.
+            while (ahead < min(i + 2 * jobs, len(cells)) and i not in held
+                   and not (i in futures and futures[i].done())):
                 try:
-                    row, results = futures.pop(i).result()
-                except BrokenExecutor as exc:
-                    raise OSError("a sweep worker died: %s" % exc) from exc
-            rows.append(row)
-            for solver, result in results.items():
-                write_trace_csv(result, out_dir / (stem + solver + ".csv"))
-            del results  # before the next cell runs
+                    held[ahead] = _sweep_cell(*cells[ahead][1])
+                    ahead += jobs
+                except Exception as exc:  # raised at its turn
+                    held[ahead], ahead = exc, len(cells)
+            out = held.pop(i) if i in held else futures.pop(i).result()
+            if isinstance(out, Exception):
+                raise out
+            rows.append(out[0])
+            for solver, text in out[1].items():
+                (out_dir / (stem + solver + ".csv")).write_text(
+                    text, "utf-8", newline="")
+    except (BrokenExecutor if pool is not None else ()) as exc:
+        raise OSError("a sweep worker died: %s" % exc) from exc
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)

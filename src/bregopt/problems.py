@@ -102,6 +102,9 @@ class SmoothTerm:
     def value(self, x: np.ndarray) -> float:
         raise NotImplementedError
 
+    def _value(self, x: np.ndarray) -> float:  # x checked by its kernel
+        return self.value(x)
+
     def gradient(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
@@ -186,9 +189,11 @@ class LinearModelSmooth(SmoothTerm):
             grad_y = self.evaluate(y, None, 0.0, None)[2]
         return u, f, grad, grad_y
 
-    @np.errstate(all="ignore")
     def value(self, x):
-        x = self.kernel.require_interior(x)
+        return self._value(self.kernel.require_interior(x))
+
+    @np.errstate(all="ignore")
+    def _value(self, x):
         return self._phi(self.M @ x, self.inst.b)[0]
 
     @np.errstate(all="ignore")
@@ -279,4 +284,4 @@ class CompositeObjective:
 
     def value(self, x: np.ndarray) -> float:
         x = self.kernel.require_interior(x, "x")
-        return self.smooth.value(x) + self.nonsmooth.value(x)
+        return self.smooth._value(x) + self.nonsmooth.value(x)

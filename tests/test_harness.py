@@ -284,36 +284,62 @@ def test_sweep_calls_the_patchable_module_globals(tmp_path, monkeypatch):
 
     for owner, name in ((harness, "bpge_solve"), (solvers, "bpge_solve"),
                         (harness, "generate_instance"),
-                        (harness, "write_trace_csv")):
+                        (harness, "format_trace_csv")):
         count(owner, name)
     harness.run_comparison(tiny_spec(k_max=50), out_dir=tmp_path)
     # bpg_solve reaches solvers.bpge_solve; the harness calls bpge directly.
     assert calls == {"harness.bpge_solve": 1, "solvers.bpge_solve": 1,
                      "harness.generate_instance": 1,
-                     "harness.write_trace_csv": 2}
+                     "harness.format_trace_csv": 2}
+
+
+class HeldFuture(concurrent.futures.Future):
+    """A pooled cell's future: the cell runs, in this process, when released
+    (at submit, unless the pool holds it) or when the sweep waits for it."""
+
+    def __init__(self, call):
+        super().__init__()
+        self.call = call
+
+    def release(self):
+        if not self.done():
+            try:
+                self.set_result(self.call())
+            except Exception as exc:
+                self.set_exception(exc)
+
+    def result(self, timeout=None):
+        self.release()
+        return super().result(timeout)
 
 
 class TestJobs:
     """run_comparison(jobs=...) with ProcessPoolExecutor replaced by a pool
-    that runs each submitted cell in this process when it is submitted."""
+    that runs each submitted cell in this process when it is submitted, or,
+    with `held_pools`, only when the sweep waits for it."""
 
     @pytest.fixture
     def pools(self, monkeypatch, tmp_path):
         made = []
 
         class InlinePool:
+            hold = False
+
             def __init__(self, max_workers, mp_context):
                 assert mp_context.get_start_method() == "fork"
                 self.workers, self.submitted, self.cancelled = (
                     max_workers, [], None)
+                self.futures = {}
                 made.append(self)
 
             def submit(self, fn, *args):
                 # (cell, cells whose traces this process has written)
                 self.submitted.append(
                     (args[-1], len(list(tmp_path.glob("pooled/*"))) // 2))
-                future = concurrent.futures.Future()
-                future.set_result(fn(*args))
+                future = self.futures[args[-1]] = HeldFuture(
+                    lambda: fn(*args))
+                if not self.hold:
+                    future.release()
                 return future
 
             def shutdown(self, cancel_futures=False):
@@ -322,6 +348,29 @@ class TestJobs:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             InlinePool)
         return made
+
+    @pytest.fixture
+    def held_pools(self, pools, monkeypatch):
+        monkeypatch.setattr(concurrent.futures.ProcessPoolExecutor, "hold",
+                            True)
+        return pools
+
+    @staticmethod
+    def watch(monkeypatch, pools, out, fail=None):
+        """Patch run_cell to log (cell, the pool's unfinished cells, cells
+        written to out) as each cell starts, and to raise in cell fail."""
+        log, run_cell = [], harness.run_cell
+
+        def watched(*args):
+            cell = args[-1]  # one size, lambda and rho: the rep is the cell
+            log.append((cell, sorted(j for p in pools for j, f
+                                     in p.futures.items() if not f.done()),
+                        len(list(out.glob("trace_*.csv"))) // 2))
+            if cell == fail:
+                raise RuntimeError("cell %d failed" % cell)
+            return run_cell(*args)
+        monkeypatch.setattr(harness, "run_cell", watched)
+        return log
 
     @staticmethod
     def cpus(monkeypatch, n):
@@ -372,6 +421,82 @@ class TestJobs:
         assert all(j < i + 6 for j, i in pool.submitted)
         assert [i for _, i in pool.submitted] == [0, 0, 0, 0, 2]
         assert_same_files(tmp_path / "serial", tmp_path / "pooled")
+
+    def test_caller_runs_ahead_of_an_unfinished_worker_cell(
+            self, held_pools, monkeypatch, tmp_path):
+        spec = tiny_spec(repetitions=4, k_max=20)
+        self.cpus(monkeypatch, 2)
+        harness.run_comparison(spec, out_dir=tmp_path / "serial")
+        log = self.watch(monkeypatch, held_pools, tmp_path / "ahead")
+        harness.run_comparison(spec, out_dir=tmp_path / "ahead", jobs=2)
+        # Cells 0 and 2 ran here, 2 while the worker's cells 1 and 3 were
+        # unfinished and only cell 0 was written; the sweep then waited.
+        assert log == [(0, [1, 3], 0), (2, [1, 3], 1), (1, [1, 3], 1),
+                       (3, [3], 3)]
+        assert_same_files(tmp_path / "serial", tmp_path / "ahead")
+
+    def test_caller_writes_every_finished_cell_before_its_next(
+            self, pools, monkeypatch, tmp_path):
+        # The pool's cells finish when submitted, so each of this process's
+        # cells starts with every cell before it written.
+        spec = tiny_spec(repetitions=13, k_max=20)
+        self.cpus(monkeypatch, 3)
+        log = self.watch(monkeypatch, pools, tmp_path / "pooled")
+        harness.run_comparison(spec, out_dir=tmp_path / "pooled", jobs=3)
+        assert [(cell, written) for cell, _, written in log
+                if cell % 3 == 0] == [(c, c) for c in range(0, 13, 3)]
+
+    @pytest.mark.parametrize("fail, ran", [
+        (2, [(0, [1, 3], 0), (2, [1, 3], 1), (1, [1, 3], 1)]),
+        (1, [(0, [1, 3], 0), (2, [1, 3], 1), (4, [1, 3], 1), (1, [1, 3], 1)]),
+    ], ids=["caller", "worker"])
+    def test_an_exception_is_raised_at_its_turn_after_running_ahead(
+            self, fail, ran, held_pools, monkeypatch, tmp_path):
+        # Cell 2 is this process's, cell 1 the worker's; either way cell 2
+        # ran before cell 1 finished, and the sweep ends as the serial one.
+        # After its own cell raised, this process runs no further cell.
+        spec = tiny_spec(repetitions=6, k_max=20)
+        self.cpus(monkeypatch, 2)
+        log = self.watch(monkeypatch, held_pools, tmp_path / "ahead", fail)
+        errors = []
+        for out, jobs in (("serial", 1), ("ahead", 2)):
+            log.clear()
+            with pytest.raises(RuntimeError) as info:
+                harness.run_comparison(spec, out_dir=tmp_path / out,
+                                       jobs=jobs)
+            errors.append(str(info.value))
+        assert errors == ["cell %d failed" % fail] * 2
+        assert log == ran
+        assert_same_files(tmp_path / "serial", tmp_path / "ahead")
+        assert len(list((tmp_path / "ahead").iterdir())) == 2 * fail
+
+    @pytest.mark.parametrize("hold", [False, True], ids=["eager", "held"])
+    def test_results_held_never_exceed_two_jobs_cells(
+            self, hold, pools, monkeypatch, tmp_path):
+        spec, jobs = tiny_spec(repetitions=13, k_max=20), 3
+        out = tmp_path / "pooled"
+        self.cpus(monkeypatch, jobs)
+        harness.run_comparison(spec, out_dir=tmp_path / "serial")
+        monkeypatch.setattr(concurrent.futures.ProcessPoolExecutor, "hold",
+                            hold)
+        log = self.watch(monkeypatch, pools, out)
+        run_cell, finished, held = harness.run_cell, set(), []
+
+        def counted(*args):
+            # Cells finished so far, less the cells whose traces are written.
+            result = run_cell(*args)
+            finished.add(args[-1])
+            held.append(len(finished) - len(list(out.glob("*.csv"))) // 2)
+            return result
+        monkeypatch.setattr(harness, "run_cell", counted)
+        harness.run_comparison(spec, out_dir=out, jobs=jobs)
+        (pool,) = pools
+        # No cell ran or went to the pool 2 jobs cells past the oldest
+        # unwritten one, so no more than 2 jobs cells' results were held.
+        assert all(cell < written + 2 * jobs for cell, _, written in log)
+        assert all(j < i + 2 * jobs for j, i in pool.submitted)
+        assert len(held) == 13 and max(held) <= 2 * jobs
+        assert_same_files(tmp_path / "serial", out)
 
     def test_without_fork_the_caller_runs_every_cell(self, pools, monkeypatch,
                                                      tmp_path):

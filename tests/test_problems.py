@@ -20,6 +20,7 @@ from bregopt import (
 )
 from bregopt import harness, plip, qip
 from bregopt.checks import CheckOutcome
+from bregopt.kernels import Kernel
 from bregopt.problems import (CompositeObjective, SmoothTerm, _row_blocks,
                               empty_aligned)
 
@@ -311,6 +312,48 @@ def test_smooth_constants_ordering():
     inst = qip.generate_qip(50, 8, seed=8)
     smooth = qip.QipSmooth(inst)
     assert 0.0 <= smooth.weak_convexity_constant() <= smooth.smad_constant()
+
+
+class TestObjectiveValue:
+    """CompositeObjective.value checks x once, by its kernel, and keeps the
+    errors of a bad x."""
+
+    @pytest.mark.parametrize("name", ["plip", "qip"])
+    def test_one_require_interior_call_per_value(self, name, monkeypatch):
+        inst = harness.generate_instance(name, 40, 5, seed=2)
+        obj, x0 = harness.problem_bundle(name, inst)
+        want = obj.smooth.value(x0) + obj.nonsmooth.value(x0)
+        calls, require = [], Kernel.require_interior
+
+        def counted(self, x, name="x"):
+            calls.append(name)
+            return require(self, x, name)
+        monkeypatch.setattr(Kernel, "require_interior", counted)
+        got = [obj.value(x0) for _ in range(3)]
+        assert calls == ["x"] * 3
+        assert got == [want] * 3
+
+    @pytest.mark.parametrize("name, outside", [("plip", -1.0),
+                                               ("qip", np.inf)])
+    def test_bad_x_raises(self, name, outside):
+        inst = harness.generate_instance(name, 40, 5, seed=2)
+        obj, x0 = harness.problem_bundle(name, inst)
+        with pytest.raises(ValidationError, match="x has size 4"):
+            obj.value(x0[:4])
+        with pytest.raises(DomainError, match="x is outside"):
+            obj.value(np.where(np.arange(5) == 2, outside, x0))
+
+    def test_a_smooth_term_without_a_check_is_checked(self):
+        class Unchecked(SmoothTerm):
+            def value(self, x):
+                return float(np.sum(x))
+
+        obj = CompositeObjective(Unchecked(), ZeroTerm(), BurgKernel(2))
+        assert obj.value([1, 2]) == 3.0
+        with pytest.raises(DomainError, match="x is outside"):
+            obj.value([-1.0, 2.0])
+        with pytest.raises(ValidationError, match="x has size 3"):
+            obj.value([1.0, 2.0, 3.0])
 
 
 def test_smooth_term_interface_is_abstract():
