@@ -17,7 +17,7 @@ import numpy as np
 from . import harness
 from .errors import ValidationError
 from .kernels import BurgKernel, is_integer
-from .problems import check_seed
+from .problems import CompositeObjective, check_seed
 from .solvers import SolverConfig, bpge_solve
 
 
@@ -69,6 +69,8 @@ def check_smad(obj, samples: int = 1000, rng_seed: int = 0) -> CheckOutcome:
     if not (is_integer(samples) and samples >= 1):
         raise ValidationError("samples must be an integer >= 1")
     check_seed(rng_seed)
+    if type(obj) is not CompositeObjective:
+        raise ValidationError("obj must be a CompositeObjective: %r" % (obj,))
     sampler = _sampler(obj.kernel)
     rng = np.random.default_rng(rng_seed)
     L, mu = obj.smooth.smad_constant(), obj.smooth.weak_convexity_constant()

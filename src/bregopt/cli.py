@@ -21,7 +21,7 @@ from .solvers import EXIT_NUMERICAL_FAILURE
 
 log = logging.getLogger("bregopt")
 
-_EXIT_MODE_FLAG = {"iterate": "iterate_relative", "objective": "objective_relative"}
+_EXIT_MODE_FLAG = {"iterate": "iterate_relative", "stationarity": "stationarity"}
 
 
 def _configure_logging():

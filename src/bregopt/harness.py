@@ -214,6 +214,8 @@ def run_cell(spec: ExperimentSpec, m: int, d: int, rule: str, rho: float,
              seed: int, rep: int = 0):
     """Every solver of the spec on the instance generated from seed, from
     one start point. Returns (ComparisonRow, {solver: SolveResult})."""
+    if type(spec) is not ExperimentSpec:
+        raise ValidationError("spec must be an ExperimentSpec: %r" % (spec,))
     inst = generate_instance(spec.problem, m, d, seed, theta=spec.theta)
     obj, x0 = problem_bundle(spec.problem, inst)
     cfg = spec.solver_config(obj.smooth.smad_constant(), rule, rho)
@@ -248,6 +250,8 @@ def run_comparison(spec: ExperimentSpec, out_dir,
     out_dir first; writes trace CSVs in cell order as cells finish, then
     comparison.csv: the files of jobs = 1. A cell's exception is raised at
     its turn, a dead worker's as OSError; a numerical failure is in its row."""
+    if type(spec) is not ExperimentSpec:
+        raise ValidationError("spec must be an ExperimentSpec: %r" % (spec,))
     if not (is_integer(jobs) and jobs >= 1):
         raise ValidationError("jobs must be an integer >= 1, got %r" % (jobs,))
     out_dir = Path(out_dir)

@@ -31,7 +31,7 @@ EXIT_TOLERANCE = "tolerance"
 EXIT_MAX_ITERATIONS = "max_iterations"
 EXIT_NUMERICAL_FAILURE = "numerical_failure"
 
-EXIT_MODES = ("iterate_relative", "objective_relative")
+EXIT_MODES = ("iterate_relative", "stationarity")
 
 
 @dataclass(frozen=True)
@@ -122,6 +122,9 @@ class Trace(Sequence):
         return map(_record, self.data.tolist())
 
     def column(self, name: str) -> np.ndarray:
+        if name not in _FIELDS:
+            raise ValidationError("no trace field %r; the fields are %s"
+                                  % (name, ", ".join(_FIELDS)))
         return self.data[:, _FIELDS.index(name)]
 
 
@@ -243,13 +246,13 @@ def bpge_solve(obj: CompositeObjective, x0: np.ndarray,
                      shrinks, residual, time.perf_counter() - start))
         if relative:
             step = x_next - x_curr
-            gap = (math.sqrt(step.dot(step))
-                   / max(1.0, math.sqrt(x_next.dot(x_next))))
-        else:
-            gap = abs(psi_next - psi_curr) / max(1.0, abs(psi_next))
+            done = (math.sqrt(step.dot(step))
+                    / max(1.0, math.sqrt(x_next.dot(x_next)))) <= tol
+        else:  # the residual just recorded: r is in dPsi(x_next)
+            done = residual <= tol * (1 + math.sqrt(grad_next.dot(grad_next)))
         x_curr, psi_curr, u_curr = x_next, psi_next, u_next
         grad_curr, hgrad_curr, grad_y = grad_next, hgrad_next, grad_y_next
-        if gap <= tol:
+        if done:
             exit_reason = EXIT_TOLERANCE
             break
 

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bregopt import cli, harness, plip, qip, solvers
@@ -169,12 +170,30 @@ class TestSolve:
         assert capsys.readouterr().err.startswith("error: ")
         assert list(tmp_path.iterdir()) == []
 
-    def test_objective_exit_mode_and_lambda_rule(self, tmp_path):
+    def test_stationarity_exit_mode_and_lambda_rule(self, tmp_path, capsys):
         code = cli.main(["solve", "--problem", "plip", "--m", "40", "--d", "4",
                          "--solver", "bpg", "--lambda-rule", "1/2L",
-                         "--exit-mode", "objective", "--kmax", "200",
+                         "--exit-mode", "stationarity", "--tol", "1e-4",
                          "--out", str(tmp_path)])
         assert code == 0
+        assert "bpg: tolerance" in capsys.readouterr().out
+        stem = "plip_m40_d4_seed0_bpg"
+        doc = json.loads((tmp_path / ("result_%s.json" % stem)).read_text(
+            encoding="utf-8"))
+        with open(tmp_path / ("trace_%s.csv" % stem), newline="") as fh:
+            last = list(csv.DictReader(fh))[-1]
+        assert int(last["iter"]) == doc["iterations"]
+        obj = plip.make_objective(plip.generate_plip(40, 4, seed=0))
+        g = obj.smooth.gradient(np.array(doc["x_final"]))
+        assert float(last["residual"]) <= 1e-4 * (1 + np.sqrt(g.dot(g)))
+
+    def test_objective_exit_mode_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = cli.main(["solve", "--problem", "plip", "--m", "40", "--d", "4",
+                         "--exit-mode", "objective", "--out", str(out)])
+        assert code == 1
+        assert "invalid choice: 'objective'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSweep:

@@ -63,6 +63,13 @@ class TestSpecValidation:
                 tiny_spec(sizes=(size,))
         check_size(2 ** 31, 2 ** 29 - 1)
 
+    def test_exit_modes_are_the_solvers(self):
+        spec = tiny_spec(exit_mode="stationarity")
+        cfg = spec.solver_config(1.0, "1/L", 0.99)
+        assert cfg.exit_mode == "stationarity"
+        with pytest.raises(ValidationError, match="exit_mode"):
+            tiny_spec(exit_mode="objective_relative")
+
     @pytest.mark.parametrize("size", [(0, 3), (30, 0), (-1, 4)])
     def test_size_rule_is_that_of_generate(self, size):
         # The spec rejects what `generate` would, with its message.
@@ -109,6 +116,22 @@ class TestRunComparison:
         assert len(trace_bpge) - 2 == row.N_bpge
         comparison = read_csv(tmp_path / "comparison.csv")
         assert len(comparison) == 2
+
+    @pytest.mark.parametrize("spec", [
+        None, {}, {"problem": "plip", "sizes": [[30, 4]]},
+        harness.ComparisonRow(30, 4, "1/L", 0.99, 0),
+    ], ids=["None", "empty-dict", "spec-dict", "row"])
+    def test_spec_is_checked_before_out_dir_is_made(self, spec, tmp_path,
+                                                    monkeypatch):
+        monkeypatch.setattr(harness, "generate_instance",
+                            lambda *args, **kw: pytest.fail("a cell ran"))
+        with pytest.raises(ValidationError,
+                           match="spec must be an ExperimentSpec"):
+            harness.run_comparison(spec, out_dir=tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+        with pytest.raises(ValidationError,
+                           match="spec must be an ExperimentSpec"):
+            harness.run_cell(spec, 30, 4, "1/L", 0.99, 1)
 
     def test_bpge_with_zero_beta_matches_bpg(self, tmp_path):
         spec = tiny_spec(beta0=0.0)

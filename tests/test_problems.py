@@ -88,6 +88,15 @@ class TestCheckSmad:
         with pytest.raises(ValidationError, match=name):
             check_smad(object(), **kwargs)
 
+    @pytest.mark.parametrize("obj", [
+        None, {}, object(), "plip",
+        plip.make_objective(plip.generate_plip(20, 3, seed=1)).smooth,
+    ], ids=["None", "dict", "object", "str", "smooth-term"])
+    def test_rejects_what_is_not_an_objective(self, obj):
+        with pytest.raises(ValidationError,
+                           match="obj must be a CompositeObjective"):
+            check_smad(obj, samples=10)
+
     def test_inflated_constant_still_passes(self):
         inst = plip.generate_plip(50, 5, seed=4)
 

@@ -1,6 +1,7 @@
 import cProfile
 import dataclasses
 import inspect
+import math
 import pickle
 import pstats
 
@@ -374,8 +375,10 @@ class TestConfigValidation:
             LineSearchConfig(rho=1.5)
 
     def test_rejects_unknown_exit_mode(self):
-        with pytest.raises(ValidationError):
-            SolverConfig(lam=0.1, exit_mode="bogus")
+        assert solvers.EXIT_MODES == ("iterate_relative", "stationarity")
+        for mode in ("bogus", "objective_relative"):
+            with pytest.raises(ValidationError, match="exit_mode"):
+                SolverConfig(lam=0.1, exit_mode=mode)
 
     def test_rejects_nan_step(self):
         with pytest.raises(ValidationError):
@@ -446,17 +449,82 @@ class TestConfigValidation:
             solve(obj, np.ones(3), SolverConfig(lam=1e-3, k_max=5))
 
 
+@pytest.fixture(scope="module")
+def stationarity_runs():
+    """(label, obj, result, iterates) of BPGe and BPG under the
+    stationarity exit at tol 1e-4 and lam = 1/L, on plip 1000x10 and qip
+    200x10, seeds 0 to 4."""
+    runs = []
+    for problem, m, d in (("plip", 1000, 10), ("qip", 200, 10)):
+        for seed in range(5):
+            obj, x0 = _shipped(problem, m, d, seed)
+            cfg = SolverConfig(lam=1.0 / obj.smooth.smad_constant(),
+                               tol=1e-4, exit_mode="stationarity")
+            for solve in (bpge_solve, bpg_solve):
+                label = (problem, seed, solve.__name__)
+                runs.append((label, obj,
+                             *solve_recording(solve, obj, x0, cfg)))
+    return runs
+
+
+def _meets_stationarity(obj, x, residual, tol):
+    """The exit test at x with its own arithmetic: ||r|| <= tol (1 + ||grad f||)."""
+    g = obj.smooth.gradient(x)
+    return residual <= tol * (1 + math.sqrt(g.dot(g)))
+
+
 class TestExitModes:
-    def test_objective_relative_exit(self):
-        inst = plip.generate_plip(40, 4, seed=15)
-        obj, x0 = plip.make_objective(inst), plip.default_x0(inst)
-        cfg = SolverConfig(lam=1.0 / obj.smooth.smad_constant(),
-                           exit_mode="objective_relative", tol=1e-10)
-        result = bpge_solve(obj, x0, cfg)
+    def test_stationarity_exit_is_the_first_row_in_its_band(
+            self, stationarity_runs):
+        stopped = set()
+        for label, obj, result, iterates in stationarity_runs:
+            tol = result.config.tol
+            met = [_meets_stationarity(obj, x, rec.residual, tol)
+                   for x, rec in zip(iterates[1:], result.trace[1:])]
+            if result.exit_reason == "tolerance":
+                stopped.add(label[::2])
+                # The last row is the certificate: the test is evaluated
+                # again at x_final, from the recorded residual alone.
+                assert _meets_stationarity(obj, result.x_final,
+                                           result.trace[-1].residual, tol), label
+                assert met[-1] and not any(met[:-1]), label
+            else:
+                assert result.exit_reason == "max_iterations", label
+                assert not any(met), label
+        # Within k_max = 5000, plip BPG never reaches the band here.
+        assert stopped == {("plip", "bpge_solve"), ("qip", "bpge_solve"),
+                           ("qip", "bpg_solve")}
+
+    def test_recorded_residual_is_the_subgradient_at_its_step(
+            self, stationarity_runs):
+        # Row k's residual is ||r|| for the step from y = x_{k-1} +
+        # beta_k (x_{k-1} - x_{k-2}) (x_{-1} = x0) to x_k; the exit tests it.
+        for label, obj, result, iterates in stationarity_runs:
+            lam, f, h = result.config.lam, obj.smooth, obj.kernel
+            for k in range(1, len(iterates)):
+                x, prev = iterates[k - 1], iterates[max(k - 2, 0)]
+                y = x + result.trace[k].beta_accepted * (x - prev)
+                r = (f.gradient(iterates[k]) - f.gradient(y)
+                     - (h.gradient(iterates[k]) - h.gradient(y)) / lam)
+                assert math.isclose(math.sqrt(r.dot(r)),
+                                    result.trace[k].residual,
+                                    rel_tol=1e-8), (label, k)
+
+    def test_stationarity_runs_keep_the_certificate_monotone(
+            self, stationarity_runs):
+        for label, _, result, _ in stationarity_runs:
+            H = result.trace.column("lyapunov")
+            slack = 1e-10 * np.maximum(1.0, np.abs(H[:-1]))
+            assert np.all(H[1:] <= H[:-1] + slack), label
+
+    def test_iterate_relative_exit_is_the_first_small_step(self):
+        obj, x0 = _shipped("qip", 200, 10, seed=0)
+        cfg = SolverConfig(lam=1.0 / obj.smooth.smad_constant(), tol=1e-5)
+        result, iterates = solve_recording(bpge_solve, obj, x0, cfg)
         assert result.exit_reason == "tolerance"
-        last, prev = result.trace[-1], result.trace[-2]
-        gap = abs(last.psi - prev.psi) / max(1.0, abs(last.psi))
-        assert gap <= 1e-10
+        gaps = [np.linalg.norm(b - a) / max(1.0, np.linalg.norm(b))
+                for a, b in zip(iterates, iterates[1:])]
+        assert gaps[-1] <= 1e-5 and min(gaps[:-1]) > 1e-5
 
     def test_determinism_identical_traces(self):
         inst = qip.generate_qip(30, 5, seed=16)
@@ -662,7 +730,7 @@ class TestTraceRows:
         assert _timeless(again.trace) == _timeless(result.trace)
 
     def test_pickled_result_keeps_its_records_read_only(self, result):
-        # A sweep worker returns its SolveResults to the caller by pickle.
+        # A trace that is unpickled is rebuilt read-only through Trace(data).
         again = pickle.loads(pickle.dumps(result))
         assert isinstance(again.trace, Trace)
         assert list(again.trace) == list(result.trace)
@@ -671,6 +739,13 @@ class TestTraceRows:
         assert not again.trace.data.flags.writeable
         with pytest.raises(ValueError):
             again.trace.column("psi")[0] = 0.0
+
+    @pytest.mark.parametrize("name", ["x_final", "", "PSI", None, 3])
+    def test_column_names_the_fields_for_an_unknown_name(self, result, name):
+        with pytest.raises(ValidationError, match=(
+                "no trace field .*; the fields are k, psi, dh_step, lyapunov, "
+                "beta_accepted, shrink_count, residual, wall_time$")):
+            result.trace.column(name)
 
     def test_column_is_a_read_only_float64_view(self, result):
         psi = result.trace.column("psi")

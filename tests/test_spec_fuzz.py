@@ -84,7 +84,7 @@ BAD_VALUES = {
     "eta": number_outside(0.0, 1.0),
     "theta": number_outside(0.0, math.inf, closed_lo=True),
     "exit_mode": json_values.filter(lambda v: v not in (
-        "iterate_relative", "objective_relative")),
+        "iterate_relative", "stationarity")),
 }
 
 
