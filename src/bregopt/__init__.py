@@ -25,7 +25,6 @@ from .solvers import (
     EXIT_NUMERICAL_FAILURE,
     EXIT_TOLERANCE,
     IterationRecord,
-    LineSearchConfig,
     SolveResult,
     SolverConfig,
     bpg_solve,
@@ -40,8 +39,8 @@ __all__ = [
     "CompositeObjective", "SmoothTerm", "NonsmoothTerm", "ZeroTerm",
     "L1Term", "soft_threshold", "check_smad",
     "EXIT_TOLERANCE", "EXIT_MAX_ITERATIONS", "EXIT_NUMERICAL_FAILURE",
-    "EXIT_MODES", "LineSearchConfig", "SolverConfig", "IterationRecord",
-    "SolveResult", "line_search_beta", "bpge_solve", "bpg_solve",
+    "EXIT_MODES", "SolverConfig", "IterationRecord", "SolveResult",
+    "line_search_beta", "bpge_solve", "bpg_solve",
 ]
 
 __version__ = "0.1.0"

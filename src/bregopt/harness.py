@@ -23,13 +23,7 @@ import numpy as np
 from . import plip, qip
 from .errors import ValidationError
 from .problems import check_size, check_theta, is_integer, is_number
-from .solvers import (
-    LineSearchConfig,
-    SolveResult,
-    SolverConfig,
-    bpg_solve,
-    bpge_solve,
-)
+from .solvers import SolveResult, SolverConfig, bpg_solve, bpge_solve
 
 PROBLEM_MODULES = {"plip": plip, "qip": qip}
 PROBLEMS = tuple(PROBLEM_MODULES)
@@ -68,15 +62,15 @@ class ExperimentSpec:
     problem: str
     sizes: Sequence[Tuple[int, int]]
     lambdas: Sequence[str] = ("1/L",)
-    rhos: Sequence[float] = (LineSearchConfig.rho,)
+    rhos: Sequence[float] = (SolverConfig.rho,)
     solvers: Sequence[str] = ("bpge", "bpg")
     seed: int = 0
     repetitions: int = 1
     tol: float = SolverConfig.tol
     k_max: int = SolverConfig.k_max
     exit_mode: str = SolverConfig.exit_mode
-    beta0: float = LineSearchConfig.beta0
-    eta: float = LineSearchConfig.eta
+    beta0: float = SolverConfig.beta0
+    eta: float = SolverConfig.eta
     theta: float = 1.0
 
     def __post_init__(self):
@@ -109,13 +103,8 @@ class ExperimentSpec:
     def solver_config(self, L: float, rule: str, rho: float) -> SolverConfig:
         """One cell's configuration; lam = 1 / (c L) for lambda rule 1/cL."""
         return SolverConfig(
-            lam=1.0 / (LAMBDA_RULES[rule] * L),
-            line_search=LineSearchConfig(beta0=self.beta0, eta=self.eta,
-                                         rho=rho),
-            tol=self.tol,
-            k_max=self.k_max,
-            exit_mode=self.exit_mode,
-        )
+            lam=1.0 / (LAMBDA_RULES[rule] * L), tol=self.tol, k_max=self.k_max,
+            exit_mode=self.exit_mode, beta0=self.beta0, eta=self.eta, rho=rho)
 
     @staticmethod
     def from_dict(doc: dict) -> "ExperimentSpec":

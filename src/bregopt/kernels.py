@@ -213,8 +213,6 @@ class QuarticKernel(Kernel):
             s = math.hypot(*z.tolist())  # scaled by max |z_j|, no overflow
             if not s < math.inf:  # inf or NaN, as is the preimage's norm
                 return np.full_like(z, s)
-        if s == 0.0:
-            return np.zeros_like(z)
         r = cubic_root_scale(s)
         return z / (r * r + 1.0)
 
@@ -235,4 +233,7 @@ def cubic_root_scale(s: float) -> float:
         return s
     t2 = (0.5 * s + math.hypot(0.5 * s, _INV_SQRT27)) ** (2.0 / 3.0)
     r = s / (t2 + 1.0 / 3.0 + 1.0 / (9.0 * t2))
-    return r - (r * r * r + r - s) / (3.0 * r * r + 1.0)
+    step = (r * r * r + r - s) / (3.0 * r * r + 1.0)
+    if not step < math.inf:  # r^3 overflowed: the same step, divided by r
+        step = (r * r + 1.0 - s / r) / (3.0 * r + 1.0 / r)
+    return r - step

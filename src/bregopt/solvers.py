@@ -18,7 +18,7 @@ import math
 import time
 from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import ClassVar
 
 import numpy as np
@@ -35,9 +35,13 @@ EXIT_MODES = ("iterate_relative", "stationarity")
 
 
 @dataclass(frozen=True)
-class LineSearchConfig:
-    """Geometric backoff parameters for the extrapolation line search."""
+class SolverConfig:
+    """Fixed step lam, the exit test and the beta line search's backoff."""
 
+    lam: float
+    tol: float = 1e-6
+    k_max: int = 5000
+    exit_mode: str = "iterate_relative"
     beta0: float = 0.99
     eta: float = 0.5
     rho: float = 0.99
@@ -50,19 +54,6 @@ class LineSearchConfig:
             raise ValidationError("eta must be a number in (0, 1)")
         if not (is_number(self.rho) and 0.0 < self.rho < 1.0):
             raise ValidationError("rho must be a number in (0, 1)")
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Fixed-step solver configuration."""
-
-    lam: float
-    line_search: LineSearchConfig = field(default_factory=LineSearchConfig)
-    tol: float = 1e-6
-    k_max: int = 5000
-    exit_mode: str = "iterate_relative"
-
-    def __post_init__(self):
         check_positive(self.lam, "lam")
         check_positive(self.tol, "tol")
         if not (is_integer(self.k_max) and self.k_max >= 1):
@@ -71,8 +62,6 @@ class SolverConfig:
             raise ValidationError(
                 "exit_mode must be one of %s" % (EXIT_MODES,)
             )
-        if not isinstance(self.line_search, LineSearchConfig):
-            raise ValidationError("line_search must be a LineSearchConfig")
 
 
 @dataclass(frozen=True)
@@ -139,7 +128,7 @@ class SolveResult:
 
 
 def line_search_beta(kernel: Kernel, x_prev: np.ndarray, x_curr: np.ndarray,
-                     cfg: LineSearchConfig, C_k: float, dh_prev: float):
+                     cfg: SolverConfig, C_k: float, dh_prev: float):
     """First beta in {beta0, eta*beta0, ...} whose trial point is admissible.
 
     Admissible means the trial x_curr + beta*(x_curr - x_prev) lies in the
@@ -195,7 +184,7 @@ def bpge_solve(obj: CompositeObjective, x0: np.ndarray,
             and is_number(mu) and 0.0 <= mu < math.inf):
         raise ValidationError("the smooth term's constants must be finite, "
                               "L > 0 and mu >= 0, got %r and %r" % (L, mu))
-    lam, ls, tol = cfg.lam, cfg.line_search, cfg.tol
+    lam, tol = cfg.lam, cfg.tol
     if lam > (1.0 / L) * (1.0 + 1e-12):
         raise ValidationError("step size %g exceeds 1/L = %g" % (lam, 1.0 / L))
     inv_lam = 1.0 / lam
@@ -206,7 +195,7 @@ def bpge_solve(obj: CompositeObjective, x0: np.ndarray,
     u_curr, f_curr, grad_curr, _ = smooth.evaluate(x_curr, None, 0.0, None)
     psi_curr = f_curr + nonsmooth.value(x_curr)
     hgrad_curr = kernel._gradient(x_curr)
-    ahead = (ls.beta0 if _extrapolate else 0.0, 0, None, None)
+    ahead = (cfg.beta0 if _extrapolate else 0.0, 0, None, None)
     failed = False
     rows = array("d", (0, psi_curr, 0.0, psi_curr, 0.0, 0, np.nan, 0.0))
     exit_reason = EXIT_MAX_ITERATIONS
@@ -228,7 +217,7 @@ def bpge_solve(obj: CompositeObjective, x0: np.ndarray,
             ahead = (0.0, 0, None, None)
             if _extrapolate:
                 try:
-                    ahead = line_search_beta(kernel, x_curr, x_next, ls,
+                    ahead = line_search_beta(kernel, x_curr, x_next, cfg,
                                              C_k, dh)
                 except (DomainError, NumericalError):
                     failed = True

@@ -193,7 +193,7 @@ def rate_check_loop(result, slack=1e-10):
     bound fails when `checked and max_slack > 0.0`.
     """
     inv_lam = 1.0 / result.config.lam
-    denom_unit = inv_lam - result.config.line_search.rho * inv_lam
+    denom_unit = inv_lam - result.config.rho * inv_lam
     trace = list(result.trace)
     max_slack, running_min = -np.inf, np.inf
     for K in range(1, len(trace) - 1):

@@ -18,7 +18,6 @@ from bregopt import (
     CompositeObjective,
     EuclideanKernel,
     L1Term,
-    LineSearchConfig,
     SolverConfig,
     bpg_solve,
     bpge_solve,
@@ -183,8 +182,7 @@ def test_criterion_04_reduction_identities(report):
     for problem, m, d in (("plip", 60, 6), ("qip", 60, 6)):
         run = _run_one(problem, m, d, seed=0)
         cfg_zero = SolverConfig(lam=run.result.config.lam, tol=1e-6,
-                                k_max=300,
-                                line_search=LineSearchConfig(beta0=0.0))
+                                k_max=300, beta0=0.0)
         r_e = bpge_solve(run.obj, run.x0, cfg_zero)
         r_0 = bpg_solve(run.obj, run.x0, cfg_zero)
         ok = ok and np.array_equal(r_e.x_final, r_0.x_final)
@@ -202,8 +200,8 @@ def test_criterion_04_reduction_identities(report):
     obj = CompositeObjective(_Quadratic(B, c), L1Term(weight),
                              EuclideanKernel(6))
     lam = 1.0 / obj.smooth.smad_constant()
-    ls = LineSearchConfig(beta0=0.95, eta=0.5, rho=0.9)
-    cfg = SolverConfig(lam=lam, k_max=100, tol=1e-300, line_search=ls)
+    cfg = SolverConfig(lam=lam, k_max=100, tol=1e-300, beta0=0.95, eta=0.5,
+                       rho=0.9)
     x0 = np.zeros(6)
     result, recorded = solve_recording(bpge_solve, obj, x0, cfg)
 
@@ -212,15 +210,15 @@ def test_criterion_04_reduction_identities(report):
     iterates = [x0.copy()]
     for _ in range(100):
         delta = x_curr - x_prev
-        beta = ls.beta0
+        beta = cfg.beta0
         if np.any(delta):
             n2 = 0.5 * float(np.dot(delta, delta))
-            for _ in range(ls.max_shrinks + 1):
+            for _ in range(cfg.max_shrinks + 1):
                 trial = x_curr + beta * delta
                 diff = trial - x_curr
-                if 0.5 * float(np.dot(diff, diff)) <= ls.rho * n2:
+                if 0.5 * float(np.dot(diff, diff)) <= cfg.rho * n2:
                     break
-                beta *= ls.eta
+                beta *= cfg.eta
         y = x_curr + beta * delta if np.any(delta) else x_curr
         x_next = soft_threshold(y - lam * obj.smooth.gradient(y), lam * weight)
         iterates.append(x_next.copy())
@@ -336,16 +334,16 @@ def test_criterion_08_stationarity_at_exit(benchmark_runs, acceleration_pairs,
 def test_criterion_09_line_search_safety(benchmark_runs, report):
     failures = []
     for run in benchmark_runs:
-        ls = run.result.config.line_search
+        cfg = run.result.config
         kernel = run.obj.kernel
-        inv_lam = 1.0 / run.result.config.lam
+        inv_lam = 1.0 / cfg.lam
         mu = run.obj.smooth.weak_convexity_constant()
         C_k = inv_lam / (inv_lam + mu)
         iterates = run.iterates
         for i, rec in enumerate(run.result.trace):
             if i == 0:
                 continue
-            if rec.shrink_count > ls.max_shrinks:
+            if rec.shrink_count > cfg.max_shrinks:
                 failures.append(("overran", run.problem, run.seed, rec.k))
             x_curr = iterates[i - 1]
             x_prev = iterates[i - 2] if i >= 2 else iterates[0]
@@ -358,7 +356,7 @@ def test_criterion_09_line_search_safety(benchmark_runs, report):
                 continue
             trial = x_curr + rec.beta_accepted * direction
             lhs = kernel.bregman(x_curr, trial)
-            rhs = ls.rho * C_k * kernel.bregman(x_prev, x_curr)
+            rhs = cfg.rho * C_k * kernel.bregman(x_prev, x_curr)
             if lhs > rhs * (1.0 + 1e-12) + 1e-15:
                 failures.append(("inequality", run.problem, run.m, run.d,
                                  run.seed, rec.k, lhs - rhs))

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from bregopt import (
-    LineSearchConfig,
     SolverConfig,
     ValidationError,
     bpg_solve,
@@ -69,6 +68,16 @@ class TestSpecValidation:
         assert cfg.exit_mode == "stationarity"
         with pytest.raises(ValidationError, match="exit_mode"):
             tiny_spec(exit_mode="objective_relative")
+
+    def test_solver_config_carries_the_line_search_parameters(self):
+        spec = tiny_spec(beta0=0.7, eta=0.25, rhos=(0.5, 0.9), tol=1e-5,
+                         k_max=30, lambdas=("1/2L",))
+        cfg = spec.solver_config(4.0, "1/2L", 0.9)
+        assert cfg == SolverConfig(lam=0.125, tol=1e-5, k_max=30,
+                                   beta0=0.7, eta=0.25, rho=0.9)
+        default = harness.ExperimentSpec(problem="plip", sizes=((30, 4),))
+        assert (default.beta0, default.eta, default.rhos) == (
+            SolverConfig.beta0, SolverConfig.eta, (SolverConfig.rho,))
 
     @pytest.mark.parametrize("size", [(0, 3), (30, 0), (-1, 4)])
     def test_size_rule_is_that_of_generate(self, size):
@@ -168,7 +177,7 @@ def exit_runs():
         "numerical_failure": bpge_solve(dataclasses.replace(
             obj, kernel=FailingBurgKernel(obj.kernel.dim, 4)), x0, cfg),
         "numpy_beta0": bpge_solve(obj, x0, dataclasses.replace(
-            cfg, line_search=LineSearchConfig(beta0=np.float64(0.9)))),
+            cfg, beta0=np.float64(0.9))),
     }
     for name in ("tolerance", "max_iterations", "numerical_failure"):
         assert runs[name].exit_reason == name

@@ -242,6 +242,26 @@ class TestInverseGradient:
         assert np.isfinite(x).all()
         assert np.max(np.abs(k.gradient(x) - z)) <= 1e-14 * v
 
+    @pytest.mark.parametrize("z", [
+        [sys.float_info.max, 0.0], [0.0, -sys.float_info.max],
+        [1.7976931348621736e308, 0.0]], ids=repr)
+    def test_quartic_at_the_largest_floats(self, z):
+        k = QuarticKernel(2)
+        x = k.inverse_gradient(z)
+        assert np.isfinite(x).all() and np.any(x != 0.0)
+        np.testing.assert_allclose(k.gradient(x), z, rtol=1e-14)
+
+    @pytest.mark.parametrize("z", [
+        [1e-200, 0.0], [1e-170, -3e-171], [5e-324, -0.0], [0.0, -1e-180]],
+        ids=repr)
+    def test_quartic_tiny_z_is_its_own_preimage(self, z):
+        # dot(z, z) underflows to 0, so r = 0 and x = z / (0 + 1) = z,
+        # where grad h(z) = (||z||^2 + 1) z rounds to z.
+        k = QuarticKernel(2)
+        x = k.inverse_gradient(z)
+        assert x.tobytes() == np.array(z).tobytes()
+        assert k.gradient(x).tobytes() == x.tobytes()
+
     def test_quartic_rejects_an_infinite_norm(self):
         with np.errstate(over="ignore"), pytest.raises(DomainError):
             QuarticKernel(3).inverse_gradient(np.full(3, 1.7e308))
@@ -300,6 +320,21 @@ class TestCubicRootScale:
 
     def test_nan_gives_nan(self):
         assert math.isnan(cubic_root_scale(float("nan")))
+
+    def test_largest_floats_give_a_finite_root(self):
+        # r^3 overflows at 711 of the top 713 floats, the lowest
+        # 1.7976931348621736e308: the root stays finite and bracketed.
+        def p(r, s):
+            r = Fraction(r)
+            return r ** 3 + r - Fraction(s)
+
+        s = sys.float_info.max
+        for _ in range(800):
+            r = cubic_root_scale(s)
+            assert math.isfinite(r)
+            assert p(math.nextafter(r, -math.inf), s) < 0 < p(
+                math.nextafter(r, math.inf), s)
+            s = math.nextafter(s, 0.0)
 
     @pytest.mark.parametrize("s", [math.inf, np.float64(np.inf)], ids=repr)
     def test_inf_gives_inf(self, s):
@@ -401,8 +436,6 @@ def test_burg_inverse_gradient_accepts_the_next_float():
 def test_quartic_inverse_gradient_matches_linalg_norm_form():
     def with_linalg_norm(z):
         s = float(np.linalg.norm(z))
-        if s == 0.0:
-            return np.zeros_like(z)
         r = cubic_root_scale(s)
         return z / (r * r + 1.0)
 

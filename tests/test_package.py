@@ -1,4 +1,5 @@
 import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,6 +18,13 @@ ROOT = Path(__file__).resolve().parent.parent
 def test_every_exported_name_resolves():
     missing = [name for name in bregopt.__all__
                if not hasattr(bregopt, name)]
+    assert missing == []
+
+
+def test_readme_names_every_exported_name():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    missing = [name for name in bregopt.__all__
+               if not re.search(r"\b%s\b" % name, readme)]
     assert missing == []
 
 

@@ -4,6 +4,7 @@ import inspect
 import math
 import pickle
 import pstats
+import types
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from bregopt import (
     CompositeObjective,
     EuclideanKernel,
     L1Term,
-    LineSearchConfig,
     NumericalError,
     SolverConfig,
     ValidationError,
@@ -60,7 +60,7 @@ def lasso_objective(d=6, m=10, seed=0, weight=0.3):
 
 class TestLineSearch:
     def test_equal_points_accept_beta0_immediately(self):
-        cfg = LineSearchConfig(beta0=0.7)
+        cfg = SolverConfig(lam=1.0, beta0=0.7)
         x = np.array([1.0, 2.0])
         kernel = EuclideanKernel(2)
         beta, shrinks, trial, hgrad = line_search_beta(
@@ -73,7 +73,7 @@ class TestLineSearch:
     def test_euclidean_accepts_beta0_below_sqrt_rho(self):
         # D_h(x, x + b*delta) = b^2 ||delta||^2 / 2, so b <= sqrt(rho*C) passes.
         rho = 0.82
-        cfg = LineSearchConfig(beta0=0.9, rho=rho)
+        cfg = SolverConfig(lam=1.0, beta0=0.9, rho=rho)
         rng = np.random.default_rng(0)
         kernel = EuclideanKernel(3)
         for _ in range(20):
@@ -88,7 +88,7 @@ class TestLineSearch:
 
     def test_euclidean_shrinks_above_threshold(self):
         rho = 0.25
-        cfg = LineSearchConfig(beta0=0.99, eta=0.5, rho=rho)
+        cfg = SolverConfig(lam=1.0, beta0=0.99, eta=0.5, rho=rho)
         kernel = EuclideanKernel(1)
         x_prev, x_curr = np.array([0.0]), np.array([1.0])
         beta, shrinks, trial, _ = line_search_beta(
@@ -101,7 +101,7 @@ class TestLineSearch:
 
     def test_burg_trial_evaluated_numerically(self):
         kernel = BurgKernel(1)
-        cfg = LineSearchConfig(beta0=0.99, eta=0.5, rho=0.99)
+        cfg = SolverConfig(lam=1.0, beta0=0.99, eta=0.5, rho=0.99)
         x_prev, x_curr = np.array([2.0]), np.array([1.0])
         beta, shrinks, trial, hgrad = line_search_beta(
             kernel, x_prev, x_curr, cfg, 1.0, kernel.bregman(x_prev, x_curr))
@@ -117,7 +117,7 @@ class TestLineSearch:
         # shrinks beta; the first trial inside the slack is clamped to 0
         # and accepted.
         c = 1e-9
-        cfg = LineSearchConfig(beta0=0.99, eta=0.5, rho=0.5)
+        cfg = SolverConfig(lam=1.0, beta0=0.99, eta=0.5, rho=0.5)
         beta, shrinks, trial, _ = line_search_beta(
             TiltedConstantKernel(c), np.array([2.0]), np.array([1.0]), cfg,
             1.0, 1.0)
@@ -131,7 +131,7 @@ class TestLineSearch:
         # Trial 1 + 0.99*(1 - 5) < 0 leaves the Burg domain; beta must shrink
         # until the trial is positive and the distance test passes.
         kernel = BurgKernel(1)
-        cfg = LineSearchConfig(beta0=0.99, eta=0.5, rho=0.99)
+        cfg = SolverConfig(lam=1.0, beta0=0.99, eta=0.5, rho=0.99)
         x_prev, x_curr = np.array([5.0]), np.array([1.0])
         beta, shrinks, trial, _ = line_search_beta(
             kernel, x_prev, x_curr, cfg, 1.0, kernel.bregman(x_prev, x_curr))
@@ -141,7 +141,7 @@ class TestLineSearch:
 
     def test_quartic_returns_trial_and_its_kernel_gradient(self):
         kernel = QuarticKernel(4)
-        cfg = LineSearchConfig(beta0=0.99, eta=0.5, rho=0.5)
+        cfg = SolverConfig(lam=1.0, beta0=0.99, eta=0.5, rho=0.5)
         rng = np.random.default_rng(1)
         x_prev, x_curr = rng.standard_normal(4), rng.standard_normal(4)
         beta, shrinks, trial, hgrad = line_search_beta(
@@ -161,8 +161,7 @@ class TestReductions:
         inst = plip.generate_plip(40, 5, seed=1)
         obj, x0 = plip.make_objective(inst), plip.default_x0(inst)
         lam = 1.0 / obj.smooth.smad_constant()
-        cfg = SolverConfig(lam=lam, k_max=100,
-                           line_search=LineSearchConfig(beta0=0.0))
+        cfg = SolverConfig(lam=lam, k_max=100, beta0=0.0)
         r_e = bpge_solve(obj, x0, cfg)
         r_0 = bpg_solve(obj, x0, cfg)
         assert r_e.iterations == r_0.iterations
@@ -174,8 +173,8 @@ class TestReductions:
         obj = lasso_objective(seed=2)
         d = obj.kernel.dim
         lam = 1.0 / obj.smooth.smad_constant()
-        ls = LineSearchConfig(beta0=0.95, eta=0.5, rho=0.9)
-        cfg = SolverConfig(lam=lam, k_max=100, tol=1e-300, line_search=ls)
+        cfg = SolverConfig(lam=lam, k_max=100, tol=1e-300, beta0=0.95,
+                           eta=0.5, rho=0.9)
         x0 = np.zeros(d)
         result, recorded = solve_recording(bpge_solve, obj, x0, cfg)
 
@@ -186,15 +185,15 @@ class TestReductions:
         iterates = [x0.copy()]
         for _ in range(100):
             delta = x_curr - x_prev
-            beta = ls.beta0
+            beta = cfg.beta0
             if np.any(delta):
                 n2 = 0.5 * float(np.dot(delta, delta))
-                for _ in range(ls.max_shrinks + 1):
+                for _ in range(cfg.max_shrinks + 1):
                     trial = x_curr + beta * delta
                     diff = trial - x_curr
-                    if 0.5 * float(np.dot(diff, diff)) <= ls.rho * n2:
+                    if 0.5 * float(np.dot(diff, diff)) <= cfg.rho * n2:
                         break
-                    beta *= ls.eta
+                    beta *= cfg.eta
             y = x_curr + beta * delta if np.any(delta) else x_curr
             grad = obj.smooth.gradient(y)
             x_next = soft_threshold(y - lam * grad, lam * weight)
@@ -276,7 +275,7 @@ class TestDescentDiagnostics:
         result, xs = solve_recording(bpge_solve, obj, x0, cfg)
         mu = obj.smooth.weak_convexity_constant()
         C = (1.0 / lam) / (1.0 / lam + mu)
-        rho = cfg.line_search.rho
+        rho = cfg.rho
         kernel = obj.kernel
         for k in range(1, len(xs) - 1):
             rec = result.trace[k + 1]
@@ -350,7 +349,7 @@ class TestRateBound:
         lam = 1.0 / obj.smooth.smad_constant()
         cfg = SolverConfig(lam=lam, k_max=2, tol=1e-300)
         result = bpge_solve(obj, x0, cfg)
-        rho = cfg.line_search.rho
+        rho = cfg.rho
         bound = ((result.trace[1].lyapunov - result.trace[2].lyapunov)
                  / ((1.0 / lam) * (1.0 - rho)))
         assert result.trace[1].dh_step <= bound + 1e-10
@@ -367,12 +366,29 @@ class TestConfigValidation:
             bpge_solve(obj, x0, cfg)
 
     def test_rejects_bad_line_search_parameters(self):
-        with pytest.raises(ValidationError):
-            LineSearchConfig(beta0=1.0)
-        with pytest.raises(ValidationError):
-            LineSearchConfig(eta=0.0)
-        with pytest.raises(ValidationError):
-            LineSearchConfig(rho=1.5)
+        for field, value, message in (
+                ("beta0", 1.0, r"beta0 must be a number in \[0, 1\)"),
+                ("beta0", -0.1, r"beta0 must be a number in \[0, 1\)"),
+                ("eta", 0.0, r"eta must be a number in \(0, 1\)"),
+                ("eta", 1.0, r"eta must be a number in \(0, 1\)"),
+                ("rho", 1.5, r"rho must be a number in \(0, 1\)"),
+                ("rho", float("nan"), r"rho must be a number in \(0, 1\)")):
+            with pytest.raises(ValidationError, match=message):
+                SolverConfig(lam=0.1, **{field: value})
+        # The line-search parameters are checked first, so a spec with a
+        # bad tol and a bad beta0 names beta0.
+        with pytest.raises(ValidationError, match="beta0"):
+            SolverConfig(lam=0.1, tol="1", beta0=1.0)
+
+    def test_fields_are_the_step_exit_and_line_search_parameters(self):
+        assert [f.name for f in dataclasses.fields(SolverConfig)] == [
+            "lam", "tol", "k_max", "exit_mode", "beta0", "eta", "rho"]
+        cfg = SolverConfig(0.1)
+        assert (cfg.tol, cfg.k_max, cfg.exit_mode) == (
+            1e-6, 5000, "iterate_relative")
+        assert (cfg.beta0, cfg.eta, cfg.rho) == (0.99, 0.5, 0.99)
+        assert SolverConfig.max_shrinks == cfg.max_shrinks == 60
+        assert "max_shrinks" not in {f.name for f in dataclasses.fields(cfg)}
 
     def test_rejects_unknown_exit_mode(self):
         assert solvers.EXIT_MODES == ("iterate_relative", "stationarity")
@@ -390,8 +406,7 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("field,value", [
         ("k_max", 2.5), ("k_max", True), ("k_max", "5"), ("tol", "1"),
-        ("lam", "0.1"), ("lam", True), ("line_search", None),
-        ("line_search", {"beta0": 0.5}),
+        ("lam", "0.1"), ("lam", True),
     ])
     def test_rejects_mistyped_field(self, field, value):
         with pytest.raises(ValidationError):
@@ -400,13 +415,16 @@ class TestConfigValidation:
     @pytest.mark.parametrize("field", ["beta0", "eta", "rho"])
     @pytest.mark.parametrize("value", ["0.5", False], ids=["str", "bool"])
     def test_line_search_rejects_mistyped_field(self, field, value):
-        with pytest.raises(ValidationError):
-            LineSearchConfig(**{field: value})
+        with pytest.raises(ValidationError, match="%s must be a number" % field):
+            SolverConfig(lam=0.1, **{field: value})
 
     @pytest.mark.parametrize("solve", [bpge_solve, bpg_solve],
                              ids=["bpge", "bpg"])
-    @pytest.mark.parametrize("cfg", [None, {"lam": 0.01}, LineSearchConfig()],
-                             ids=["none", "dict", "line_search"])
+    @pytest.mark.parametrize("cfg", [
+        None, {"lam": 0.01},
+        types.SimpleNamespace(beta0=0.99, eta=0.5, rho=0.99),
+        types.SimpleNamespace(**dataclasses.asdict(SolverConfig(lam=0.01)))],
+        ids=["none", "dict", "line_search", "lookalike"])
     def test_rejects_cfg_that_is_not_a_solver_config(self, solve, cfg):
         inst = plip.generate_plip(10, 3, seed=14)
         obj, x0 = plip.make_objective(inst), plip.default_x0(inst)
@@ -910,7 +928,7 @@ class TestForwardCarry:
         trace = recomputed.trace
         mu = obj.smooth.weak_convexity_constant()
         last_beta = line_search_beta(
-            obj.kernel, xs[-2], xs[-1], cfg.line_search,
+            obj.kernel, xs[-2], xs[-1], cfg,
             (1.0 / cfg.lam) / (1.0 / cfg.lam + mu), trace[-1].dh_step)[0]
         assert recomputing.calls == sum(
             rec.beta_accepted != 0.0 for rec in trace[2:]) + (
