@@ -16,7 +16,6 @@ from .problems import (
     NonsmoothTerm,
     SmoothTerm,
     ZeroTerm,
-    soft_threshold,
 )
 from .checks import check_smad
 from .solvers import (
@@ -37,7 +36,7 @@ __all__ = [
     "Kernel", "EuclideanKernel", "BurgKernel", "QuarticKernel",
     "cubic_root_scale",
     "CompositeObjective", "SmoothTerm", "NonsmoothTerm", "ZeroTerm",
-    "L1Term", "soft_threshold", "check_smad",
+    "L1Term", "check_smad",
     "EXIT_TOLERANCE", "EXIT_MAX_ITERATIONS", "EXIT_NUMERICAL_FAILURE",
     "EXIT_MODES", "SolverConfig", "IterationRecord", "SolveResult",
     "line_search_beta", "bpge_solve", "bpg_solve",

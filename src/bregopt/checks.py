@@ -16,7 +16,7 @@ import numpy as np
 
 from . import harness
 from .errors import ValidationError
-from .kernels import BurgKernel, is_integer
+from .kernels import BurgKernel, check_count
 from .problems import CompositeObjective, check_seed
 from .solvers import SolverConfig, bpge_solve
 
@@ -66,8 +66,7 @@ def check_smad(obj, samples: int = 1000, rng_seed: int = 0) -> CheckOutcome:
     1e-8 * (1 + |f(x)|). This is a regression guard, not a certification.
     It needs an integer samples >= 1 and an integer rng_seed >= 0.
     """
-    if not (is_integer(samples) and samples >= 1):
-        raise ValidationError("samples must be an integer >= 1")
+    check_count(samples, "samples")
     check_seed(rng_seed)
     if type(obj) is not CompositeObjective:
         raise ValidationError("obj must be a CompositeObjective: %r" % (obj,))

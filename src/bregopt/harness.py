@@ -22,7 +22,8 @@ import numpy as np
 
 from . import plip, qip
 from .errors import ValidationError
-from .problems import check_size, check_theta, is_integer, is_number
+from .kernels import check_count
+from .problems import check_nonnegative, check_size, is_integer, is_number
 from .solvers import SolveResult, SolverConfig, bpg_solve, bpge_solve
 
 PROBLEM_MODULES = {"plip": plip, "qip": qip}
@@ -37,23 +38,23 @@ TIMING_COLUMNS = ("cum_time_s", "T_bpge", "T_bpg", "T_ratio")
 
 
 def _is_size(v) -> bool:
-    return (isinstance(v, (list, tuple)) and len(v) == 2
-            and all(map(is_integer, v)))
+    return isinstance(v, (list, tuple)) and len(v) == 2
 
 
 def _list_of(test):
     return lambda v: isinstance(v, (list, tuple)) and all(map(test, v))
 
 
-# Spec field types, checked before any range check so that a value of the
-# wrong type never reaches a comparison.
+# The types no owner checks, and list shapes, checked first; each owner
+# checks type before range: `SolverConfig` k_max, tol, beta0, eta and each
+# rho, `check_size` each [m, d], `check_nonnegative` theta, `check_count`
+# repetitions. So a value of the wrong type never reaches a comparison.
 _FIELD_TYPES = (
-    (("seed", "repetitions", "k_max"), is_integer, "an integer"),
-    (("tol", "beta0", "eta", "theta"), is_number, "a number"),
+    (("seed",), is_integer, "an integer"),
     (("rhos",), _list_of(is_number), "a list of numbers"),
     (("lambdas", "solvers"), _list_of(lambda v: isinstance(v, str)),
      "a list of strings"),
-    (("sizes",), _list_of(_is_size), "a list of [m, d] integer pairs"),
+    (("sizes",), _list_of(_is_size), "a list of [m, d] pairs"),
 )
 
 
@@ -84,7 +85,7 @@ class ExperimentSpec:
             if not getattr(self, name):
                 raise ValidationError("%s must be nonempty" % name)
         for m, d in self.sizes:
-            check_size(m, d)
+            check_size(m, d, "sizes: m and d")
         for rule in self.lambdas:
             if rule not in LAMBDA_RULES:
                 raise ValidationError(
@@ -93,12 +94,11 @@ class ExperimentSpec:
                 )
         for rho in self.rhos:  # beta0, eta, rho, tol, k_max and exit_mode
             self.solver_config(1.0, "1/L", rho)
-        check_theta(self.theta)
+        check_nonnegative(self.theta, "theta")
         for solver in self.solvers:
             if solver not in SOLVERS:
                 raise ValidationError("unknown solver %r" % (solver,))
-        if self.repetitions < 1:
-            raise ValidationError("repetitions must be positive")
+        check_count(self.repetitions, "repetitions")
 
     def solver_config(self, L: float, rule: str, rho: float) -> SolverConfig:
         """One cell's configuration; lam = 1 / (c L) for lambda rule 1/cL."""
@@ -241,8 +241,7 @@ def run_comparison(spec: ExperimentSpec, out_dir,
     its turn, a dead worker's as OSError; a numerical failure is in its row."""
     if type(spec) is not ExperimentSpec:
         raise ValidationError("spec must be an ExperimentSpec: %r" % (spec,))
-    if not (is_integer(jobs) and jobs >= 1):
-        raise ValidationError("jobs must be an integer >= 1, got %r" % (jobs,))
+    check_count(jobs, "jobs")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     cells = [("trace_%s_m%d_d%d_lam%d_rho%d_rep%d_" % (spec.problem, m, d,

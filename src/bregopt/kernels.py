@@ -31,8 +31,9 @@ from .errors import DomainError, NumericalError, ValidationError
 # Negative values of D_h up to this size times that of its terms (at least 1)
 # are rounding noise and clamped to zero; anything more negative is a bug.
 _NEGATIVE_SLACK = 1e-12
+_FLOAT_MAX = float(np.finfo(float).max)
 # Burg's domain is x_j > _BURG_X_MIN, where -1/x_j is finite.
-_BURG_X_MIN = 1.0 / float(np.finfo(float).max)
+_BURG_X_MIN = 1.0 / _FLOAT_MAX
 # phi(s) >= 0 in floats, and phi(s) > phi(-1/2) = 0.19315 where s < -1/2: an
 # unweighted sum below this holds no s_j < -1/2 (nor inf nor NaN).
 _PHI_HALF = 0.193
@@ -50,6 +51,13 @@ def is_number(v) -> bool:
 
 def is_integer(v) -> bool:
     return is_number(v) and np.dtype(type(v)).kind != "f"
+
+
+def check_count(value, name: str) -> None:
+    """The one count rule: an integer >= 1 (numpy's too, never a bool)."""
+    if not (is_integer(value) and value >= 1):
+        raise ValidationError("%s must be an integer >= 1, got %r"
+                              % (name, value))
 
 
 def _as_vector(x, size=None, name="z") -> np.ndarray:
@@ -72,8 +80,7 @@ class Kernel:
     """Base class for kernel generating distances."""
 
     def __init__(self, dim: int):
-        if not (is_integer(dim) and dim >= 1):
-            raise ValidationError("kernel dimension must be an integer >= 1")
+        check_count(dim, "kernel dimension")
         self.dim = int(dim)
 
     @np.errstate(all="ignore")

@@ -14,8 +14,8 @@ import numpy as np
 from .errors import ValidationError
 from .kernels import BurgKernel, EuclideanKernel, burg_phi_sum
 from .problems import (CompositeObjective, Instance, LinearModelSmooth,
-                       ZeroTerm, check_positive, check_seed, check_size,
-                       check_theta, empty_aligned)
+                       ZeroTerm, check_nonnegative, check_positive,
+                       check_seed, check_size, empty_aligned)
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,7 @@ def generate_plip(m: int, d: int, seed: int, theta: float = 1.0) -> PlipInstance
     unless x_true = 0, which `PlipInstance` rejects."""
     check_size(m, d)
     check_seed(seed)
-    check_theta(theta)
+    check_nonnegative(theta, "theta")
     rng = np.random.default_rng([seed, 0])
     A = rng.random(out=empty_aligned(m, d))
     np.subtract(1.0, A, out=A)

@@ -9,13 +9,12 @@ immutable and all operations are pure.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import ValidationError
-from .kernels import (NUMBER_KINDS, NUMBER_TYPES, BurgKernel, Kernel,
+from .kernels import (_FLOAT_MAX, NUMBER_KINDS, BurgKernel, Kernel,
                       _as_vector, is_integer, is_number)
 
 
@@ -25,12 +24,12 @@ def check_seed(seed) -> None:
         raise ValidationError("seed must be an integer >= 0, got %r" % (seed,))
 
 
-def check_size(m, d) -> None:
+def check_size(m, d, name: str = "m and d") -> None:
     """Instance sizes are integers >= 1, as the seed is (numpy integers too,
     never a bool, a float or a string), that `empty_aligned` can address."""
     if not (is_integer(m) and is_integer(d) and m >= 1 and d >= 1):
-        raise ValidationError("m and d must be integers >= 1, got %r and %r"
-                              % (m, d))
+        raise ValidationError("%s must be integers >= 1, got %r and %r"
+                              % (name, m, d))
     if int(m) * int(d) * 8 + 64 > np.iinfo(np.intp).max:
         raise ValidationError("m x d = %d x %d is too big for numpy" % (m, d))
 
@@ -43,13 +42,15 @@ def empty_aligned(m: int, d: int) -> np.ndarray:
     return buf[start:start + 8 * m * d].view(np.float64).reshape(m, d)
 
 
-def check_theta(theta) -> None:
-    if not (is_number(theta) and math.isfinite(theta) and theta >= 0.0):
-        raise ValidationError("theta must be finite and >= 0")
+def check_nonnegative(value, name: str) -> None:
+    """theta, l1 weights: a number in [0, max float]; bigger ints refused."""
+    if not (is_number(value) and 0.0 <= value <= _FLOAT_MAX):
+        raise ValidationError("%s must be a finite number >= 0, got %r"
+                              % (name, value))
 
 
 def check_positive(value, name: str) -> None:
-    if not (is_number(value) and math.isfinite(value) and value > 0.0):
+    if not (is_number(value) and 0.0 < value <= _FLOAT_MAX):
         raise ValidationError("%s must be positive and finite" % name)
 
 
@@ -222,14 +223,8 @@ class NonsmoothTerm:
 
 
 def _shrink(z: np.ndarray, tau: float) -> np.ndarray:
+    """sign(z_j) * max(|z_j| - tau, 0): the soft threshold of z by tau."""
     return np.sign(z) * np.maximum(np.abs(z) - tau, 0.0)
-
-
-def soft_threshold(z: np.ndarray, tau: float) -> np.ndarray:
-    """Shrinkage sign(z_j) * max(|z_j| - tau, 0) of a vector z by tau >= 0."""
-    if not (type(tau) in NUMBER_TYPES and tau >= 0.0):
-        raise ValidationError("threshold must be a number >= 0")
-    return _shrink(_as_vector(z), tau)
 
 
 class L1Term(NonsmoothTerm):
@@ -241,8 +236,7 @@ class L1Term(NonsmoothTerm):
     """
 
     def __init__(self, weight: float):
-        if not (is_number(weight) and 0.0 <= weight < math.inf):
-            raise ValidationError("l1 weight must be a finite number >= 0")
+        check_nonnegative(weight, "l1 weight")
         self.weight = float(weight)
 
     def value(self, x):

@@ -16,8 +16,8 @@ import numpy as np
 from .errors import ValidationError
 from .kernels import QuarticKernel
 from .problems import (CompositeObjective, Instance, L1Term, LinearModelSmooth,
-                       _row_blocks, check_seed, check_size, check_theta,
-                       empty_aligned)
+                       _row_blocks, check_nonnegative, check_seed,
+                       check_size, empty_aligned)
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,7 @@ class QipInstance(Instance):
         super().__post_init__()
         if not np.isfinite(self.b).all():
             raise ValidationError("b must be finite")
-        check_theta(self.theta)
+        check_nonnegative(self.theta, "theta")
 
 
 def generate_qip(m: int, d: int, seed: int, theta: float = 1.0) -> QipInstance:
@@ -47,7 +47,7 @@ def generate_qip(m: int, d: int, seed: int, theta: float = 1.0) -> QipInstance:
     """
     check_size(m, d)
     check_seed(seed)
-    check_theta(theta)
+    check_nonnegative(theta, "theta")
     rng = np.random.default_rng([seed, 0])
     a = rng.standard_normal(out=empty_aligned(m, d))
     nnz = math.ceil(0.05 * d)

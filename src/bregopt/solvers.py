@@ -24,8 +24,8 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import DomainError, NumericalError, ValidationError
-from .kernels import Kernel
-from .problems import CompositeObjective, check_positive, is_integer, is_number
+from .kernels import Kernel, check_count
+from .problems import CompositeObjective, check_positive, is_number
 
 EXIT_TOLERANCE = "tolerance"
 EXIT_MAX_ITERATIONS = "max_iterations"
@@ -56,8 +56,7 @@ class SolverConfig:
             raise ValidationError("rho must be a number in (0, 1)")
         check_positive(self.lam, "lam")
         check_positive(self.tol, "tol")
-        if not (is_integer(self.k_max) and self.k_max >= 1):
-            raise ValidationError("k_max must be a positive integer")
+        check_count(self.k_max, "k_max")
         if self.exit_mode not in EXIT_MODES:
             raise ValidationError(
                 "exit_mode must be one of %s" % (EXIT_MODES,)

@@ -2,11 +2,12 @@
 
 These deliberately avoid the closed-form code paths they are used to
 check: gradients come from central finite differences, prox solutions
-from a dense grid plus Nelder-Mead refinement, the scalar cubic from
-plain bisection, the three-point identity from the public kernel
-methods, the Burg distance from 80-digit decimal logarithms, trace
-CSVs from csv.writer over the records, and a run's iterates from its
-prox outputs, and the blocked data-fit pass from its per-block loop.
+from a dense grid plus Nelder-Mead refinement, the l1 shrink from a case
+split, the scalar cubic from plain bisection, the three-point identity
+from the public kernel methods, the Burg distance from 80-digit decimal
+logarithms, trace CSVs from csv.writer over the records, and a run's
+iterates from its prox outputs, and the blocked data-fit pass from its
+per-block loop.
 """
 
 import csv
@@ -70,6 +71,12 @@ def fd_gradient(fn, x, step=1e-6):
         e[j] = step
         g[j] = (fn(x + e) - fn(x - e)) / (2.0 * step)
     return g
+
+
+def shrink(z, tau):
+    """The soft threshold of z by tau >= 0 as a case split: z moved tau
+    towards 0 where |z| > tau, else a zero with the sign of z."""
+    return np.where(np.abs(z) > tau, z - np.copysign(tau, z), 0.0 * z)
 
 
 def prox_subproblem(kernel, g_value, y, grad, lam):

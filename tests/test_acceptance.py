@@ -25,11 +25,11 @@ from bregopt import (
     harness,
     plip,
     qip,
-    soft_threshold,
 )
 from bregopt.problems import SmoothTerm
 
-from helpers import fd_gradient, prox_oracle, rate_check_loop, solve_recording
+from helpers import (fd_gradient, prox_oracle, rate_check_loop, shrink,
+                     solve_recording)
 
 PLIP_SIZES = ((100, 10), (100, 50), (1000, 10), (1000, 50))
 QIP_SIZES = ((200, 10), (200, 50), (1000, 10), (1000, 50))
@@ -220,7 +220,7 @@ def test_criterion_04_reduction_identities(report):
                     break
                 beta *= cfg.eta
         y = x_curr + beta * delta if np.any(delta) else x_curr
-        x_next = soft_threshold(y - lam * obj.smooth.gradient(y), lam * weight)
+        x_next = shrink(y - lam * obj.smooth.gradient(y), lam * weight)
         iterates.append(x_next.copy())
         x_prev, x_curr = x_curr, x_next
 

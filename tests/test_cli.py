@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bregopt import cli, harness, plip, qip, solvers
+from bregopt import NumericalError, cli, harness, plip, qip, solvers
 
 _RUN_CELL = harness.run_cell
 needs_fork = pytest.mark.skipif(
@@ -536,3 +536,15 @@ class TestParser:
     def test_help_exits_0(self, capsys):
         assert cli.main(["solve", "--help"]) == 0
         assert "usage:" in capsys.readouterr().out
+
+    def test_numerical_error_is_one_line_and_exit_2(self, monkeypatch,
+                                                    capsys):
+        def fail(args):
+            raise NumericalError("the check diverged")
+
+        monkeypatch.setitem(cli._COMMANDS, "check", fail)
+        assert cli.main(["check", "--problem", "plip", "--m", "5",
+                         "--d", "2"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", "numerical failure: the check diverged\n")

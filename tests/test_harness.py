@@ -79,6 +79,13 @@ class TestSpecValidation:
         assert (default.beta0, default.eta, default.rhos) == (
             SolverConfig.beta0, SolverConfig.eta, (SolverConfig.rho,))
 
+    @pytest.mark.parametrize("field", ["tol", "theta"])
+    def test_rejects_an_int_past_the_largest_float(self, field):
+        # A JSON integer of 401 digits is a Python int; it is rejected as
+        # inf is, not with float()'s OverflowError.
+        with pytest.raises(ValidationError, match=field):
+            tiny_spec(**{field: 10 ** 400})
+
     @pytest.mark.parametrize("size", [(0, 3), (30, 0), (-1, 4)])
     def test_size_rule_is_that_of_generate(self, size):
         # The spec rejects what `generate` would, with its message.
@@ -275,6 +282,9 @@ class TestTraceCsv:
             a = (tmp_path / "a" / name).read_text(encoding="utf-8")
             b = (tmp_path / "b" / name).read_text(encoding="utf-8")
             assert harness.strip_timing_columns(a) == harness.strip_timing_columns(b)
+
+    def test_strip_timing_columns_of_empty_text_is_empty(self):
+        assert harness.strip_timing_columns("") == ""
 
     def test_numpy_scalar_spec_matches_plain_spec(self, tmp_path):
         # Same cell seeds (derive_seed) and the same printed values (_fmt).

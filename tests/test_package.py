@@ -4,10 +4,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bregopt
-from bregopt import harness
+from bregopt import (EuclideanKernel, SolverConfig, ValidationError,
+                     check_smad, harness, plip)
 
 SRC = Path(bregopt.__file__).resolve().parent
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -36,6 +38,31 @@ def test_problem_module_protocol(name):
     inst = module.generate(12, 5, seed=21, theta=0.7)
     obj, x0 = module.make_objective(inst), module.default_x0(inst)
     assert obj.kernel.dim == x0.shape[0] == inst.d
+
+
+COUNT_SPEC = dict(problem="plip", sizes=((6, 2),), solvers=("bpg",), k_max=3)
+COUNT_OBJ = plip.make_objective(plip.generate_plip(6, 2, seed=0))
+# The five counts, by the name their message gives them: n -> a call.
+COUNTS = {
+    "kernel dimension": lambda n, out: EuclideanKernel(n),
+    "k_max": lambda n, out: SolverConfig(lam=0.1, k_max=n),
+    "repetitions": lambda n, out: harness.ExperimentSpec(repetitions=n,
+                                                         **COUNT_SPEC),
+    "jobs": lambda n, out: harness.run_comparison(
+        harness.ExperimentSpec(**COUNT_SPEC), out, jobs=n),
+    "samples": lambda n, out: check_smad(COUNT_OBJ, samples=n),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COUNTS))
+def test_every_count_has_the_one_rule(name, tmp_path):
+    call = COUNTS[name]
+    for bad in (0, -1, 2.5, True, "3"):
+        message = "^%s must be an integer >= 1, got %s$" % (
+            name, re.escape(repr(bad)))
+        with pytest.raises(ValidationError, match=message):
+            call(bad, tmp_path)
+    call(np.int64(3), tmp_path)
 
 
 def unused_imports(source: str):

@@ -73,7 +73,8 @@ def _rejections():
                      "bools": [True] * D, "bool_array": np.ones(D, bool),
                      "objects": f.astype(object), "row": f.reshape(1, D),
                      "column": f.reshape(D, 1), "short": f[:-1],
-                     "long": np.append(f, f[0])}
+                     "long": np.append(f, f[0]),
+                     "ragged": [f[:1].tolist(), f[1:].tolist()]}
         for what, bad in malformed.items():
             yield pytest.param(call, bad, ValidationError,
                                id="%s-%s" % (name, what))

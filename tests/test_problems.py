@@ -16,7 +16,6 @@ from bregopt import (
     ZeroTerm,
     check_smad,
     cubic_root_scale,
-    soft_threshold,
 )
 from bregopt import harness, plip, qip
 from bregopt.checks import CheckOutcome
@@ -25,7 +24,7 @@ from bregopt.problems import (CompositeObjective, SmoothTerm, _row_blocks,
                               empty_aligned)
 
 from helpers import (fd_gradient, prox_oracle, reference_plip_draw,
-                     reference_qip_bounds, reference_qip_draw)
+                     reference_qip_bounds, reference_qip_draw, shrink)
 
 
 @pytest.mark.parametrize("name", sorted(harness.PROBLEM_MODULES))
@@ -142,16 +141,25 @@ class TestGradients:
             assert np.linalg.norm(g - fd) <= 1e-5 * max(1.0, np.linalg.norm(g))
 
 
+def euclidean_l1_prox(z, tau):
+    """The soft threshold of z by tau, as the library gives it: the l1 prox
+    of weight tau under the Euclidean kernel at lam = 1."""
+    return L1Term(tau).prox(EuclideanKernel(len(z)), z, 1.0)
+
+
 def test_soft_threshold():
-    assert np.array_equal(soft_threshold(np.array([3.0, -0.5]), 1.0),
+    assert np.array_equal(euclidean_l1_prox(np.array([3.0, -0.5]), 1.0),
                           np.array([2.0, 0.0]))
     z = np.array([0.2, -1.7, 4.0])
-    assert np.array_equal(soft_threshold(z, 0.0), z)
+    assert np.array_equal(euclidean_l1_prox(z, 0.0), z)
     rng = np.random.default_rng(2)
     for _ in range(50):
-        z = rng.standard_normal(6)
+        z = rng.standard_normal(6) * rng.choice([1e-3, 1.0, 1e3], 6)
         tau = rng.uniform(0.0, 2.0)
-        assert np.linalg.norm(soft_threshold(z, tau)) <= np.linalg.norm(z)
+        got = euclidean_l1_prox(z, tau)
+        assert np.linalg.norm(got) <= np.linalg.norm(z)
+        # bits and the sign of each zero as the case split has them
+        assert got.tobytes() == shrink(z, tau).tobytes()
 
 
 @pytest.mark.parametrize("z, tau", [
@@ -160,7 +168,7 @@ def test_soft_threshold():
     ([True, False], 0.5)], ids=repr)
 def test_soft_threshold_rejects_bad_input(z, tau):
     with pytest.raises(ValidationError):
-        soft_threshold(z, tau)
+        euclidean_l1_prox(z, tau)
 
 
 @pytest.mark.parametrize("term", [ZeroTerm(), L1Term(0.5)],
@@ -230,9 +238,11 @@ class TestProxFirstOrder:
         with pytest.raises(ValidationError):
             L1Term(1.0).prox(BurgKernel(2), -np.ones(2), 0.1)
 
-    @pytest.mark.parametrize("weight", [-1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("weight", [
+        -1.0, np.nan, np.inf, pytest.param(10 ** 400, id="int-past-max")])
     def test_l1_rejects_bad_weight(self, weight):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError,
+                           match="l1 weight must be a finite number >= 0"):
             L1Term(weight)
 
     @pytest.mark.parametrize("make,value", [
@@ -257,7 +267,7 @@ class TestProxFirstOrder:
                 grad = rng.standard_normal(6)
                 lam = rng.uniform(0.05, 0.5)
                 c = (float(np.dot(y, y)) + 1.0) * y - lam * grad
-                v = soft_threshold(c, lam * weight)
+                v = shrink(c, lam * weight)
                 r = cubic_root_scale(float(np.linalg.norm(v)))
                 got = L1Term(weight).prox(
                     kernel, kernel.gradient(y) - lam * grad, lam)

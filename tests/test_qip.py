@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from bregopt import (QuarticKernel, SolverConfig, ValidationError, bpge_solve,
-                     cubic_root_scale, soft_threshold)
+                     cubic_root_scale)
 from bregopt import qip
 
-from helpers import bisect_cubic, fd_gradient, prox_oracle
+from helpers import bisect_cubic, fd_gradient, prox_oracle, shrink
 
 
 def scalar_instance(b=1.0, theta=1.0):
@@ -129,7 +129,7 @@ class TestProx:
             grad = qip.QipSmooth(inst).gradient(y)
             x = prox(inst, y, grad, lam)
             c = kernel.gradient(y) - lam * grad
-            v = soft_threshold(c, lam * inst.theta)
+            v = shrink(c, lam * inst.theta)
             r = cubic_root_scale(float(np.linalg.norm(v)))
             assert np.linalg.norm(x) == pytest.approx(r, abs=1e-12)
 

@@ -20,7 +20,6 @@ from bregopt import (
     bpg_solve,
     bpge_solve,
     line_search_beta,
-    soft_threshold,
 )
 from bregopt import checks, plip, problems, qip, solvers
 from bregopt.kernels import Kernel, QuarticKernel, _NEGATIVE_SLACK
@@ -29,7 +28,7 @@ from bregopt.solvers import IterationRecord, Trace
 
 from helpers import (FailingBurgKernel, TiltedConstantKernel,
                      blocked_evaluate_loop, lyapunov_increase_loop,
-                     rate_check_loop, solve_recording)
+                     rate_check_loop, shrink, solve_recording)
 
 
 class QuadraticSmooth(SmoothTerm):
@@ -196,7 +195,7 @@ class TestReductions:
                     beta *= cfg.eta
             y = x_curr + beta * delta if np.any(delta) else x_curr
             grad = obj.smooth.gradient(y)
-            x_next = soft_threshold(y - lam * grad, lam * weight)
+            x_next = shrink(y - lam * grad, lam * weight)
             iterates.append(x_next.copy())
             x_prev, x_curr = x_curr, x_next
 
@@ -1218,7 +1217,6 @@ class TestHotPath:
         counting(Kernel, "require_interior")
         counting(Kernel, "inverse_gradient")
         counting(L1Term, "prox")
-        counting(problems, "soft_threshold")
         cfg = SolverConfig(lam=1.0 / obj.smooth.smad_constant(), k_max=50,
                            tol=1e-300)
         result = solve(obj, x0, cfg)
