@@ -126,9 +126,9 @@ class SmoothTerm:
         return 0.0
 
 
-# Row blocks of M of at most this size fix the order in which the two-row
-# product W M = sum_B W_B M_B sums, the fastest way measured to form it
-# (README); u = M x, a one-row M^T w and every elementwise pass take all of M.
+# Row blocks of M of at most this size carry an extrapolated step's one pass
+# over M: u_B = M_B x, then W M = sum_B W_B M_B in that fixed order (README);
+# every other product, and a one-block M's, takes all of M.
 # Blocks of 8k rows start 64 k d bytes apart, so an aligned M's stay aligned.
 _BLOCK_BYTES = 512 * 1024
 
@@ -149,8 +149,9 @@ class LinearModelSmooth(SmoothTerm):
     class `KERNEL` whose domain f shares (`value` and `gradient` check x by
     `self.kernel`, a `KERNEL` of size d) and, if phi needs it, `_in_domain(u)`.
     M is cut once into the `(rows, M_B)` pairs of `_row_blocks`, which only
-    the two-row product of grad f(x) and a carried grad f(y) uses; every
-    other gradient, and any gradient of a one-block M, is one `M.T @ w`.
+    a step with a carried y reads, once each for M x and both gradients;
+    every other step, and any step of a one-block M, forms `M @ x` and
+    one `M.T @ w` per gradient.
     The line search, which never reads f, fixes the next y before
     `evaluate` runs.
     """
@@ -166,29 +167,38 @@ class LinearModelSmooth(SmoothTerm):
     _in_domain = staticmethod(lambda u: True)
 
     def evaluate(self, x, u_prev, beta, y):
-        """u = M x, then phi and phi' once over all of u, and with a y the
-        carried u_y = u + beta (u - u_prev) standing in for M y, with phi'
-        of it if u_y passes `_in_domain`; then M^T phi'(u) and M^T phi'(u_y)
-        for grad f at x and y. Where rounding leaves u_y outside
+        """u = M x and phi, phi' over all of u, and with a y the carried
+        u_y = u + beta (u - u_prev) standing in for M y; then M^T phi'(u)
+        and, if u_y passes `_in_domain`, M^T phi'(u_y) for grad f at x and
+        y. With row blocks and a y, u, u_y and both gradients come from
+        `_carried_pass`, one read of M. Where rounding leaves u_y outside
         `_in_domain`, grad f(y) comes from M y, as `gradient(y)` unchecked."""
         M, b, phi = self.M, self.inst.b, self._phi
-        u = M @ x
+        G = None
+        if y is None or self._blocks is None:
+            u = M @ x
+            u_y = None if y is None else u + beta * (u - u_prev)
+        else:
+            (u, u_y), G = self._carried_pass(x, u_prev, beta)
         f, w = phi(u, b)
-        w_y = None
-        if y is not None:
-            u_y = u + beta * (u - u_prev)
-            if self._in_domain(u_y):
-                w_y = phi(u_y, b, False)[1]
-        if w_y is None or self._blocks is None:
-            grad, grad_y = M.T @ w, None if w_y is None else M.T @ w_y
-        else:  # each W_B M_B reads M_B once for both rows
-            W, G = np.array((w, w_y)), np.zeros((2, M.shape[1]))
-            for rows, M_B in self._blocks:
-                G += W[:, rows] @ M_B
-            grad, grad_y = G
-        if y is not None and w_y is None:
-            grad_y = self.evaluate(y, None, 0.0, None)[2]
-        return u, f, grad, grad_y
+        if u_y is None or not self._in_domain(u_y):
+            grad_y = None if y is None else self.evaluate(y, None, 0.0, None)[2]
+            return u, f, M.T @ w, grad_y
+        if G is None:
+            return u, f, M.T @ w, M.T @ phi(u_y, b, False)[1]
+        return u, f, G[0], G[1]
+
+    @np.errstate(all="ignore")  # phi' of a carry that left the domain
+    def _carried_pass(self, x, u_prev, beta):
+        """(U, G): U's rows u = M x and u_y, G's rows M^T phi'(u) and
+        M^T phi'(u_y), as W M = sum_B W_B M_B; each M_B is read once for all."""
+        M, b = self.M, self.inst.b
+        U, G = np.empty((2, M.shape[0])), np.zeros((2, M.shape[1]))
+        for rows, M_B in self._blocks:
+            u_B = U[0, rows] = M_B @ x
+            U[1, rows] = u_B + beta * (u_B - u_prev[rows])
+            G += self._phi(U[:, rows], b[rows], False)[1] @ M_B
+        return U, G
 
     def value(self, x):
         return self._value(self.kernel.require_interior(x))
