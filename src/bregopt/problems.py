@@ -180,7 +180,7 @@ class LinearModelSmooth(SmoothTerm):
             u_y = None if y is None else u + beta * (u - u_prev)
         else:
             (u, u_y), G = self._carried_pass(x, u_prev, beta)
-        f, w = phi(u, b)
+        f, w = phi(u, b)  # w unused after a blocked pass: <1% of its time
         if u_y is None or not self._in_domain(u_y):
             grad_y = None if y is None else self.evaluate(y, None, 0.0, None)[2]
             return u, f, M.T @ w, grad_y
@@ -188,10 +188,10 @@ class LinearModelSmooth(SmoothTerm):
             return u, f, M.T @ w, M.T @ phi(u_y, b, False)[1]
         return u, f, G[0], G[1]
 
-    @np.errstate(all="ignore")  # phi' of a carry that left the domain
     def _carried_pass(self, x, u_prev, beta):
         """(U, G): U's rows u = M x and u_y, G's rows M^T phi'(u) and
-        M^T phi'(u_y), as W M = sum_B W_B M_B; each M_B is read once for all."""
+        M^T phi'(u_y), as W M = sum_B W_B M_B; each M_B is read once for all.
+        phi' of a carry that left the domain runs under the solvers' errstate."""
         M, b = self.M, self.inst.b
         U, G = np.empty((2, M.shape[0])), np.zeros((2, M.shape[1]))
         for rows, M_B in self._blocks:
