@@ -36,19 +36,19 @@ def _sampler(kernel):
     return lambda rng: rng.standard_normal(d)
 
 
-def finite_difference_gradient(fn, x, step: float = 1e-6) -> np.ndarray:
+def finite_difference_gradient(fn, x) -> np.ndarray:
     g = np.zeros_like(x)
     for j in range(x.size):
         e = np.zeros_like(x)
-        e[j] = step
-        g[j] = (fn(x + e) - fn(x - e)) / (2.0 * step)
+        e[j] = 1e-6
+        g[j] = (fn(x + e) - fn(x - e)) / 2e-6
     return g
 
 
-def _check_gradient(obj, rng, points: int = 20) -> CheckOutcome:
+def _check_gradient(obj, rng) -> CheckOutcome:
     sampler = _sampler(obj.kernel)
     worst = 0.0
-    for _ in range(points):
+    for _ in range(20):
         x = sampler(rng)
         g = obj.smooth.gradient(x)
         fd = finite_difference_gradient(obj.smooth.value, x)
@@ -102,11 +102,11 @@ def _prox_residual(obj, y, lam: float) -> float:
     return float(np.max(r, initial=0.0))
 
 
-def _check_prox(obj, rng, calls: int = 20) -> CheckOutcome:
+def _check_prox(obj, rng) -> CheckOutcome:
     """First-order condition of the prox output at random interior points."""
     sampler = _sampler(obj.kernel)
     lam = 1.0 / obj.smooth.smad_constant()
-    worst = max(_prox_residual(obj, sampler(rng), lam) for _ in range(calls))
+    worst = max(_prox_residual(obj, sampler(rng), lam) for _ in range(20))
     return CheckOutcome("prox_first_order", worst < 1e-8,
                         "max residual %.3e" % worst)
 

@@ -37,6 +37,14 @@ TRACE_HEADER = ("iter", "psi", "psi_gap", "dh_step", "lyapunov", "beta",
 TIMING_COLUMNS = ("cum_time_s", "T_bpge", "T_bpg", "T_ratio")
 
 
+def _lookup(table: dict, name, what: str):
+    """table[name], name a str key of it (a list is refused, not hashed)."""
+    if not (isinstance(name, str) and name in table):
+        raise ValidationError("unknown %s %r (expected one of %s)"
+                              % (what, name, sorted(table)))
+    return table[name]
+
+
 def _is_size(v) -> bool:
     return isinstance(v, (list, tuple)) and len(v) == 2
 
@@ -75,8 +83,7 @@ class ExperimentSpec:
     theta: float = 1.0
 
     def __post_init__(self):
-        if self.problem not in PROBLEMS:
-            raise ValidationError("problem must be one of %s" % (PROBLEMS,))
+        problem_module(self.problem)
         for names, test, what in _FIELD_TYPES:
             for name in names:
                 if not test(getattr(self, name)):
@@ -86,12 +93,8 @@ class ExperimentSpec:
                 raise ValidationError("%s must be nonempty" % name)
         for m, d in self.sizes:
             check_size(m, d, "sizes: m and d")
-        for rule in self.lambdas:
-            if rule not in LAMBDA_RULES:
-                raise ValidationError(
-                    "unknown lambda rule %r (expected one of %s)"
-                    % (rule, sorted(LAMBDA_RULES))
-                )
+        for rule in self.lambdas:  # every name before any config field
+            _lookup(LAMBDA_RULES, rule, "lambda rule")
         for rho in self.rhos:  # beta0, eta, rho, tol, k_max and exit_mode
             self.solver_config(1.0, "1/L", rho)
         check_nonnegative(self.theta, "theta")
@@ -103,7 +106,8 @@ class ExperimentSpec:
     def solver_config(self, L: float, rule: str, rho: float) -> SolverConfig:
         """One cell's configuration; lam = 1 / (c L) for lambda rule 1/cL."""
         return SolverConfig(
-            lam=1.0 / (LAMBDA_RULES[rule] * L), tol=self.tol, k_max=self.k_max,
+            lam=1.0 / (_lookup(LAMBDA_RULES, rule, "lambda rule") * L),
+            tol=self.tol, k_max=self.k_max,
             exit_mode=self.exit_mode, beta0=self.beta0, eta=self.eta, rho=rho)
 
     @staticmethod
@@ -158,9 +162,7 @@ def derive_seed(master_seed: int, *parts) -> int:
 
 
 def problem_module(problem: str):
-    if problem not in PROBLEM_MODULES:
-        raise ValidationError("unknown problem %r" % (problem,))
-    return PROBLEM_MODULES[problem]
+    return _lookup(PROBLEM_MODULES, problem, "problem")
 
 
 def generate_instance(problem: str, m: int, d: int, seed: int,

@@ -186,9 +186,7 @@ class BurgKernel(Kernel):
                     and np.maximum.reduce(x, None) < np.inf)
 
     _inverse_gradient = _gradient  # -1/z: grad h is its own inverse
-
-    def _bregman(self, x, y):
-        return burg_phi_sum(x, y)
+    _bregman = staticmethod(burg_phi_sum)
 
 
 class QuarticKernel(Kernel):

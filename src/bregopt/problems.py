@@ -126,9 +126,9 @@ class SmoothTerm:
         return 0.0
 
 
-# Row blocks of M of at most this size carry an extrapolated step's one pass
-# over M: u_B = M_B x, then W M = sum_B W_B M_B in that fixed order (README);
-# every other product, and a one-block M's, takes all of M.
+# Row blocks of M of at most this size carry the one pass over M of
+# `evaluate` with a y: u_B = M_B x, then W M = sum_B W_B M_B in that fixed
+# order (README); every other product, and a one-block M's, takes all of M.
 # Blocks of 8k rows start 64 k d bytes apart, so an aligned M's stay aligned.
 _BLOCK_BYTES = 512 * 1024
 
@@ -149,9 +149,9 @@ class LinearModelSmooth(SmoothTerm):
     class `KERNEL` whose domain f shares (`value` and `gradient` check x by
     `self.kernel`, a `KERNEL` of size d) and, if phi needs it, `_in_domain(u)`.
     M is cut once into the `(rows, M_B)` pairs of `_row_blocks`, which only
-    a step with a carried y reads, once each for M x and both gradients;
-    every other step, and any step of a one-block M, forms `M @ x` and
-    one `M.T @ w` per gradient.
+    `evaluate` with a carried y reads, in one pass for M x and both
+    gradients; every other step, and any step of a one-block M, forms
+    `M @ x` and one `M.T @ w` per gradient.
     The line search, which never reads f, fixes the next y before
     `evaluate` runs.
     """
@@ -170,35 +170,30 @@ class LinearModelSmooth(SmoothTerm):
         """u = M x and phi, phi' over all of u, and with a y the carried
         u_y = u + beta (u - u_prev) standing in for M y; then M^T phi'(u)
         and, if u_y passes `_in_domain`, M^T phi'(u_y) for grad f at x and
-        y. With row blocks and a y, u, u_y and both gradients come from
-        `_carried_pass`, one read of M. Where rounding leaves u_y outside
-        `_in_domain`, grad f(y) comes from M y, as `gradient(y)` unchecked."""
+        y. Row blocks with a y take one pass: each M_B is read once for
+        U = [u; u_y] and W M = sum_B W_B M_B, both gradients (phi' of a carry
+        that left the domain runs under the solvers' errstate). Where
+        rounding leaves u_y outside `_in_domain`, grad f(y) is `gradient(y)`."""
         M, b, phi = self.M, self.inst.b, self._phi
-        G = None
         if y is None or self._blocks is None:
             u = M @ x
-            u_y = None if y is None else u + beta * (u - u_prev)
+            f, w = phi(u, b)
+            if y is not None:
+                u_y = u + beta * (u - u_prev)
+                if self._in_domain(u_y):
+                    return u, f, M.T @ w, M.T @ phi(u_y, b, False)[1]
         else:
-            (u, u_y), G = self._carried_pass(x, u_prev, beta)
-        f, w = phi(u, b)  # w unused after a blocked pass: <1% of its time
-        if u_y is None or not self._in_domain(u_y):
-            grad_y = None if y is None else self.evaluate(y, None, 0.0, None)[2]
-            return u, f, M.T @ w, grad_y
-        if G is None:
-            return u, f, M.T @ w, M.T @ phi(u_y, b, False)[1]
-        return u, f, G[0], G[1]
-
-    def _carried_pass(self, x, u_prev, beta):
-        """(U, G): U's rows u = M x and u_y, G's rows M^T phi'(u) and
-        M^T phi'(u_y), as W M = sum_B W_B M_B; each M_B is read once for all.
-        phi' of a carry that left the domain runs under the solvers' errstate."""
-        M, b = self.M, self.inst.b
-        U, G = np.empty((2, M.shape[0])), np.zeros((2, M.shape[1]))
-        for rows, M_B in self._blocks:
-            u_B = U[0, rows] = M_B @ x
-            U[1, rows] = u_B + beta * (u_B - u_prev[rows])
-            G += self._phi(U[:, rows], b[rows], False)[1] @ M_B
-        return U, G
+            U, G = np.empty((2, M.shape[0])), np.zeros((2, M.shape[1]))
+            for rows, M_B in self._blocks:
+                u_B = U[0, rows] = M_B @ x
+                U[1, rows] = u_B + beta * (u_B - u_prev[rows])
+                G += phi(U[:, rows], b[rows], False)[1] @ M_B
+            u = U[0]
+            f, w = phi(u, b)  # w only for the failed carry: <1% of the pass
+            if self._in_domain(U[1]):
+                return u, f, G[0], G[1]
+        grad_y = None if y is None else self.evaluate(y, None, 0.0, None)[2]
+        return u, f, M.T @ w, grad_y
 
     def value(self, x):
         return self._value(self.kernel.require_interior(x))
@@ -232,11 +227,6 @@ class NonsmoothTerm:
         return self.prox(kernel, z, lam)
 
 
-def _shrink(z: np.ndarray, tau: float) -> np.ndarray:
-    """sign(z_j) * max(|z_j| - tau, 0): the soft threshold of z by tau."""
-    return np.sign(z) * np.maximum(np.abs(z) - tau, 0.0)
-
-
 class L1Term(NonsmoothTerm):
     """g(x) = weight * ||x||_1, with the one Bregman proximal rule.
 
@@ -264,7 +254,7 @@ class L1Term(NonsmoothTerm):
         if self.weight > 0.0:
             if isinstance(kernel, BurgKernel):
                 raise ValidationError("no closed-form l1 prox for BurgKernel")
-            z = _shrink(z, lam * self.weight)
+            z = np.sign(z) * np.maximum(np.abs(z) - lam * self.weight, 0.0)
         return kernel._inverse_gradient(z)
 
 

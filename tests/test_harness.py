@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import multiprocessing
 import os
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from bregopt import (
     bpg_solve,
     bpge_solve,
 )
-from bregopt import harness, plip
+from bregopt import checks, harness, plip
 from bregopt.problems import check_size
 
 from helpers import FailingBurgKernel, reference_trace_csv
@@ -111,6 +112,55 @@ class TestGenerateInstance:
     def test_unknown_problem(self):
         with pytest.raises(ValidationError):
             harness.generate_instance("lasso", 10, 2, 0)
+
+
+BAD_NAMES = pytest.mark.parametrize("name", [["plip"], {"plip": 1}, "lasso"],
+                                    ids=["list", "dict", "unknown"])
+
+
+def unknown(what, name, names):
+    return re.escape("unknown %s %r (expected one of %s)" % (what, name, names))
+
+
+class TestNameRules:
+    """A problem or lambda rule that is not one of its names raises
+    ValidationError at every public entry, never TypeError or KeyError."""
+
+    @BAD_NAMES
+    def test_problem(self, name):
+        inst = harness.generate_instance("qip", 10, 2, 0)
+        for call in (lambda: harness.generate_instance(name, 10, 2, 0),
+                     lambda: harness.problem_bundle(name, inst),
+                     lambda: checks.run_invariant_checks(name, 10, 2, 0),
+                     lambda: harness.ExperimentSpec(name, ((10, 2),))):
+            with pytest.raises(ValidationError,
+                               match=unknown("problem", name, ["plip", "qip"])):
+                call()
+
+    @BAD_NAMES
+    def test_lambda_rule(self, name):
+        spec = tiny_spec()
+        match = unknown("lambda rule", name, ["1/2L", "1/3L", "1/L"])
+        for call in (lambda: harness.run_cell(spec, 10, 2, name, 0.99, 0),
+                     lambda: spec.solver_config(1.0, name, 0.99)):
+            with pytest.raises(ValidationError, match=match):
+                call()
+        # Not a string: the list rule of `lambdas` names it first.
+        with pytest.raises(ValidationError, match="lambda"):
+            harness.ExperimentSpec("plip", ((10, 2),), lambdas=(name,))
+
+    @pytest.mark.parametrize("fields,named", [
+        (dict(problem=["plip"], lambdas=("x",), tol=-1.0), "problem"),
+        (dict(lambdas=("1/L", "x"), tol=-1.0), "lambda rule 'x'"),
+        (dict(lambdas=("1/L", "x"), rhos=(2.0,)), "lambda rule 'x'"),
+        (dict(rhos=(0.5, 2.0), tol=-1.0), "tol"),
+        (dict(rhos=(2.0, 0.5), tol=-1.0), "rho"),
+        (dict(lambdas=("1/L",), solvers=("pg",), tol=-1.0), "tol"),
+    ])
+    def test_a_spec_names_its_first_bad_field(self, fields, named):
+        with pytest.raises(ValidationError, match=re.escape(named)):
+            harness.ExperimentSpec(**dict(dict(problem="plip",
+                                               sizes=((10, 2),)), **fields))
 
 
 def read_csv(path):

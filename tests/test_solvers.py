@@ -1296,10 +1296,10 @@ class TestHotPath:
         assert calls == {"require_interior": 1}
 
     # cProfile calls, builtins included, of a 2000-iteration solve at seed 0,
-    # lam = 1/L, tol 1e-300 (37.06, 26.02, 43.03 and 32.02 per iteration):
+    # lam = 1/L, tol 1e-300 (35.05, 25.02, 42.03 and 31.02 per iteration):
     # the dispatch budget of the solver step.
-    CALL_BUDGET = {("plip", "bpge"): 74124, ("plip", "bpg"): 52041,
-                   ("qip", "bpge"): 86068, ("qip", "bpg"): 64033}
+    CALL_BUDGET = {("plip", "bpge"): 70110, ("plip", "bpg"): 50041,
+                   ("qip", "bpge"): 84068, ("qip", "bpg"): 62033}
 
     @pytest.mark.parametrize("problem,m", [("plip", 1000), ("qip", 200)])
     def test_calls_per_iteration_within_budget(self, problem, m):
@@ -1314,10 +1314,10 @@ class TestHotPath:
             assert calls <= self.CALL_BUDGET[problem, name], name
 
     # The same at 2000 x 200, where M is 7 row blocks, over 300 iterations
-    # (47.51, 26.14, 58.11 and 32.11 per iteration): only a step with a
+    # (44.28, 25.14, 56.11 and 31.11 per iteration): only a step with a
     # carried y runs the per-block loop, one phi' call per block.
-    BLOCKED_CALL_BUDGET = {("plip", "bpge"): 14254, ("plip", "bpg"): 7841,
-                           ("qip", "bpge"): 17432, ("qip", "bpg"): 9633}
+    BLOCKED_CALL_BUDGET = {("plip", "bpge"): 13285, ("plip", "bpg"): 7541,
+                           ("qip", "bpge"): 16832, ("qip", "bpg"): 9333}
 
     @pytest.mark.parametrize("problem", ["plip", "qip"])
     def test_blocked_calls_per_iteration_within_budget(self, problem):
