@@ -145,7 +145,7 @@ class TestNameRules:
                      lambda: spec.solver_config(1.0, name, 0.99)):
             with pytest.raises(ValidationError, match=match):
                 call()
-        # Not a string: the list rule of `lambdas` names it first.
+        # A list or dict entry fails the spec's list-of-strings rule first.
         with pytest.raises(ValidationError, match="lambda"):
             harness.ExperimentSpec("plip", ((10, 2),), lambdas=(name,))
 
